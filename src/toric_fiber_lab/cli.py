@@ -19,7 +19,6 @@ from .errors import InternalInconsistency, ToricFiberError, ValidationError
 from .novikov import series_from_json
 from .polytope import (
     enumerate_vertices,
-    facet_values,
     is_bounded,
     is_interior,
     parse_polytope,
@@ -31,9 +30,9 @@ from .report import (
     analyze,
     certificate_to_json,
     probe_to_json,
-    render_svg,
     report_to_json,
     report_to_text,
+    write_svg,
 )
 from .solver import certificates_at_fiber, find_critical_fibers
 
@@ -136,11 +135,9 @@ def cmd_critical(args) -> int:
     alpha = _load_bulk(args.bulk, len(P.facets), D)
     seed = _resolve_seed(args)
     if args.fiber is not None:
-        certs = certificates_at_fiber(
-            P, _parse_lambda(args.fiber), alpha, D, seed, args.starts
-        )
+        certs = certificates_at_fiber(P, _parse_lambda(args.fiber), alpha, D, seed)
     else:
-        certs = find_critical_fibers(P, alpha, D, seed, args.starts)
+        certs = find_critical_fibers(P, alpha, D, seed)
     if args.json:
         print(json.dumps([certificate_to_json(c) for c in certs], indent=2, sort_keys=True))
         return 0
@@ -197,8 +194,7 @@ def cmd_probes(args) -> int:
 def cmd_disks(args) -> int:
     P = _load_polytope(args.input)
     lam = _parse_lambda(args.fiber)
-    values = facet_values(P, lam)
-    if any(v <= 0 for v in values):
+    if not is_interior(P, lam):
         raise ValidationError(f"fiber {_fmt_point(lam)} is not interior")
     rows = []
     for cls in index_two_classes(P):
@@ -230,7 +226,6 @@ def _run_analysis(args):
         P,
         seed=_resolve_seed(args),
         truncation=D,
-        starts=args.starts,
         bound=args.bound,
         resolution=args.resolution,
         alpha=alpha,
@@ -240,8 +235,7 @@ def _run_analysis(args):
 def cmd_analyze(args) -> int:
     report = _run_analysis(args)
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_svg(report))
+        write_svg(report, args.svg)
     if args.json:
         print(report_to_json(report))
     else:
@@ -250,9 +244,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_render(args) -> int:
-    report = _run_analysis(args)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(report))
+    write_svg(_run_analysis(args), args.output)
     print(f"wrote {args.output}")
     return 0
 
@@ -284,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bulk", help="JSON file with per-facet twist series")
     p.add_argument("--truncation", help="truncation order p/q")
     p.add_argument("--seed", type=int)
-    p.add_argument("--starts", type=int)
     p.add_argument("--json", action="store_true")
 
     p = add("probes", cmd_probes, "probe displaceability of one fiber or a grid")
@@ -301,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bulk", help="JSON file with per-facet twist series")
         p.add_argument("--truncation", help="truncation order p/q")
         p.add_argument("--seed", type=int)
-        p.add_argument("--starts", type=int)
         p.add_argument("--bound", type=int, default=3)
         p.add_argument("--resolution", type=int, default=16)
 

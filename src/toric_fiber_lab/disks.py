@@ -9,15 +9,14 @@ must reproduce build_potential term for term.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotAUnit, NotInterior
-from .novikov import NovikovSeries, constant_series, nov_exp, one, val
+from .errors import NotInterior
+from .novikov import NovikovSeries
 from .polytope import MomentPolytope, facet_values, is_interior
-from .potential import Potential, PotentialTerm, default_truncation
+from .potential import Potential, PotentialTerm, fiber_setup
 
 DiskClass = tuple[int, ...]
 
@@ -102,24 +101,9 @@ def potential_from_disks(
 ) -> Potential:
     """Rebuild the potential from index-2 disk classes: term i has valuation
     disk_area(e_i) and exponent boundary_class(e_i)."""
-    lam = tuple(Fraction(x) for x in lam)
-    if not is_interior(P, lam):
-        raise NotInterior(f"fiber {lam} is not interior")
-    D = Fraction(truncation) if truncation is not None else default_truncation(P, lam)
-    if alpha is not None and len(alpha) != len(P.facets):
-        raise ValueError("twist must supply one series per facet")
-    terms = []
-    for i, cls in enumerate(index_two_classes(P)):
-        if alpha is None:
-            mult, tail = 1.0 + 0j, one(D)
-        else:
-            a = alpha[i].retruncate(D)
-            if val(a) < 0:
-                raise NotAUnit("twist coefficients must have nonnegative valuation")
-            a0 = a.coefficient(0)
-            mult = cmath.exp(a0)
-            tail = nov_exp(a - constant_series(a0, D))
-        terms.append(
-            PotentialTerm(i, mult, tail, boundary_class(cls, P), disk_area(cls, P, lam))
-        )
-    return Potential(P.dimension, lam, tuple(terms), D)
+    lam, D, factors = fiber_setup(P, lam, alpha, truncation)
+    terms = tuple(
+        PotentialTerm(i, mult, tail, boundary_class(cls, P), disk_area(cls, P, lam))
+        for i, (cls, (mult, tail)) in enumerate(zip(index_two_classes(P), factors))
+    )
+    return Potential(P.dimension, lam, terms, D)

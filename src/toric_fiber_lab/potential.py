@@ -49,6 +49,31 @@ def default_truncation(P: MomentPolytope, lam) -> Fraction:
     return DEFAULT_TRUNCATION_FACTOR * max(facet_values(P, lam))
 
 
+def fiber_setup(P: MomentPolytope, lam, alpha=None, truncation=None):
+    """Shared set-up of both potential builders.
+
+    Returns the exact interior fiber, the truncation order (default
+    3 * max_i l_i(lam)) and per facet the twist factors (e^{a_i0},
+    exp(a_i - a_i0)); an absent twist gives (1, 1) for every facet.
+    """
+    lam = tuple(Fraction(x) for x in lam)
+    if not is_interior(P, lam):
+        raise NotInterior(f"fiber {lam} is not interior")
+    D = Fraction(truncation) if truncation is not None else default_truncation(P, lam)
+    if alpha is None:
+        return lam, D, [(1.0 + 0j, one(D))] * len(P.facets)
+    if len(alpha) != len(P.facets):
+        raise ValueError("twist must supply one series per facet")
+    factors = []
+    for ai in alpha:
+        a = ai.retruncate(D)
+        if val(a) < 0:
+            raise NotAUnit("twist coefficients must have nonnegative valuation")
+        a0 = a.coefficient(0)
+        factors.append((cmath.exp(a0), nov_exp(a - constant_series(a0, D))))
+    return lam, D, factors
+
+
 def build_potential(
     P: MomentPolytope,
     lam,
@@ -56,26 +81,14 @@ def build_potential(
     truncation=None,
 ) -> Potential:
     """One term per facet, in facet order; optional per-facet twist alpha."""
-    lam = tuple(Fraction(x) for x in lam)
-    if not is_interior(P, lam):
-        raise NotInterior(f"fiber {lam} is not interior")
-    D = Fraction(truncation) if truncation is not None else default_truncation(P, lam)
-    values = facet_values(P, lam)
-    if alpha is not None and len(alpha) != len(P.facets):
-        raise ValueError("twist must supply one series per facet")
-    terms = []
-    for i, f in enumerate(P.facets):
-        if alpha is None:
-            mult, tail = 1.0 + 0j, one(D)
-        else:
-            a = alpha[i].retruncate(D)
-            if val(a) < 0:
-                raise NotAUnit("twist coefficients must have nonnegative valuation")
-            a0 = a.coefficient(0)
-            mult = cmath.exp(a0)
-            tail = nov_exp(a - constant_series(a0, D))
-        terms.append(PotentialTerm(i, mult, tail, f.normal, values[i]))
-    return Potential(P.dimension, lam, tuple(terms), D)
+    lam, D, factors = fiber_setup(P, lam, alpha, truncation)
+    terms = tuple(
+        PotentialTerm(i, mult, tail, f.normal, v)
+        for i, (f, v, (mult, tail)) in enumerate(
+            zip(P.facets, facet_values(P, lam), factors)
+        )
+    )
+    return Potential(P.dimension, lam, terms, D)
 
 
 def _require_units(z: tuple[NovikovSeries, ...], n: int) -> None:

@@ -19,6 +19,7 @@ from .polytope import (
     facet_values,
     is_bounded,
     is_interior,
+    normal_gcd,
     primitive_normal,
 )
 
@@ -55,6 +56,10 @@ def probe_through(
 
     Valid means: the base point lands in the open facet (exactly one vanishing
     facet value), and lam sits strictly inside the first half of the segment.
+    Only a facet with primitive normal yields a displacing probe: near a
+    facet with label m > 1 (the normal -2 of P(1,2)) the reduced disk has a
+    Z_m cone point that Hamiltonian isotopies fix, so displaceable_by_probe
+    skips such facets.
     """
     f = P.facets[facet_index]
     if not integrally_transverse(f, alpha):
@@ -91,8 +96,11 @@ def _directions(n: int, bound: int):
 
 
 def displaceable_by_probe(P: MomentPolytope, lam, bound: int = DEFAULT_BOUND) -> Probe | None:
-    """First probe covering lam, scanning facets in order then directions."""
+    """First probe covering lam, scanning facets with primitive normal in
+    order, then directions."""
     for facet_index, f in enumerate(P.facets):
+        if normal_gcd(f) != 1:
+            continue
         for alpha in _directions(P.dimension, bound):
             if not integrally_transverse(f, alpha):
                 continue

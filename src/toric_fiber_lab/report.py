@@ -59,15 +59,12 @@ def analyze(
     P: MomentPolytope,
     seed: int = 0,
     truncation=None,
-    starts: int | None = None,
     bound: int = 3,
     resolution: int = 16,
     alpha=None,
 ) -> AnalysisReport:
     """Run the critical-fiber search and the probe scan, then classify."""
-    certs = tuple(
-        find_critical_fibers(P, alpha=alpha, truncation=truncation, seed=seed, starts=starts)
-    )
+    certs = tuple(find_critical_fibers(P, alpha=alpha, truncation=truncation, seed=seed))
     cert_fibers = {c.fiber: i for i, c in enumerate(certs)}
     notes = [BULK_CAVEAT]
     for fiber in cert_fibers:
@@ -79,12 +76,9 @@ def analyze(
     grid: list[Verdict] = []
     unknown: list[tuple[Fraction, ...]] = []
     if P.dimension <= 2 and is_bounded(P):
+        # the scan repeats the guard's probe search, so certified fibers got None
         for lam, probe in probe_scan(P, resolution, bound).items():
             if lam in cert_fibers:
-                if probe is not None:
-                    raise InternalInconsistency(
-                        f"fiber {lam} is certified critical and displaced by a probe"
-                    )
                 grid.append(Verdict(lam, "critical", None, cert_fibers[lam]))
             elif probe is not None:
                 grid.append(Verdict(lam, "displaceable", probe))
@@ -96,7 +90,6 @@ def analyze(
     config = {
         "seed": seed,
         "truncation": None if truncation is None else str(Fraction(truncation)),
-        "starts": starts,
         "bound": bound,
         "resolution": resolution,
         "bulk": alpha is not None,

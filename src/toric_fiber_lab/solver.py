@@ -39,7 +39,6 @@ from .polytope import MomentPolytope, exact_affine_solve, facet_values, is_inter
 from .potential import (
     Potential,
     build_potential,
-    default_truncation,
     eval_gradient,
     eval_hessian,
     eval_potential,
@@ -69,7 +68,6 @@ FAMILY_SAMPLES = (
 @dataclass(frozen=True)
 class TropicalCandidate:
     fiber: tuple[Fraction, ...]
-    equalities: tuple[tuple[int, int], ...]
     per_direction_minima: tuple[tuple[int, ...], ...]
     isolated: bool = True
 
@@ -99,33 +97,44 @@ class CriticalCertificate:
 # -- tropical candidate enumeration ------------------------------------------
 
 
+def _direction_minima(entries, n: int):
+    """(least value per direction, indices attaining it per direction).
+
+    Direction j ranges over the entries (index, exponent, value) with
+    exponent[j] != 0; raises DegenerateDirection when there are none.
+    """
+    mins, argmins = [], []
+    for j in range(n):
+        support = [(i, v) for i, e, v in entries if e[j] != 0]
+        if not support:
+            raise DegenerateDirection(f"no term involves direction {j}")
+        m = min(v for _, v in support)
+        mins.append(m)
+        argmins.append(tuple(i for i, v in support if v == m))
+    return tuple(mins), tuple(argmins)
+
+
 def _candidate_minima(P: MomentPolytope, lam) -> tuple[tuple[int, ...], ...] | None:
     """Per direction, the facets of minimal value among those with v_ij != 0.
 
     Returns None unless every direction attains its minimum at least twice.
     """
     values = facet_values(P, lam)
-    minima = []
-    for j in range(P.dimension):
-        support = [i for i, f in enumerate(P.facets) if f.normal[j] != 0]
-        if not support:
-            return None
-        m = min(values[i] for i in support)
-        S = tuple(i for i in support if values[i] == m)
-        if len(S) < 2:
-            return None
-        minima.append(S)
-    return tuple(minima)
+    entries = [(i, f.normal, v) for i, (f, v) in enumerate(zip(P.facets, values))]
+    try:
+        _, minima = _direction_minima(entries, P.dimension)
+    except DegenerateDirection:
+        return None
+    return minima if all(len(S) >= 2 for S in minima) else None
 
 
-def tropical_candidates(P: MomentPolytope, alpha=None) -> list[TropicalCandidate]:
+def tropical_candidates(P: MomentPolytope) -> list[TropicalCandidate]:
     """Fibers where leading-order cancellation is possible in every direction.
 
     For each direction a pair of facets is forced to share the minimal
     valuation; the resulting exact linear systems are solved and filtered.
-    Twists never move valuations, so `alpha` does not affect the output.
+    Twists never move valuations, so the candidates depend on P alone.
     """
-    del alpha  # valuations are twist-independent; kept for signature parity
     n = P.dimension
     supports = [
         [i for i, f in enumerate(P.facets) if f.normal[j] != 0] for j in range(n)
@@ -134,7 +143,7 @@ def tropical_candidates(P: MomentPolytope, alpha=None) -> list[TropicalCandidate
         return []
     found: dict[tuple[Fraction, ...], TropicalCandidate] = {}
 
-    def consider(lam, equalities, isolated):
+    def consider(lam, isolated):
         lam = tuple(lam)
         if not is_interior(P, lam):
             return
@@ -143,7 +152,7 @@ def tropical_candidates(P: MomentPolytope, alpha=None) -> list[TropicalCandidate
             return
         prev = found.get(lam)
         if prev is None or (isolated and not prev.isolated):
-            found[lam] = TropicalCandidate(lam, equalities, minima, isolated)
+            found[lam] = TropicalCandidate(lam, minima, isolated)
 
     for pairs in itertools.product(*(itertools.combinations(s, 2) for s in supports)):
         rows = []
@@ -156,14 +165,12 @@ def tropical_candidates(P: MomentPolytope, alpha=None) -> list[TropicalCandidate
         if part is None:
             continue
         if not kern:
-            consider(part, tuple(pairs), True)
+            consider(part, True)
         else:
             # positive-dimensional family: sample along the first kernel direction
             k0 = kern[0]
             for t in FAMILY_SAMPLES:
-                consider(
-                    [p + t * k for p, k in zip(part, k0)], tuple(pairs), False
-                )
+                consider([p + t * k for p, k in zip(part, k0)], False)
     return [found[key] for key in sorted(found)]
 
 
@@ -171,18 +178,9 @@ def tropical_candidates(P: MomentPolytope, alpha=None) -> list[TropicalCandidate
 
 
 def _row_data(W: Potential):
-    """Per direction: (min valuation, facet indices attaining it)."""
-    minima = []
-    row_vals = []
-    for j in range(W.dimension):
-        support = [t for t in W.terms if t.exponent[j] != 0]
-        if not support:
-            raise DegenerateDirection(f"no term involves direction {j}")
-        m = min(t.valuation for t in support)
-        S = tuple(t.facet_index for t in support if t.valuation == m)
-        minima.append(S)
-        row_vals.append(m)
-    return tuple(row_vals), tuple(minima)
+    """Per direction: min term valuation, and the facet indices attaining it."""
+    entries = [(t.facet_index, t.exponent, t.valuation) for t in W.terms]
+    return _direction_minima(entries, W.dimension)
 
 
 def leading_system(W: Potential) -> LeadingSystem:
@@ -206,19 +204,16 @@ def leading_system(W: Potential) -> LeadingSystem:
 # -- multistart leading-root search -------------------------------------------
 
 
-def solve_leading(
-    sys: LeadingSystem, seed: int = 0, starts: int | None = None
-) -> list[tuple[complex, ...]]:
+def solve_leading(sys: LeadingSystem, seed: int = 0) -> list[tuple[complex, ...]]:
     """Roots of the leading system on the complex torus.
 
-    Damped Newton in logarithmic coordinates from `starts` random points with
+    Damped Newton in logarithmic coordinates from 64 * 3^n random points with
     log-uniform modulus in [1/4, 4] and uniform phase; converged roots are
     kept when the residual is below 1e-10 and every |zeta_j| lies in
     [1e-6, 1e6], then deduplicated to 1e-6 and sorted.
     """
     n = sys.dimension
-    if starts is None:
-        starts = DEFAULT_STARTS_BASE * 3**n
+    starts = DEFAULT_STARTS_BASE * 3**n
     coeffs = [np.array([c for c, _ in eq], dtype=complex) for eq in sys.equations]
     expos = [np.array([e for _, e in eq], dtype=float) for eq in sys.equations]
 
@@ -273,9 +268,8 @@ def solve_leading(
 # -- lifting infrastructure ---------------------------------------------------
 
 
-def _leading_jacobian(W: Potential, zeta: tuple[complex, ...]) -> np.ndarray:
+def _leading_jacobian(W: Potential, minima, zeta: tuple[complex, ...]) -> np.ndarray:
     """Constant part of the normalized z-Jacobian of the gradient at zeta."""
-    _, minima = _row_data(W)
     n = W.dimension
     J0 = np.zeros((n, n), dtype=complex)
     for t in W.terms:
@@ -296,22 +290,24 @@ def _newton_startable(J0: np.ndarray) -> bool:
         scale = max(1.0, float(np.max(np.abs(J0[j]))))
         if abs(J0[j, j]) <= DIAG_TOL * scale:
             return False
+    return _well_conditioned(J0)
+
+
+def _well_conditioned(J0: np.ndarray) -> bool:
     cond = np.linalg.cond(J0)
     return bool(np.isfinite(cond) and cond < COND_LIMIT)
 
 
-def _normalized_state(W: Potential, z):
-    """Gradient and bookkeeping: raw gradient, row minima, normalized frontier."""
+def _normalized_state(W: Potential, row_vals, z):
+    """Raw gradient at z and its normalized frontier min_j (val(g_j) - m_j)."""
     g = eval_gradient(W, z)
-    row_vals, _ = _row_data(W)
     fronts = [val(gj) - m if gj.terms else INF for gj, m in zip(g, row_vals)]
-    return g, row_vals, min(fronts)
+    return g, min(fronts)
 
 
-def _normalized_jacobian(W: Potential, z) -> list[list[NovikovSeries]]:
+def _normalized_jacobian(W: Potential, row_vals, z) -> list[list[NovikovSeries]]:
     """Series matrix q^{-m_j} * dgrad_j/dz_k at z (entries have valuation >= 0)."""
     H = eval_hessian(W, z)
-    row_vals, _ = _row_data(W)
     inv = [nov_inverse(zk) for zk in z]
     n = W.dimension
     return [
@@ -361,8 +357,8 @@ def _solve_series_system(Jhat, ghat, n: int):
     return acc
 
 
-def _certificate(W, z, method, nondegenerate, iterations, history) -> CriticalCertificate:
-    g = eval_gradient(W, z)
+def _certificate(W, z, g, method, nondegenerate, iterations, history) -> CriticalCertificate:
+    """Package the lifted point z; g is the gradient the lift last evaluated at z."""
     res = min((val(gj) for gj in g), default=INF)
     return CriticalCertificate(
         fiber=W.fiber,
@@ -377,22 +373,20 @@ def _certificate(W, z, method, nondegenerate, iterations, history) -> CriticalCe
     )
 
 
-def newton_lift(W: Potential, zeta: tuple[complex, ...], D=None) -> CriticalCertificate:
+def newton_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     """Series Newton iteration from the constant series zeta.
 
     Raises SingularLeadingHessian when the leading Jacobian has a vanishing
     diagonal entry or condition number >= 1e8 (fall back to graded_lift), and
     NoConvergence when the residual valuation stalls for three iterations.
     """
-    if D is not None and Fraction(D) != W.truncation:
-        W = _retruncated(W, D)
+    row_vals, minima = _row_data(W)
     z = tuple(constant_series(zj, W.truncation) for zj in zeta)
-    J0 = _leading_jacobian(W, zeta)
-    startable = _newton_startable(J0)
-    g, row_vals, front = _normalized_state(W, z)
+    startable = _newton_startable(_leading_jacobian(W, minima, zeta))
+    g, front = _normalized_state(W, row_vals, z)
     history = [front]
     if all(gj.is_zero() for gj in g):
-        return _certificate(W, z, "newton", startable, 0, history)
+        return _certificate(W, z, g, "newton", startable, 0, history)
     if not startable:
         raise SingularLeadingHessian(
             "leading Jacobian is unfit for plain Newton at this root"
@@ -400,14 +394,14 @@ def newton_lift(W: Potential, zeta: tuple[complex, ...], D=None) -> CriticalCert
     stall = 0
     best = front
     for it in range(1, MAX_NEWTON_ITER + 1):
-        Jhat = _normalized_jacobian(W, z)
+        Jhat = _normalized_jacobian(W, row_vals, z)
         ghat = tuple(gj.shift(-m) for gj, m in zip(g, row_vals))
         delta = _solve_series_system(Jhat, ghat, W.dimension)
         z = tuple(zj + dj for zj, dj in zip(z, delta))
-        g, row_vals, front = _normalized_state(W, z)
+        g, front = _normalized_state(W, row_vals, z)
         history.append(front)
         if all(gj.is_zero() for gj in g):
-            return _certificate(W, z, "newton", startable, it, history)
+            return _certificate(W, z, g, "newton", startable, it, history)
         if front <= best:
             stall += 1
             if stall >= 3:
@@ -418,17 +412,6 @@ def newton_lift(W: Potential, zeta: tuple[complex, ...], D=None) -> CriticalCert
             best = front
             stall = 0
     raise NoConvergence("iteration budget exhausted before reaching the truncation")
-
-
-def _retruncated(W: Potential, D) -> Potential:
-    from .potential import PotentialTerm
-
-    D = Fraction(D)
-    terms = tuple(
-        PotentialTerm(t.facet_index, t.multiplier, t.bulk_tail.retruncate(D), t.exponent, t.valuation)
-        for t in W.terms
-    )
-    return Potential(W.dimension, W.fiber, terms, D)
 
 
 def _jacobian_level(Jhat, s: Fraction, n: int) -> np.ndarray:
@@ -444,7 +427,7 @@ def _kernel_basis(J0: np.ndarray) -> np.ndarray:
     return np.array(null).T if null else np.zeros((J0.shape[0], 0))
 
 
-def graded_lift(W: Potential, zeta: tuple[complex, ...], D=None) -> CriticalCertificate:
+def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     """Cancel gradient residual levels one valuation at a time.
 
     At frontier level f the correction delta q^f satisfies J0 delta = -r.
@@ -452,13 +435,14 @@ def graded_lift(W: Potential, zeta: tuple[complex, ...], D=None) -> CriticalCert
     in the kernel of J0, entering level f through the valuation-s part of the
     Jacobian; shifts scan the valuation differences present in the term list.
     Raises Inconsistent when no admissible correction cancels the level.
+    Corrections only enter at positive levels, so J0 is fixed by zeta.
     """
-    if D is not None and Fraction(D) != W.truncation:
-        W = _retruncated(W, D)
     n = W.dimension
+    row_vals, minima = _row_data(W)
     z = tuple(constant_series(zj, W.truncation) for zj in zeta)
-    J0 = _leading_jacobian(W, zeta)
+    J0 = _leading_jacobian(W, minima, tuple(zj.coefficient(0) for zj in z))
     startable = _newton_startable(J0)
+    solvable = _well_conditioned(J0)
     shifts = sorted(
         {
             a.valuation - b.valuation
@@ -467,7 +451,7 @@ def graded_lift(W: Potential, zeta: tuple[complex, ...], D=None) -> CriticalCert
             if a.valuation > b.valuation
         }
     )
-    g, row_vals, front = _normalized_state(W, z)
+    g, front = _normalized_state(W, row_vals, z)
     history = [front]
     levels = 0
     stall = 0
@@ -488,10 +472,8 @@ def graded_lift(W: Potential, zeta: tuple[complex, ...], D=None) -> CriticalCert
         r = np.array(
             [gj.coefficient(front + m) for gj, m in zip(g, row_vals)], dtype=complex
         )
-        J0 = _leading_jacobian(W, tuple(zj.coefficient(0) for zj in z))
         delta = self_correction = None
-        cond = np.linalg.cond(J0)
-        if np.isfinite(cond) and cond < COND_LIMIT:
+        if solvable:
             delta = np.linalg.solve(J0, -r)
         else:
             cand, *_ = np.linalg.lstsq(J0, -r, rcond=None)
@@ -501,7 +483,7 @@ def graded_lift(W: Potential, zeta: tuple[complex, ...], D=None) -> CriticalCert
                 delta = cand
             else:
                 self_correction = _shifted_correction(
-                    W, z, J0, r, front, shifts, n
+                    W, row_vals, z, J0, r, front, shifts, n
                 )
                 if self_correction is None:
                     raise Inconsistent(
@@ -520,12 +502,12 @@ def graded_lift(W: Potential, zeta: tuple[complex, ...], D=None) -> CriticalCert
                 + monomial(complex(dj), front, W.truncation)
                 for zj, xj, dj in zip(z, xi, delta2)
             )
-        g, row_vals, front = _normalized_state(W, z)
+        g, front = _normalized_state(W, row_vals, z)
         history.append(front)
-    return _certificate(W, z, "graded", startable, levels, history)
+    return _certificate(W, z, g, "graded", startable, levels, history)
 
 
-def _shifted_correction(W, z, J0, r, front, shifts, n):
+def _shifted_correction(W, row_vals, z, J0, r, front, shifts, n):
     """Kernel-direction correction at level front - s plus a level-front solve.
 
     Constraints: the pair must cancel the level-front residual and must not
@@ -535,7 +517,7 @@ def _shifted_correction(W, z, J0, r, front, shifts, n):
     K = _kernel_basis(J0)
     if K.shape[1] == 0:
         return None
-    Jhat = _normalized_jacobian(W, z)
+    Jhat = _normalized_jacobian(W, row_vals, z)
     jac_levels = sorted({e for row in Jhat for s in row for e, _ in s.terms})
     rnorm = max(np.linalg.norm(r), 1e-300)
     for s in shifts:
@@ -563,16 +545,14 @@ def _shifted_correction(W, z, J0, r, front, shifts, n):
 # -- pipeline -----------------------------------------------------------------
 
 
-def _lift_candidate(P, cand, alpha, truncation, seed, starts):
-    lam = cand.fiber
-    D = Fraction(truncation) if truncation is not None else default_truncation(P, lam)
-    W = build_potential(P, lam, alpha, truncation=D)
+def _lift_candidate(P, cand, alpha, truncation, seed):
+    W = build_potential(P, cand.fiber, alpha, truncation)
     try:
         sys = leading_system(W)
     except DegenerateDirection:
         return []
     certs = []
-    for zeta in solve_leading(sys, seed=seed, starts=starts):
+    for zeta in solve_leading(sys, seed=seed):
         try:
             cert = newton_lift(W, zeta)
         except (SingularLeadingHessian, NoConvergence):
@@ -614,26 +594,17 @@ def _dedup_certificates(certs: list[CriticalCertificate]) -> list[CriticalCertif
 
 
 def find_critical_fibers(
-    P: MomentPolytope,
-    alpha=None,
-    truncation=None,
-    seed: int = 0,
-    starts: int | None = None,
+    P: MomentPolytope, alpha=None, truncation=None, seed: int = 0
 ) -> list[CriticalCertificate]:
     """All certified critical fibers: candidates -> leading roots -> lifts."""
     certs = []
-    for cand in tropical_candidates(P, alpha):
-        certs.extend(_lift_candidate(P, cand, alpha, truncation, seed, starts))
+    for cand in tropical_candidates(P):
+        certs.extend(_lift_candidate(P, cand, alpha, truncation, seed))
     return _dedup_certificates(certs)
 
 
 def certificates_at_fiber(
-    P: MomentPolytope,
-    lam,
-    alpha=None,
-    truncation=None,
-    seed: int = 0,
-    starts: int | None = None,
+    P: MomentPolytope, lam, alpha=None, truncation=None, seed: int = 0
 ) -> list[CriticalCertificate]:
     """Run the lifting pipeline at one user-supplied fiber only."""
     lam = tuple(Fraction(x) for x in lam)
@@ -642,5 +613,5 @@ def certificates_at_fiber(
     minima = _candidate_minima(P, lam)
     if minima is None:
         return []
-    cand = TropicalCandidate(lam, (), minima, True)
-    return _dedup_certificates(_lift_candidate(P, cand, alpha, truncation, seed, starts))
+    cand = TropicalCandidate(lam, minima, True)
+    return _dedup_certificates(_lift_candidate(P, cand, alpha, truncation, seed))

@@ -169,6 +169,11 @@ def test_disks(weighted_file, capsys):
     assert all(row["maslov_index"] == 2 for row in doc["classes"])
 
 
+def test_disks_rejects_exterior_fiber(interval_file, capsys):
+    assert main(["disks", "--input", interval_file, "--lambda", "2"]) == 2
+    assert "not interior" in capsys.readouterr().err
+
+
 def test_analyze_json_deterministic(weighted_file, capsys, monkeypatch):
     monkeypatch.setenv("TFL_SEED", "0")
     assert main(["analyze", "--input", weighted_file, "--json"]) == 0

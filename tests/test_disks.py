@@ -159,3 +159,6 @@ def test_disk_potential_matches_with_twist():
         assert ta.valuation == tb.valuation
         assert abs(ta.multiplier - tb.multiplier) < 1e-12
         assert nov_close(ta.bulk_tail, tb.bulk_tail)
+    for build in (build_potential, potential_from_disks):
+        with pytest.raises(ValueError, match="one series per facet"):
+            build(P, lam, alpha[:-1], truncation=D)

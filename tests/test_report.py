@@ -22,6 +22,7 @@ from toric_fiber_lab import (
 from conftest import (
     corner_cut_polytope,
     interval_polytope,
+    orbifold_interval_polytope,
     plane_blowup_polytope,
     square_polytope,
     weighted_plane_polytope,
@@ -51,6 +52,20 @@ def test_analyze_marks_critical_grid_points():
     for fiber, verdict in marked.items():
         assert verdict.probe is None
         assert rep.certificates[verdict.certificate].fiber == fiber
+
+
+def test_analyze_orbifold_interval_probes_only_primitive_facets():
+    # a probe from the facet with normal (-2) would displace the critical
+    # fiber 2/3; probes start only on facets with primitive normal
+    rep = analyze(orbifold_interval_polytope(), seed=0)
+    assert {c.fiber for c in rep.certificates} == {(F(2, 3),)}
+    assert len(rep.grid) == 15
+    for v in rep.grid:
+        (x,) = v.fiber
+        if x < F(1, 2):
+            assert v.kind == "displaceable" and v.probe.facet_index == 0
+        else:
+            assert v.kind == "no_probe_found"
 
 
 def test_analyze_unbounded_skips_grid():

@@ -20,7 +20,6 @@ from toric_fiber_lab import (
     graded_lift,
     leading_system,
     make_polytope,
-    monomial,
     newton_lift,
     solve_leading,
     tropical_candidates,
@@ -80,15 +79,6 @@ def test_candidates_corner_cut():
         (F(0), F(0)),
         (F(1, 2), F(1, 2)),
     ]
-
-
-def test_candidates_ignore_positive_valuation_twists():
-    P = corner_cut_polytope(F(1, 2))
-    D = F(10)
-    tails = tuple(monomial(0.3 * (i + 1), F(1, 4), D) for i in range(5))
-    plain = [c.fiber for c in tropical_candidates(P)]
-    twisted = [c.fiber for c in tropical_candidates(P, tails)]
-    assert plain == twisted
 
 
 # -- leading systems -----------------------------------------------------------
