@@ -29,6 +29,7 @@ from .report import (
     TOOL_VERSION,
     analyze,
     certificate_to_json,
+    format_point,
     probe_to_json,
     report_to_json,
     report_to_text,
@@ -90,10 +91,6 @@ def _truncation(args):
     return Fraction(args.truncation)
 
 
-def _fmt_point(pt) -> str:
-    return "(" + ", ".join(str(x) for x in pt) + ")"
-
-
 def cmd_validate(args) -> int:
     P = _load_polytope(args.input)
     verts = enumerate_vertices(P)
@@ -102,8 +99,8 @@ def cmd_validate(args) -> int:
     print(f"bounded: {is_bounded(P)}")
     print(f"vertices: {len(verts)}")
     for v in verts:
-        print(f"  {_fmt_point(v)}")
-    print(f"interior witness: {_fmt_point(P.witness)}")
+        print(f"  {format_point(v)}")
+    print(f"interior witness: {format_point(P.witness)}")
     return 0
 
 
@@ -119,7 +116,7 @@ def cmd_potential(args) -> int:
         print(json.dumps({"fiber": [str(x) for x in lam], "truncation": str(D),
                           "terms": term_table(W)}, indent=2, sort_keys=True))
         return 0
-    print(f"potential at lambda = {_fmt_point(lam)}, truncation q^{D}")
+    print(f"potential at lambda = {format_point(lam)}, truncation q^{D}")
     print(f"{'facet':>5}  {'exponent':>12}  {'valuation':>9}  multiplier")
     for t in W.terms:
         mult = f"{t.multiplier.real:.6g}"
@@ -147,7 +144,7 @@ def cmd_critical(args) -> int:
     for c in certs:
         lead = ", ".join(f"{zj.leading():.6g}" for zj in c.z)
         print(
-            f"lambda = {_fmt_point(c.fiber)}  method={c.method}  "
+            f"lambda = {format_point(c.fiber)}  method={c.method}  "
             f"z leading = [{lead}]  residual >= q^{c.residual_valuation}  "
             f"intersections >= {c.intersection_lower_bound}"
         )
@@ -161,16 +158,16 @@ def cmd_probes(args) -> int:
     if args.fiber is not None:
         lam = _parse_lambda(args.fiber)
         if not is_interior(P, lam):
-            raise ValidationError(f"fiber {_fmt_point(lam)} is not interior")
+            raise ValidationError(f"fiber {format_point(lam)} is not interior")
         probe = displaceable_by_probe(P, lam, args.bound)
         if args.json:
             print(json.dumps({"fiber": [str(x) for x in lam], "probe": probe_to_json(probe)},
                              indent=2, sort_keys=True))
         elif probe is None:
-            print(f"{_fmt_point(lam)}: no probe found (bound {args.bound})")
+            print(f"{format_point(lam)}: no probe found (bound {args.bound})")
         else:
             print(
-                f"{_fmt_point(lam)}: displaceable by probe from facet {probe.facet_index} "
+                f"{format_point(lam)}: displaceable by probe from facet {probe.facet_index} "
                 f"along {list(probe.direction)}"
             )
         return 0
@@ -187,7 +184,7 @@ def cmd_probes(args) -> int:
     print(f"displaceable: {hit}, no probe found: {len(grid) - hit}")
     for lam, p in grid.items():
         if p is None:
-            print(f"  unknown: {_fmt_point(lam)}")
+            print(f"  unknown: {format_point(lam)}")
     return 0
 
 
@@ -195,7 +192,7 @@ def cmd_disks(args) -> int:
     P = _load_polytope(args.input)
     lam = _parse_lambda(args.fiber)
     if not is_interior(P, lam):
-        raise ValidationError(f"fiber {_fmt_point(lam)} is not interior")
+        raise ValidationError(f"fiber {format_point(lam)} is not interior")
     rows = []
     for cls in index_two_classes(P):
         rows.append(
@@ -210,7 +207,7 @@ def cmd_disks(args) -> int:
         print(json.dumps({"fiber": [str(x) for x in lam], "classes": rows},
                          indent=2, sort_keys=True))
         return 0
-    print(f"index-2 disk classes at lambda = {_fmt_point(lam)}")
+    print(f"index-2 disk classes at lambda = {format_point(lam)}")
     for r in rows:
         print(
             f"  d={r['degrees']}  area={r['area']}  boundary={r['boundary_class']}"

@@ -17,8 +17,6 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, EmptyInterior, SchemaError
 
-GRID_STEP = Fraction(1, 8)  # witness search resolution on unbounded polytopes
-
 
 @dataclass(frozen=True)
 class Facet:
@@ -158,22 +156,22 @@ def make_polytope(
 
 
 def _find_witness(P: MomentPolytope) -> tuple[Fraction, ...]:
-    if is_bounded(P):
-        verts = enumerate_vertices(P)
-        if verts:
-            n = len(verts)
-            avg = tuple(sum(v[j] for v in verts) / n for j in range(P.dimension))
-            if is_interior(P, avg):
-                return avg
-        raise EmptyInterior("bounded polytope has no interior point")
-    # unbounded: deterministic rational grid sweep over a box sized by the offsets
-    half = 2 * max(abs(f.offset) for f in P.facets) + 1
-    steps = int(2 * half / GRID_STEP)
-    axis = [-half + k * GRID_STEP for k in range(steps + 1)]
-    for pt in itertools.product(axis, repeat=P.dimension):
-        if is_interior(P, pt):
-            return tuple(pt)
-    raise EmptyInterior("no rational interior point found in the search box")
+    """The average of the vertices of P, first cut by the box
+    |x_j| <= 2 max|c_i| + 1 when P is unbounded.  The vertex average of a
+    full-dimensional polytope is interior to it."""
+    n = P.dimension
+    cut = P
+    if not is_bounded(P):
+        half = 2 * max(abs(f.offset) for f in P.facets) + 1
+        axes = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        box = [Facet(tuple(s * x for x in e), -half) for e in axes for s in (1, -1)]
+        cut = MomentPolytope(n, P.facets + tuple(box), P.witness)
+    verts = enumerate_vertices(cut)
+    if verts:
+        avg = tuple(sum(v[j] for v in verts) / len(verts) for j in range(n))
+        if is_interior(P, avg):
+            return avg
+    raise EmptyInterior("polytope has no interior point in the search box")
 
 
 def parse_polytope(text: str) -> MomentPolytope:
@@ -244,13 +242,13 @@ def is_interior(P: MomentPolytope, lam) -> bool:
     return all(v > 0 for v in facet_values(P, lam))
 
 
-def primitive_normal(f: Facet) -> tuple[int, ...]:
-    g = math.gcd(*(abs(x) for x in f.normal))
-    return tuple(x // g for x in f.normal)
-
-
 def normal_gcd(f: Facet) -> int:
     return math.gcd(*(abs(x) for x in f.normal))
+
+
+def primitive_normal(f: Facet) -> tuple[int, ...]:
+    g = normal_gcd(f)
+    return tuple(x // g for x in f.normal)
 
 
 def enumerate_vertices(P: MomentPolytope) -> list[tuple[Fraction, ...]]:

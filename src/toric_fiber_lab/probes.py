@@ -54,38 +54,29 @@ def probe_through(
 ) -> Probe | None:
     """The probe from facet `facet_index` along alpha covering lam, if valid.
 
-    Valid means: the base point lands in the open facet (exactly one vanishing
-    facet value), and lam sits strictly inside the first half of the segment.
-    Only a facet with primitive normal yields a displacing probe: near a
-    facet with label m > 1 (the normal -2 of P(1,2)) the reduced disk has a
-    Z_m cone point that Hamiltonian isotopies fix, so displaceable_by_probe
-    skips such facets.
+    With s_g = <v_g, alpha> and t = l_i(lam)/s_i the parameter from the facet
+    to lam, the probe covers lam exactly when t > 0 and l_g(lam) > t|s_g| for
+    every other facet g: for s_g > 0 this keeps the base lam - t alpha in the
+    open facet i, for s_g < 0 it puts lam before the midpoint of the segment.
+    Dividing by the full pairing s_i (the normal gcd) makes t independent of
+    how the facet is presented.  Only a facet with primitive normal yields a
+    displacing probe: near a facet with label m > 1 (the normal -2 of P(1,2))
+    the reduced disk has a Z_m cone point that Hamiltonian isotopies fix, so
+    displaceable_by_probe skips such facets.
     """
     f = P.facets[facet_index]
     if not integrally_transverse(f, alpha):
         raise NotTransverse(f"direction {alpha} is not transverse to facet {facet_index}")
-    lam = tuple(Fraction(x) for x in lam)
     values = facet_values(P, lam)
-    # parameter from the facet to lam; full-normal pairing equals the normal gcd,
-    # so the quotient is scale-invariant in the facet presentation
-    pairing = sum(a * b for a, b in zip(f.normal, alpha))
-    t_hit = values[facet_index] / pairing
-    base = tuple(x - t_hit * a for x, a in zip(lam, alpha))
-    base_values = facet_values(P, base)
-    if any(v < 0 for v in base_values):
+    slopes = [sum(a * b for a, b in zip(g.normal, alpha)) for g in P.facets]
+    t = values[facet_index] / slopes[facet_index]
+    if t <= 0 or any(
+        v <= t * abs(s) for g, (v, s) in enumerate(zip(values, slopes)) if g != facet_index
+    ):
         return None
-    if sum(1 for v in base_values if v == 0) != 1:
-        return None  # base on a corner or off this facet's relative interior
-    t_exit: Fraction | None = None
-    for g, bv in zip(P.facets, base_values):
-        slope = sum(a * b for a, b in zip(g.normal, alpha))
-        if slope < 0:
-            t = bv / (-slope)
-            if t_exit is None or t < t_exit:
-                t_exit = t
-    if t_exit is not None and not t_hit < t_exit / 2:
-        return None
-    return Probe(facet_index, base, tuple(alpha), t_exit)
+    exits = [(v - t * s) / -s for v, s in zip(values, slopes) if s < 0]
+    base = tuple(Fraction(x) - t * a for x, a in zip(lam, alpha))
+    return Probe(facet_index, base, tuple(alpha), min(exits) if exits else None)
 
 
 def _directions(n: int, bound: int):

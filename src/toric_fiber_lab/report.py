@@ -113,6 +113,10 @@ def _point_json(pt) -> list[str]:
     return [str(x) for x in pt]
 
 
+def format_point(pt) -> str:
+    return "(" + ", ".join(str(x) for x in pt) + ")"
+
+
 def certificate_to_json(cert: CriticalCertificate) -> dict:
     return {
         "fiber": _point_json(cert.fiber),
@@ -171,7 +175,7 @@ def report_to_text(report: AnalysisReport) -> str:
     for c in report.certificates:
         lead = ", ".join(f"{zj.leading():.6g}" for zj in c.z)
         lines.append(
-            f"  lambda = ({', '.join(str(x) for x in c.fiber)})"
+            f"  lambda = {format_point(c.fiber)}"
             f"  method={c.method}  z leading = [{lead}]"
             f"  intersections >= {c.intersection_lower_bound}"
         )
@@ -239,11 +243,10 @@ def render_svg(report: AnalysisReport) -> str:
     out.append(f'<polygon points="{pts}" fill="none" stroke="#000000" stroke-width="2" />')
     for cert in report.certificates:
         px, py = to_px(float(cert.fiber[0]), float(cert.fiber[1]))
-        label = "(" + ", ".join(str(x) for x in cert.fiber) + ")"
         out.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="6" fill="{COLOR_CRITICAL}" />')
         out.append(
             f'<text x="{px + 10:.2f}" y="{py - 8:.2f}" font-family="monospace" '
-            f'font-size="14" fill="#000000">{label}</text>'
+            f'font-size="14" fill="#000000">{format_point(cert.fiber)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

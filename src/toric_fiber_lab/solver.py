@@ -77,7 +77,6 @@ class LeadingSystem:
     dimension: int
     # per direction: ((coefficient, exponent vector), ...) over minimal-valuation terms
     equations: tuple[tuple[tuple[complex, tuple[int, ...]], ...], ...]
-    minima: tuple[tuple[int, ...], ...]
     row_valuations: tuple[Fraction, ...]
 
 
@@ -198,7 +197,7 @@ def leading_system(W: Potential) -> LeadingSystem:
             if t.facet_index in S
         )
         equations.append(eq)
-    return LeadingSystem(W.dimension, tuple(equations), minima, row_vals)
+    return LeadingSystem(W.dimension, tuple(equations), row_vals)
 
 
 # -- multistart leading-root search -------------------------------------------
@@ -315,46 +314,29 @@ def _normalized_jacobian(W: Potential, row_vals, z) -> list[list[NovikovSeries]]
     ]
 
 
-def _solve_series_system(Jhat, ghat, n: int):
-    """delta with Jhat * delta = -ghat, via the inverse of the constant part.
+def _solve_series_system(Jhat, ghat, J0inv: np.ndarray):
+    """delta with Jhat * delta = -ghat, by refinement with the leading inverse.
 
-    Writes Jhat = J0 (I + E) with E of positive valuation and sums the
-    geometric series; converges because each E-power gains valuation.
+    Each step adds J0inv * (-ghat - Jhat * delta).  Jhat - J0 has positive
+    valuation, so every correction gains valuation and the loop ends when one
+    is the zero series; the partial sums are those of the Neumann series of
+    (J0 (I + E))^{-1}.
     """
-    J0 = np.array([[Jhat[j][k].coefficient(0) for k in range(n)] for j in range(n)])
-    cond = np.linalg.cond(J0)
-    if not np.isfinite(cond) or cond >= COND_LIMIT:
-        raise SingularLeadingHessian(f"constant part has condition number {cond:.3g}")
-    J0inv = np.linalg.inv(J0)
-
-    def const_mul(M: np.ndarray, vec):
-        return tuple(
-            sum((vec[k] * complex(M[j, k]) for k in range(n)), vec[0] * 0.0)
-            for j in range(n)
-        )
-
-    # E = J0inv * Jhat - I, entrywise series with valuation > 0
-    E = [[None] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            acc = Jhat[0][0] * 0.0
-            for l in range(n):
-                acc = acc + Jhat[l][k] * complex(J0inv[j, l])
-            if j == k:
-                acc = acc - constant_series(1.0, acc.truncation)
-            E[j][k] = acc
-    y = const_mul(J0inv, tuple(-gj for gj in ghat))
-    acc = y
-    term = y
+    n = len(ghat)
+    zero = ghat[0] * 0.0
+    delta = (zero,) * n
     for _ in range(MAX_GRADED_LEVELS):
-        term = tuple(
-            sum((E[j][k] * term[k] for k in range(n)), term[0] * 0.0) * -1.0
+        r = [
+            -ghat[j] - sum((Jhat[j][k] * delta[k] for k in range(n)), zero)
             for j in range(n)
+        ]
+        step = tuple(
+            sum((r[k] * complex(J0inv[j, k]) for k in range(n)), zero) for j in range(n)
         )
-        if all(t.is_zero() for t in term):
+        if all(c.is_zero() for c in step):
             break
-        acc = tuple(a + t for a, t in zip(acc, term))
-    return acc
+        delta = tuple(d + c for d, c in zip(delta, step))
+    return delta
 
 
 def _certificate(W, z, g, method, nondegenerate, iterations, history) -> CriticalCertificate:
@@ -382,7 +364,8 @@ def newton_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     """
     row_vals, minima = _row_data(W)
     z = tuple(constant_series(zj, W.truncation) for zj in zeta)
-    startable = _newton_startable(_leading_jacobian(W, minima, zeta))
+    J0 = _leading_jacobian(W, minima, zeta)
+    startable = _newton_startable(J0)
     g, front = _normalized_state(W, row_vals, z)
     history = [front]
     if all(gj.is_zero() for gj in g):
@@ -391,12 +374,13 @@ def newton_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
         raise SingularLeadingHessian(
             "leading Jacobian is unfit for plain Newton at this root"
         )
+    J0inv = np.linalg.inv(J0)
     stall = 0
     best = front
     for it in range(1, MAX_NEWTON_ITER + 1):
         Jhat = _normalized_jacobian(W, row_vals, z)
         ghat = tuple(gj.shift(-m) for gj, m in zip(g, row_vals))
-        delta = _solve_series_system(Jhat, ghat, W.dimension)
+        delta = _solve_series_system(Jhat, ghat, J0inv)
         z = tuple(zj + dj for zj, dj in zip(z, delta))
         g, front = _normalized_state(W, row_vals, z)
         history.append(front)

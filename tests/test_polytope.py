@@ -131,6 +131,14 @@ def test_boundedness():
 def test_unbounded_witness_search():
     B = plane_blowup_polytope()
     assert is_interior(B, B.witness)
+    # a strip only 1/16 wide
+    strip = make_polytope(2, [((1, 0), F(0)), ((-1, 0), F(-1, 16)), ((0, 1), F(0))])
+    assert is_interior(strip, strip.witness)
+    # the blow-up of C^3 at the origin, {x, y, z >= 0, x + y + z >= 3}
+    C3 = make_polytope(
+        3, [((1, 0, 0), F(0)), ((0, 1, 0), F(0)), ((0, 0, 1), F(0)), ((1, 1, 1), F(3))]
+    )
+    assert is_interior(C3, C3.witness)
 
 
 def test_bounding_box():

@@ -1,5 +1,6 @@
 """Probe displaceability: transversality, hit/exit parameters, grid scans."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,9 @@ from toric_fiber_lab import (
     DimensionUnsupported,
     NotTransverse,
     UnboundedPolytope,
+    bounding_box,
     displaceable_by_probe,
+    facet_values,
     integrally_transverse,
     is_interior,
     make_polytope,
@@ -67,6 +70,63 @@ def test_probe_refuses_midpoint():
     assert probe_through(P, (F(1, 2),), 0, (1,)) is None
     assert probe_through(P, (F(1, 2),), 1, (-1,)) is None
     assert displaceable_by_probe(P, (F(1, 2),), bound=5) is None
+
+
+def test_probe_refuses_fibers_off_the_open_interval():
+    # behind the facet (t < 0) and on it (t = 0) no probe covers the fiber
+    P = interval_polytope()
+    assert probe_through(P, (F(-1, 4),), 0, (1,)) is None
+    assert probe_through(P, (F(0),), 0, (1,)) is None
+
+
+def _definition_holds(P, lam, i, alpha):
+    """The probe definition checked from facet values along the segment.
+
+    Returns (covers lam, base, exit parameter) with the base lam - t alpha on
+    facet i's hyperplane and the exit where base + tau alpha leaves P.
+    """
+    pairing = sum(a * b for a, b in zip(P.facets[i].normal, alpha))
+    t = facet_values(P, lam)[i] / pairing
+    base = tuple(x - t * a for x, a in zip(lam, alpha))
+    at_base = facet_values(P, base)
+    one_step = facet_values(P, [x + a for x, a in zip(base, alpha)])
+    slope = [b - a for a, b in zip(at_base, one_step)]
+    leaving = [v / -s for v, s in zip(at_base, slope) if s < 0]
+    exit_t = min(leaving) if leaving else None
+    open_facet = at_base[i] == 0 and all(v > 0 for g, v in enumerate(at_base) if g != i)
+    covers = open_facet and 0 < t and (exit_t is None or t < exit_t / 2)
+    return covers, base, exit_t
+
+
+@pytest.mark.parametrize(
+    "P",
+    [square_polytope(), weighted_plane_polytope(3, 5), orbifold_interval_polytope()],
+    ids=["square", "P135", "P12"],
+)
+def test_probe_through_matches_definition(P):
+    # fibers on a grid over the bounding box widened by a quarter of its width,
+    # so points outside P and on its boundary are included
+    axes = [[lo + k * (hi - lo) / 8 for k in range(-2, 11)] for lo, hi in bounding_box(P)]
+    directions = [
+        a for a in itertools.product(range(-2, 3), repeat=P.dimension) if any(a)
+    ]
+    for lam in itertools.product(*axes):
+        for i, f in enumerate(P.facets):
+            for alpha in directions:
+                if not integrally_transverse(f, alpha):
+                    continue
+                covers, base, exit_t = _definition_holds(P, lam, i, alpha)
+                probe = probe_through(P, lam, i, alpha)
+                assert (probe is not None) == covers, (lam, i, alpha)
+                if probe is None:
+                    continue
+                assert probe.base == base
+                assert probe.exit_parameter == exit_t
+                if exit_t is not None:
+                    end = [x + exit_t * a for x, a in zip(base, alpha)]
+                    assert min(facet_values(P, end)) == 0
+                    beyond = [x + a for x, a in zip(end, alpha)]
+                    assert not is_interior(P, beyond)
 
 
 def test_probe_rejects_non_transverse_direction():
