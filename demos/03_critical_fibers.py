@@ -1,10 +1,13 @@
 """Finding the non-displaceable fibers.
 
 The pipeline: tropical candidate fibers (each gradient direction must attain
-its minimal valuation twice) -> complex leading-order roots by multistart
-Newton -> lift to the truncated Novikov ring.  Nondegenerate roots lift by
-Newton with quadratically growing residual valuation; degenerate ones fall
-back to level-by-level graded corrections.
+its minimal valuation twice) -> complex leading-order roots -> lift to the
+truncated Novikov ring.  Leading systems that reduce to binomials, such as
+P(1,3,5)'s zeta1^6 zeta2^3 = 5, zeta1^5 zeta2^4 = 3, are solved in closed
+form: exactly |det E| = 9 roots for the exponent matrix E.  Other systems are
+solved by seeded multistart Newton.  Nondegenerate roots lift by Newton with
+quadratically growing residual valuation; degenerate ones fall back to
+level-by-level graded corrections.
 """
 
 from fractions import Fraction as F

@@ -156,13 +156,16 @@ def make_polytope(
 
 
 def _find_witness(P: MomentPolytope) -> tuple[Fraction, ...]:
-    """The average of the vertices of P, first cut by the box
-    |x_j| <= 2 max|c_i| + 1 when P is unbounded.  The vertex average of a
-    full-dimensional polytope is interior to it."""
+    """The average of the vertices of P, first cut by the box |x_j| <= 2M + 1
+    when P is unbounded.  M is the largest |coordinate| of a vertex of P, or
+    max|c_i| when P has no vertex.  The box then holds every vertex in its
+    interior, and the vertex average of a full-dimensional polytope is
+    interior to it."""
     n = P.dimension
     cut = P
     if not is_bounded(P):
-        half = 2 * max(abs(f.offset) for f in P.facets) + 1
+        coords = [abs(x) for v in enumerate_vertices(P) for x in v]
+        half = 2 * max(coords or [abs(f.offset) for f in P.facets]) + 1
         axes = [tuple(int(i == j) for i in range(n)) for j in range(n)]
         box = [Facet(tuple(s * x for x in e), -half) for e in axes for s in (1, -1)]
         cut = MomentPolytope(n, P.facets + tuple(box), P.witness)

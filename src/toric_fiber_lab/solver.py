@@ -2,10 +2,11 @@
 
 Pipeline: enumerate fibers where every gradient direction has its minimal
 term valuation attained at least twice (tropical candidates), solve the
-complex leading-coefficient system by multistart Newton, then lift each
-leading root to a series solution of grad W = 0, either by series Newton
-iteration or, when the leading Jacobian is unfit for Newton, by cancelling
-residual levels one valuation at a time.
+complex leading-coefficient system (in closed form when it reduces exactly to
+binomials, otherwise by seeded multistart Newton), then lift each leading root
+to a series solution of grad W = 0, either by series Newton iteration or, when
+the leading Jacobian is unfit for Newton, by cancelling residual levels one
+valuation at a time.
 
 Derivatives of W are taken in b with z = e^b, so the Jacobian of the
 gradient in the z variables is the b-Hessian times diag(1/z_k); the leading
@@ -35,7 +36,13 @@ from .novikov import (
     nov_inverse,
     val,
 )
-from .polytope import MomentPolytope, exact_affine_solve, facet_values, is_interior
+from .polytope import (
+    MomentPolytope,
+    exact_affine_solve,
+    exact_rref,
+    facet_values,
+    is_interior,
+)
 from .potential import (
     Potential,
     build_potential,
@@ -75,7 +82,8 @@ class TropicalCandidate:
 @dataclass(frozen=True)
 class LeadingSystem:
     dimension: int
-    # per direction: ((coefficient, exponent vector), ...) over minimal-valuation terms
+    # per direction j: ((v_ij * m_i, v_i), ...) over the minimal-valuation terms i,
+    # m_i = e^{a_i0} the term's multiplier
     equations: tuple[tuple[tuple[complex, tuple[int, ...]], ...], ...]
     row_valuations: tuple[Fraction, ...]
 
@@ -200,16 +208,102 @@ def leading_system(W: Potential) -> LeadingSystem:
     return LeadingSystem(W.dimension, tuple(equations), row_vals)
 
 
-# -- multistart leading-root search -------------------------------------------
+# -- leading roots ------------------------------------------------------------
+
+
+def _root_key(zeta) -> tuple:
+    return tuple((round(x.real, 9), round(x.imag, 9)) for x in zeta)
 
 
 def solve_leading(sys: LeadingSystem, seed: int = 0) -> list[tuple[complex, ...]]:
-    """Roots of the leading system on the complex torus.
+    """Roots of the leading system on the complex torus, sorted.
+
+    Row j is sum_i v_ij m_i zeta^{v_i}: the multipliers m_i only scale the
+    columns of the integer weight matrix B[j, v_i] = v_ij, so the zero pattern
+    of its exact reduced row echelon form picks the route with no tolerance.
+    A reduced row with one term has no torus root, and the result is [].
+    When the reduced rows are n binomials zeta^{e_r} = r_r whose exponent
+    differences E have det E != 0, the result is the |det E| roots in closed
+    form (_binomial_roots).  Anything else (rows of three or more terms,
+    rank < n, det E = 0, or two terms of a row sharing an exponent) goes to
+    random multistart Newton (_multistart_roots), the only route the seed
+    affects.
+    """
+    n = sys.dimension
+    if any(len({e for _, e in eq}) < len(eq) for eq in sys.equations):
+        return _multistart_roots(sys, seed)
+    monos = sorted({e for eq in sys.equations for _, e in eq})
+    col = {e: k for k, e in enumerate(monos)}
+    B = [[Fraction(0)] * len(monos) for _ in range(n)]
+    mult: dict[tuple[int, ...], complex] = {}
+    for j, eq in enumerate(sys.equations):
+        for c, e in eq:
+            B[j][col[e]] = Fraction(e[j])
+            mult.setdefault(e, c / e[j])
+    R, pivots = exact_rref(B)
+    supports = [[k for k, x in enumerate(row) if x != 0] for row in R]
+    if any(len(s) == 1 for s in supports):
+        return []
+    if len(pivots) == n and all(len(s) == 2 for s in supports):
+        # reduced row r: zeta^a + R[r][b] (m_b / m_a) zeta^b = 0, pivot R[r][a] = 1
+        E, rhs = [], []
+        for row, (a, b) in zip(R, supports):
+            ma, mb = monos[a], monos[b]
+            E.append([x - y for x, y in zip(ma, mb)])
+            rhs.append(-float(row[b]) * mult[mb] / mult[ma])
+        roots = _binomial_roots(E, rhs)
+        if roots is not None:
+            return sorted(roots, key=_root_key)
+    return _multistart_roots(sys, seed)
+
+
+def _binomial_roots(E: list[list[int]], r: list[complex]):
+    """All |det E| torus solutions of zeta^E = r, or None when det E = 0.
+
+    Integer column operations give E V = H with V unimodular and H lower
+    triangular with H_ii > 0.  With zeta = exp(V u), row i reads
+    sum_{l <= i} H_il u_l = log r_i + 2 pi i k_i, solved downward for
+    k_i in range(H_ii): prod H_ii = |det E| distinct roots.
+    """
+    n = len(E)
+    Hc = [list(c) for c in zip(*E)]  # columns of H
+    Vc = [[int(i == k) for i in range(n)] for k in range(n)]  # columns of V
+    for i in range(n):
+        while True:  # Euclid on row i across columns i..n-1
+            live = [k for k in range(i, n) if Hc[k][i] != 0]
+            if not live:
+                return None
+            p = min(live, key=lambda k: abs(Hc[k][i]))
+            Hc[i], Hc[p] = Hc[p], Hc[i]
+            Vc[i], Vc[p] = Vc[p], Vc[i]
+            if len(live) == 1:
+                break
+            for k in range(i + 1, n):
+                q = Hc[k][i] // Hc[i][i]
+                Hc[k] = [x - q * y for x, y in zip(Hc[k], Hc[i])]
+                Vc[k] = [x - q * y for x, y in zip(Vc[k], Vc[i])]
+        if Hc[i][i] < 0:
+            Hc[i] = [-x for x in Hc[i]]
+            Vc[i] = [-x for x in Vc[i]]
+    V = np.array(Vc, dtype=float).T
+    logs = np.log(np.array(r, dtype=complex))
+    roots = []
+    for k in itertools.product(*(range(Hc[i][i]) for i in range(n))):
+        u = np.zeros(n, dtype=complex)
+        for i in range(n):
+            lower = sum(Hc[l][i] * u[l] for l in range(i))
+            u[i] = (logs[i] + 2j * np.pi * k[i] - lower) / Hc[i][i]
+        roots.append(tuple(complex(x) for x in np.exp(V @ u)))
+    return roots
+
+
+def _multistart_roots(sys: LeadingSystem, seed: int) -> list[tuple[complex, ...]]:
+    """Torus roots of a leading system by random multistart Newton.
 
     Damped Newton in logarithmic coordinates from 64 * 3^n random points with
-    log-uniform modulus in [1/4, 4] and uniform phase; converged roots are
-    kept when the residual is below 1e-10 and every |zeta_j| lies in
-    [1e-6, 1e6], then deduplicated to 1e-6 and sorted.
+    log-uniform modulus in [1/4, 4] and uniform phase; a converged point is
+    kept when every row satisfies |f_j| <= 1e-10 * max_i |c_i zeta^{v_i}|
+    and every |zeta_j| lies in [1e-6, 1e6], then deduplicated to 1e-6.
     """
     n = sys.dimension
     starts = DEFAULT_STARTS_BASE * 3**n
@@ -250,7 +344,8 @@ def solve_leading(sys: LeadingSystem, seed: int = 0) -> list[tuple[complex, ...]
                         break
                 else:
                     break
-            if nf >= ROOT_RESIDUAL_TOL:
+            scale = [np.abs(c * np.exp(E @ w)).max() for c, E in zip(coeffs, expos)]
+            if not all(abs(f) <= ROOT_RESIDUAL_TOL * m for f, m in zip(fw, scale)):
                 continue
             zeta = np.exp(w)
             mods = np.abs(zeta)
@@ -259,9 +354,7 @@ def solve_leading(sys: LeadingSystem, seed: int = 0) -> list[tuple[complex, ...]
             if any(np.max(np.abs(zeta - r)) < ROOT_DEDUP_TOL for r in roots):
                 continue
             roots.append(zeta)
-    out = [tuple(complex(x) for x in r) for r in roots]
-    out.sort(key=lambda z: tuple((round(x.real, 9), round(x.imag, 9)) for x in z))
-    return out
+    return sorted((tuple(complex(x) for x in r) for r in roots), key=_root_key)
 
 
 # -- lifting infrastructure ---------------------------------------------------
@@ -552,14 +645,10 @@ def _lift_candidate(P, cand, alpha, truncation, seed):
     return certs
 
 
-def _leading_key(cert: CriticalCertificate):
-    return tuple(
-        (round(zj.leading().real, 9), round(zj.leading().imag, 9)) for zj in cert.z
-    )
-
-
 def _dedup_certificates(certs: list[CriticalCertificate]) -> list[CriticalCertificate]:
-    certs = sorted(certs, key=lambda c: (c.fiber, _leading_key(c)))
+    certs = sorted(
+        certs, key=lambda c: (c.fiber, _root_key([zj.leading() for zj in c.z]))
+    )
     kept: list[CriticalCertificate] = []
     for cert in certs:
         dup = False

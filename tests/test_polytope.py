@@ -131,14 +131,28 @@ def test_boundedness():
 def test_unbounded_witness_search():
     B = plane_blowup_polytope()
     assert is_interior(B, B.witness)
+    assert B.witness == (F(7, 5), F(7, 5))
     # a strip only 1/16 wide
     strip = make_polytope(2, [((1, 0), F(0)), ((-1, 0), F(-1, 16)), ((0, 1), F(0))])
     assert is_interior(strip, strip.witness)
+    assert strip.witness == (F(1, 32), F(9, 16))
     # the blow-up of C^3 at the origin, {x, y, z >= 0, x + y + z >= 3}
     C3 = make_polytope(
         3, [((1, 0, 0), F(0)), ((0, 1, 0), F(0)), ((0, 0, 1), F(0)), ((1, 1, 1), F(3))]
     )
     assert is_interior(C3, C3.witness)
+    assert C3.witness == (F(31, 10),) * 3
+    # a half-plane has no vertex: its box still comes from the offsets
+    half = make_polytope(2, [((1, 0), F(0))])
+    assert half.witness == (F(1, 2), F(0))
+
+
+def test_witness_search_box_reaches_far_vertices():
+    # 1 <= x - 10y <= 2, y >= 5: the vertices (51, 5) and (52, 5) lie outside
+    # the box |x_j| <= 2 max|c_i| + 1 = 11, so the box is sized from them
+    P = make_polytope(2, [((1, -10), F(1)), ((-1, 10), F(-2)), ((0, 1), F(5))])
+    assert is_interior(P, P.witness)
+    assert P.witness == (F(313, 4), F(307, 40))
 
 
 def test_bounding_box():

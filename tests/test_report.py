@@ -110,6 +110,9 @@ def test_certificate_json_fields():
     assert doc["leading_jacobian_nondegenerate"] is False
     assert doc["intersection_lower_bound"] == 4
     assert doc["fiber"] == ["1/2", "1/2"]
+    # one normalized residual valuation per step, the last one exact
+    assert doc["residual_history"] == ["1", "2", "3", "inf"]
+    assert len(doc["residual_history"]) == diag.iterations + 1
 
 
 def test_probe_json():

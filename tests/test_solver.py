@@ -9,9 +9,11 @@ from fractions import Fraction
 
 import pytest
 
+import toric_fiber_lab.solver as solver_mod
 from toric_fiber_lab import (
     DegenerateDirection,
     Inconsistent,
+    LeadingSystem,
     SingularLeadingHessian,
     build_potential,
     certificates_at_fiber,
@@ -31,6 +33,7 @@ from conftest import (
     interval_polytope,
     orbifold_interval_polytope,
     plane_blowup_polytope,
+    square_polytope,
     weighted_plane_polytope,
 )
 from oracles import (
@@ -42,6 +45,39 @@ from oracles import (
 )
 
 F = Fraction
+
+
+def cube_polytope():
+    axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return make_polytope(
+        3, [(v, F(-1)) for e in axes for v in (e, tuple(-x for x in e))]
+    )
+
+
+def projective_space_polytope():
+    facets = [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), -1)]
+    return make_polytope(3, [(v, F(c)) for v, c in facets])
+
+
+def hexagon_polytope():
+    normals = ((2, 1), (1, 2), (-1, 1), (-2, -1), (-1, -2), (1, -1))
+    return make_polytope(2, [(v, F(-3)) for v in normals])
+
+
+# fixture name -> (polytope, number of certificates find_critical_fibers ships)
+FIXTURES = {
+    "interval": (interval_polytope, 2),
+    "plane_blowup": (plane_blowup_polytope, 1),
+    "P111": (lambda: weighted_plane_polytope(1, 1), 3),
+    "P123": (lambda: weighted_plane_polytope(2, 3), 6),
+    "P135": (lambda: weighted_plane_polytope(3, 5), 9),
+    "orbifold_P12": (orbifold_interval_polytope, 3),
+    "square": (square_polytope, 4),
+    "corner_cut_0": (lambda: corner_cut_polytope(0), 4),
+    "corner_cut_1/2": (lambda: corner_cut_polytope(F(1, 2)), 5),
+    "cube": (cube_polytope, 8),
+    "P3": (projective_space_polytope, 4),
+}
 
 
 # -- tropical candidates -------------------------------------------------------
@@ -154,7 +190,149 @@ def test_leading_roots_orbifold_interval():
 def test_leading_roots_deterministic():
     W = build_potential(weighted_plane_polytope(3, 5), (F(5, 3), F(5, 3)))
     sys = leading_system(W)
-    assert solve_leading(sys, seed=7) == solve_leading(sys, seed=7)
+    assert solve_leading(sys, seed=0) == solve_leading(sys, seed=7)
+
+
+def _no_multistart(sys, seed):
+    raise AssertionError("leading system was sent to multistart")
+
+
+def _satisfies(sys, zeta, rel=1e-10) -> bool:
+    """Every row's residual is within rel of its largest term."""
+    for eq in sys.equations:
+        terms = []
+        for c, e in eq:
+            for zj, k in zip(zeta, e):
+                c *= zj**k
+            terms.append(c)
+        if abs(sum(terms)) > rel * max(abs(t) for t in terms):
+            return False
+    return True
+
+
+def _distinct(roots) -> bool:
+    keys = {tuple((round(x.real, 8), round(x.imag, 8)) for x in z) for z in roots}
+    return len(keys) == len(roots)
+
+
+def _det(M) -> int:
+    if len(M) == 1:
+        return M[0][0]
+    return sum(
+        (-1) ** k * M[0][k] * _det([row[:k] + row[k + 1 :] for row in M[1:]])
+        for k in range(len(M))
+    )
+
+
+@pytest.mark.parametrize("name", list(FIXTURES))
+def test_binomial_roots_count_det_exponents(name, monkeypatch):
+    # every fixture's leading system is one binomial per row; its torus roots
+    # number |det E| for E the exponent differences, whatever the seed
+    monkeypatch.setattr(solver_mod, "_multistart_roots", _no_multistart)
+    P = FIXTURES[name][0]()
+    for cand in tropical_candidates(P):
+        sys = leading_system(build_potential(P, cand.fiber))
+        assert all(len(eq) == 2 for eq in sys.equations)
+        E = [[a - b for a, b in zip(eq[0][1], eq[1][1])] for eq in sys.equations]
+        roots = solve_leading(sys, seed=0)
+        assert len(roots) == abs(_det(E)) > 0
+        assert _distinct(roots)
+        assert all(_satisfies(sys, z) for z in roots)
+        assert solve_leading(sys, seed=7) == roots
+
+
+def test_fixture_pipelines_never_reach_multistart(monkeypatch):
+    monkeypatch.setattr(solver_mod, "_multistart_roots", _no_multistart)
+    for make, count in FIXTURES.values():
+        assert len(find_critical_fibers(make(), seed=0)) == count
+
+
+def test_hexagon_family_samples_have_no_torus_roots(monkeypatch):
+    # e.g. at (1/2, 1/2) the reduced rows are single terms 2a = 0, b = 0
+    monkeypatch.setattr(solver_mod, "_multistart_roots", _no_multistart)
+    P = hexagon_polytope()
+    samples = [c for c in tropical_candidates(P) if not c.isolated]
+    assert len(samples) == 8
+    for cand in samples:
+        assert solve_leading(leading_system(build_potential(P, cand.fiber))) == []
+
+
+def test_twisted_binomial_roots(monkeypatch):
+    monkeypatch.setattr(solver_mod, "_multistart_roots", _no_multistart)
+    P = weighted_plane_polytope(3, 5)
+    D = F(3)
+    alpha = tuple(constant_series(a, D) for a in (0.3 + 1.1j, -0.2 + 0.7j, 0.5 - 0.4j))
+    sys = leading_system(build_potential(P, (F(5, 3), F(5, 3)), alpha, truncation=D))
+    assert all(c.imag != 0 for eq in sys.equations for c, _ in eq)
+    roots = solve_leading(sys, seed=0)
+    assert len(roots) == 9
+    assert _distinct(roots)
+    assert all(_satisfies(sys, z) for z in roots)
+
+
+def test_singular_binomial_system_reaches_multistart(monkeypatch):
+    # rows 2 z1^2 z2 + z1 and 3 z1^3 z2^3 + z1 z2 are binomials with exponent
+    # differences (1, 1) and (2, 2): det E = 0, so no closed form applies
+    sys = LeadingSystem(
+        2,
+        (
+            ((2 + 0j, (2, 1)), (1 + 0j, (1, 0))),
+            ((3 + 0j, (3, 3)), (1 + 0j, (1, 1))),
+        ),
+        (F(0), F(0)),
+    )
+    calls = []
+    monkeypatch.setattr(
+        solver_mod, "_multistart_roots", lambda s, seed: calls.append(seed) or []
+    )
+    assert solve_leading(sys, seed=5) == []
+    assert calls == [5]
+
+
+def test_multistart_residual_is_relative_to_largest_term():
+    # at (1/2, 1/2) the hexagon's leading system 2a + b = 0, a + 2b = 0 in two
+    # monomials has no torus root; starts drift to tiny or huge zeta where
+    # every term, and so the absolute residual, is small
+    P = hexagon_polytope()
+    half = leading_system(build_potential(P, (F(1, 2), F(1, 2))))
+    assert solver_mod._multistart_roots(half, 0) == []
+    centre = leading_system(build_potential(P, (F(0), F(0))))
+    roots = solver_mod._multistart_roots(centre, 0)
+    assert len(roots) == 18
+    assert all(_satisfies(centre, z) for z in roots)
+
+
+def _hull_area2(points) -> int:
+    """Twice the area of the convex hull of integer points (monotone chain)."""
+    pts = sorted(set(points))
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    hull = chain(pts) + chain(pts[::-1])
+    return sum(
+        a[0] * b[1] - a[1] * b[0] for a, b in zip(hull, hull[1:] + hull[:1])
+    )
+
+
+def test_hexagon_centre_root_count_is_the_mixed_volume():
+    # BKK: the mixed volume MV = area(P + Q) - area(P) - area(Q) of the two
+    # row supports bounds the isolated torus roots; the centre attains it
+    P = hexagon_polytope()
+    centre = leading_system(build_potential(P, (F(0), F(0))))
+    S, T = ([e for _, e in eq] for eq in centre.equations)
+    minkowski = [(a[0] + b[0], a[1] + b[1]) for a in S for b in T]
+    mv2 = _hull_area2(minkowski) - _hull_area2(S) - _hull_area2(T)
+    assert mv2 == 2 * 18
+    assert len(solve_leading(centre, seed=0)) == 18
 
 
 # -- newton lifting --------------------------------------------------------------
