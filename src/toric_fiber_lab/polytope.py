@@ -245,12 +245,8 @@ def is_interior(P: MomentPolytope, lam) -> bool:
     return all(v > 0 for v in facet_values(P, lam))
 
 
-def normal_gcd(f: Facet) -> int:
-    return math.gcd(*(abs(x) for x in f.normal))
-
-
 def primitive_normal(f: Facet) -> tuple[int, ...]:
-    g = normal_gcd(f)
+    g = math.gcd(*f.normal)
     return tuple(x // g for x in f.normal)
 
 

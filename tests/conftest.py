@@ -2,7 +2,8 @@
 
 The recurring cast: the interval [0,1], the blow-up of the affine plane, the
 weighted projective planes P(1,n1,n2), the orbifold interval P(1,2), the
-square, and the square with one corner cut at depth a (the blow-up family).
+square, the square with one corner cut at depth a (the blow-up family), and
+the hexagon with normals (2,1), (1,2), (-1,1) and their negatives.
 """
 
 from __future__ import annotations
@@ -55,6 +56,11 @@ def corner_cut_polytope(a):
             ((-1, -1), -(2 - a)),
         ],
     )
+
+
+def hexagon_polytope():
+    normals = ((2, 1), (1, 2), (-1, 1), (-2, -1), (-1, -2), (1, -1))
+    return make_polytope(2, [(v, F(-3)) for v in normals])
 
 
 @pytest.fixture

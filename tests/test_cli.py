@@ -160,6 +160,23 @@ def test_probes_flags_are_exclusive(interval_file, capsys):
     assert "exactly one" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["probes", "--scan", "4", "--bound", "-1"],
+        ["probes", "--scan", "4", "--bound", "0"],
+        ["probes", "--lambda", "1/4", "--bound", "0"],
+        ["analyze", "--bound", "0"],
+    ],
+    ids=["scan-1", "scan0", "lambda0", "analyze0"],
+)
+def test_probe_bound_below_one_is_rejected(interval_file, capsys, argv):
+    assert main(argv + ["--input", interval_file]) == 2
+    captured = capsys.readouterr()
+    assert "bound must be positive" in captured.err
+    assert captured.out == ""
+
+
 def test_disks(weighted_file, capsys):
     rc = main(["disks", "--input", weighted_file, "--lambda", "1,1", "--json"])
     assert rc == 0

@@ -1,6 +1,10 @@
 """Probe displaceability: transversality, hit/exit parameters, grid scans."""
 
+import functools
+import hashlib
 import itertools
+import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +12,7 @@ import pytest
 from toric_fiber_lab import (
     DimensionUnsupported,
     NotTransverse,
+    Probe,
     UnboundedPolytope,
     bounding_box,
     displaceable_by_probe,
@@ -15,10 +20,14 @@ from toric_fiber_lab import (
     integrally_transverse,
     is_interior,
     make_polytope,
+    polytope_to_json,
     probe_scan,
     probe_through,
 )
+from toric_fiber_lab.cli import main
 from conftest import (
+    corner_cut_polytope,
+    hexagon_polytope,
     interval_polytope,
     orbifold_interval_polytope,
     plane_blowup_polytope,
@@ -79,18 +88,24 @@ def test_probe_refuses_fibers_off_the_open_interval():
     assert probe_through(P, (F(0),), 0, (1,)) is None
 
 
-def _definition_holds(P, lam, i, alpha):
-    """The probe definition checked from facet values along the segment.
+@functools.lru_cache(maxsize=None)
+def _unit_step(P, alpha):
+    """Change of each facet value over one step along alpha (they are affine)."""
+    origin = facet_values(P, [0] * P.dimension)
+    return [b - a for a, b in zip(origin, facet_values(P, alpha))]
+
+
+def _definition_holds(P, lam, at_lam, i, alpha):
+    """The probe definition checked from facet values along the segment;
+    at_lam is facet_values(P, lam).
 
     Returns (covers lam, base, exit parameter) with the base lam - t alpha on
     facet i's hyperplane and the exit where base + tau alpha leaves P.
     """
-    pairing = sum(a * b for a, b in zip(P.facets[i].normal, alpha))
-    t = facet_values(P, lam)[i] / pairing
+    slope = _unit_step(P, tuple(alpha))
+    t = at_lam[i] / slope[i]
     base = tuple(x - t * a for x, a in zip(lam, alpha))
     at_base = facet_values(P, base)
-    one_step = facet_values(P, [x + a for x, a in zip(base, alpha)])
-    slope = [b - a for a, b in zip(at_base, one_step)]
     leaving = [v / -s for v, s in zip(at_base, slope) if s < 0]
     exit_t = min(leaving) if leaving else None
     open_facet = at_base[i] == 0 and all(v > 0 for g, v in enumerate(at_base) if g != i)
@@ -111,11 +126,12 @@ def test_probe_through_matches_definition(P):
         a for a in itertools.product(range(-2, 3), repeat=P.dimension) if any(a)
     ]
     for lam in itertools.product(*axes):
+        at_lam = facet_values(P, lam)
         for i, f in enumerate(P.facets):
             for alpha in directions:
                 if not integrally_transverse(f, alpha):
                     continue
-                covers, base, exit_t = _definition_holds(P, lam, i, alpha)
+                covers, base, exit_t = _definition_holds(P, lam, at_lam, i, alpha)
                 probe = probe_through(P, lam, i, alpha)
                 assert (probe is not None) == covers, (lam, i, alpha)
                 if probe is None:
@@ -266,3 +282,108 @@ def test_scan_rejects_high_dimension():
 def test_scan_rejects_bad_resolution():
     with pytest.raises(ValueError):
         probe_scan(square_polytope(), 0)
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_probes_reject_empty_direction_set(bound):
+    # no nonzero direction has sup-norm below 1, so no verdict would mean anything
+    P = interval_polytope()
+    with pytest.raises(ValueError):
+        displaceable_by_probe(P, (F(1, 4),), bound)
+    with pytest.raises(ValueError):
+        probe_scan(P, 4, bound)
+
+
+# -- the scan against the definition -------------------------------------------------
+
+
+def _reference_probe(P, lam, bound):
+    """First facet with primitive normal, then first direction in
+    lexicographic order, whose probe covers lam by the definition."""
+    at_lam = facet_values(P, lam)
+    for i, f in enumerate(P.facets):
+        if math.gcd(*f.normal) != 1:
+            continue
+        for alpha in itertools.product(range(-bound, bound + 1), repeat=P.dimension):
+            if sum(a * b for a, b in zip(f.normal, alpha)) != 1:
+                continue
+            covers, base, exit_t = _definition_holds(P, lam, at_lam, i, alpha)
+            if covers:
+                return Probe(i, base, alpha, exit_t)
+    return None
+
+
+def _reference_scan(P, resolution, bound):
+    axes = [[lo + k * (hi - lo) / resolution for k in range(resolution + 1)]
+            for lo, hi in bounding_box(P)]
+    return {
+        lam: _reference_probe(P, lam, bound)
+        for lam in itertools.product(*axes)
+        if min(facet_values(P, lam)) > 0
+    }
+
+
+REFERENCE_POLYTOPES = {
+    "interval": interval_polytope,
+    "P12": orbifold_interval_polytope,
+    "square": square_polytope,
+    "P135": lambda: weighted_plane_polytope(3, 5),
+    "corner_cut_0": lambda: corner_cut_polytope(0),
+    "corner_cut_1/2": lambda: corner_cut_polytope(F(1, 2)),
+    "hexagon": hexagon_polytope,
+}
+
+
+@pytest.mark.parametrize("bound", [1, 3])
+@pytest.mark.parametrize("resolution", [16, 32])
+@pytest.mark.parametrize("name", REFERENCE_POLYTOPES)
+def test_scan_matches_reference(name, resolution, bound):
+    P = REFERENCE_POLYTOPES[name]()
+    grid = probe_scan(P, resolution, bound)
+    expected = _reference_scan(P, resolution, bound)
+    assert list(grid) == list(expected)  # same points in the same order
+    assert grid == expected
+
+
+def test_scan_exact_beyond_64_bits():
+    # the offset's denominator 10^20 exceeds 2^63, so the scaled facet values
+    # overflow any fixed-width integer type
+    c = F(10**20 + 1, 10**20)
+    P = make_polytope(2, [((1, 0), F(0)), ((0, 1), F(0)), ((-1, -1), -c)])
+    grid = probe_scan(P, 8)
+    assert max(x.denominator for lam in grid for x in lam) > 2**63
+    assert grid == _reference_scan(P, 8, 3)
+
+
+# Unknown points and SHA-256 of `probes --scan 64 --bound 3 --json` (without
+# the final newline), the same pins as the probe_grid benchmark workload's
+# PROBE_ORACLE in perfbench/cases.py.
+SCAN_64_PINS = {
+    "P135": (
+        lambda: weighted_plane_polytope(3, 5),
+        186,
+        "7977128058e9a38944d74619a12d85d264be090c424c3c36b079ff92a9c90046",
+    ),
+    "square": (
+        square_polytope,
+        1,
+        "acd9fe59a201165da59ba5990f93f9af0406bb57635a5b9a12eb77851359d634",
+    ),
+    "corner_cut_1/2": (
+        lambda: corner_cut_polytope(F(1, 2)),
+        2,
+        "8b49bb0fa44363ad0c156704c599c6250bd70d388fcc270d123ec00a4142f244",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SCAN_64_PINS)
+def test_scan_64_output_is_pinned(name, tmp_path, capsys):
+    build, unknown, digest = SCAN_64_PINS[name]
+    path = tmp_path / "polytope.json"
+    path.write_text(json.dumps(polytope_to_json(build())))
+    rc = main(["probes", "--input", str(path), "--scan", "64", "--bound", "3", "--json"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out[:-1].encode()).hexdigest() == digest
+    assert sum(entry["probe"] is None for entry in json.loads(out)) == unknown

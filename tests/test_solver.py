@@ -30,6 +30,7 @@ from toric_fiber_lab import (
 from toric_fiber_lab.novikov import INF
 from conftest import (
     corner_cut_polytope,
+    hexagon_polytope,
     interval_polytope,
     orbifold_interval_polytope,
     plane_blowup_polytope,
@@ -57,11 +58,6 @@ def cube_polytope():
 def projective_space_polytope():
     facets = [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), -1)]
     return make_polytope(3, [(v, F(c)) for v, c in facets])
-
-
-def hexagon_polytope():
-    normals = ((2, 1), (1, 2), (-1, 1), (-2, -1), (-1, -2), (1, -1))
-    return make_polytope(2, [(v, F(-3)) for v in normals])
 
 
 # fixture name -> (polytope, number of certificates find_critical_fibers ships)
