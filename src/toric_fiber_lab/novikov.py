@@ -5,11 +5,17 @@ exact rational exponents 0 <= e_k < D, where D is the truncation order carried
 by every series.  All arithmetic discards exponents >= D, so a series stands
 for an element of the valuation ring known up to q^D.  Exponent bookkeeping is
 exact; coefficients are complex floats.
+
+A unit a = a_0 + (terms of positive exponent) is inverted in one pass over
+the exponents of its inverse, which lie in the monoid generated by the
+positive exponents of a (see nov_inverse).  Laurent monomials z^v are formed
+in one place, monomial_eval, from nonnegative powers of z_j and of z_j^{-1}.
 """
 
 from __future__ import annotations
 
 import cmath
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -151,20 +157,38 @@ def nov_mul(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:
 
 
 def nov_inverse(a: NovikovSeries) -> NovikovSeries:
-    """Multiplicative inverse of a unit (valuation 0, nonzero leading coefficient)."""
+    """Multiplicative inverse of a unit (valuation 0, nonzero leading coefficient).
+
+    With a = a_0 + sum_{t in T} a_t q^t (T the positive exponents of a), the
+    inverse b solves a * b = 1 one exponent at a time, in increasing order:
+    b_0 = 1/a_0 and b_e = -(1/a_0) * sum_{t in T, t <= e} a_t * b_{e-t}.
+    Its exponents are the elements below the truncation of the monoid
+    generated by T, produced in increasing order by a heap.
+    """
     if val(a) != 0 or abs(a.leading()) <= PRUNE_THRESHOLD:
         raise NotAUnit(f"series with valuation {val(a)} is not invertible")
-    a0 = a.leading()
-    tail = (a - constant_series(a0, a.truncation)) * (1.0 / a0)
-    # geometric series in -tail; tail valuation > 0 so powers die at the truncation
-    acc = one(a.truncation)
-    power = one(a.truncation)
-    while True:
-        power = power * (-tail)
-        if power.is_zero():
-            break
-        acc = acc + power
-    return acc * (1.0 / a0)
+    D = a.truncation
+    inv0 = 1.0 / a.leading()
+    tail = a.terms[1:]
+    b: dict[Fraction, complex] = {}
+    heap = [Fraction(0)]
+    queued = {heap[0]}
+    while heap:
+        e = heapq.heappop(heap)
+        acc = 0j
+        for t, c in tail:
+            if t > e:
+                break
+            acc += c * b.get(e - t, 0j)
+        b[e] = inv0 if e == 0 else -inv0 * acc
+        for t, _ in tail:
+            f = e + t
+            if f >= D:
+                break
+            if f not in queued:
+                queued.add(f)
+                heapq.heappush(heap, f)
+    return series(b.items(), D)
 
 
 def nov_exp(a: NovikovSeries) -> NovikovSeries:
@@ -189,23 +213,31 @@ def nov_pow(a: NovikovSeries, k: int) -> NovikovSeries:
     """a^k for integer k; negative powers go through nov_inverse."""
     if k < 0:
         return nov_pow(nov_inverse(a), -k)
-    acc = one(a.truncation)
-    for _ in range(k):
+    if k == 0:
+        return one(a.truncation)
+    acc = a
+    for _ in range(k - 1):
         acc = acc * a
     return acc
 
 
 def monomial_eval(z: tuple[NovikovSeries, ...], v: tuple[int, ...]) -> NovikovSeries:
-    """prod_j z_j^{v_j}; components with negative exponent must be units."""
+    """prod_j z_j^{v_j}; components with negative exponent must be units.
+
+    Components with exponent 0 are never read.  A caller that evaluates many
+    monomials at one point passes (z, z^{-1}) with the exponents split into
+    (max(v, 0), max(-v, 0)), so each z_j is inverted once for all of them.
+    """
     if len(z) != len(v):
         raise ValueError("length mismatch between point and exponent vector")
-    acc = one(z[0].truncation) if z else None
-    if acc is None:
+    if not z:
         raise ValueError("empty point")
+    acc = None
     for zj, vj in zip(z, v):
         if vj:
-            acc = acc * nov_pow(zj, vj)
-    return acc
+            p = nov_pow(zj, vj)
+            acc = p if acc is None else acc * p
+    return one(z[0].truncation) if acc is None else acc
 
 
 def nov_close(a: NovikovSeries, b: NovikovSeries, tol: float = COMPARE_TOL) -> bool:

@@ -19,6 +19,7 @@ from .novikov import (
     constant_series,
     monomial_eval,
     nov_exp,
+    nov_inverse,
     one,
     val,
     zero_series,
@@ -100,25 +101,39 @@ def _require_units(z: tuple[NovikovSeries, ...], n: int) -> None:
 
 
 def term_values(W: Potential, z: tuple[NovikovSeries, ...]) -> list[NovikovSeries]:
-    """Value of each summand at z, in facet order."""
+    """Value of each summand at z, in facet order.
+
+    Each z_j is inverted once, and only when some term has a negative
+    exponent in direction j.  Callers that need several derivatives at z
+    build this list once and pass it to gradient_from_terms,
+    hessian_from_terms and value_from_terms.
+    """
     _require_units(z, W.dimension)
+    inverses = tuple(
+        nov_inverse(zj) if any(t.exponent[j] < 0 for t in W.terms) else None
+        for j, zj in enumerate(z)
+    )
+    point = tuple(z) + inverses
     out = []
     for t in W.terms:
-        v = monomial_eval(z, t.exponent) * t.bulk_tail * t.multiplier
+        split = tuple(max(vj, 0) for vj in t.exponent) + tuple(
+            max(-vj, 0) for vj in t.exponent
+        )
+        v = monomial_eval(point, split) * t.bulk_tail * t.multiplier
         out.append(v.shift(t.valuation))
     return out
 
 
-def eval_potential(W: Potential, z: tuple[NovikovSeries, ...]) -> NovikovSeries:
+def value_from_terms(W: Potential, tv: list[NovikovSeries]) -> NovikovSeries:
+    """W at the point where tv = term_values(W, z) was taken."""
     acc = zero_series(W.truncation)
-    for tv in term_values(W, z):
-        acc = acc + tv
+    for v in tv:
+        acc = acc + v
     return acc
 
 
-def eval_gradient(W: Potential, z: tuple[NovikovSeries, ...]) -> tuple[NovikovSeries, ...]:
-    """Component j: sum_i v_ij * (term i at z)."""
-    tv = term_values(W, z)
+def gradient_from_terms(W: Potential, tv: list[NovikovSeries]) -> tuple[NovikovSeries, ...]:
+    """Component j: sum_i v_ij * tv[i]."""
     grad = []
     for j in range(W.dimension):
         acc = zero_series(W.truncation)
@@ -129,9 +144,8 @@ def eval_gradient(W: Potential, z: tuple[NovikovSeries, ...]) -> tuple[NovikovSe
     return tuple(grad)
 
 
-def eval_hessian(W: Potential, z: tuple[NovikovSeries, ...]) -> list[list[NovikovSeries]]:
-    """Symmetric matrix of second derivatives in b, entry (j,k) = sum_i v_ij v_ik term_i."""
-    tv = term_values(W, z)
+def hessian_from_terms(W: Potential, tv: list[NovikovSeries]) -> list[list[NovikovSeries]]:
+    """Symmetric matrix with entry (j,k) = sum_i v_ij v_ik tv[i]."""
     n = W.dimension
     H = [[zero_series(W.truncation) for _ in range(n)] for _ in range(n)]
     for t, v in zip(W.terms, tv):
@@ -145,6 +159,20 @@ def eval_hessian(W: Potential, z: tuple[NovikovSeries, ...]) -> list[list[Noviko
         for k in range(j):
             H[j][k] = H[k][j]
     return H
+
+
+def eval_potential(W: Potential, z: tuple[NovikovSeries, ...]) -> NovikovSeries:
+    return value_from_terms(W, term_values(W, z))
+
+
+def eval_gradient(W: Potential, z: tuple[NovikovSeries, ...]) -> tuple[NovikovSeries, ...]:
+    """Derivatives in b (z = e^b): component j is sum_i v_ij * (term i at z)."""
+    return gradient_from_terms(W, term_values(W, z))
+
+
+def eval_hessian(W: Potential, z: tuple[NovikovSeries, ...]) -> list[list[NovikovSeries]]:
+    """Symmetric matrix of second derivatives in b, entry (j,k) = sum_i v_ij v_ik term_i."""
+    return hessian_from_terms(W, term_values(W, z))
 
 
 def specialize_q(

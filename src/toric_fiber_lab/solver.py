@@ -11,7 +11,10 @@ valuation at a time.
 Derivatives of W are taken in b with z = e^b, so the Jacobian of the
 gradient in the z variables is the b-Hessian times diag(1/z_k); the leading
 complex matrix used for startability tests and level solves includes that
-factor.
+factor.  Newton steps are solved in b with the b-Hessian itself and moved to
+z by dz_k = z_k db_k, so they need no series inverse.  Each point a lift
+visits is evaluated once: its term list gives the gradient, the Hessian and
+the critical value.
 """
 
 from __future__ import annotations
@@ -48,7 +51,10 @@ from .potential import (
     build_potential,
     eval_gradient,
     eval_hessian,
-    eval_potential,
+    gradient_from_terms,
+    hessian_from_terms,
+    term_values,
+    value_from_terms,
 )
 
 COND_LIMIT = 1e8
@@ -391,10 +397,17 @@ def _well_conditioned(J0: np.ndarray) -> bool:
 
 
 def _normalized_state(W: Potential, row_vals, z):
-    """Raw gradient at z and its normalized frontier min_j (val(g_j) - m_j)."""
-    g = eval_gradient(W, z)
+    """Term list at z, raw gradient, and normalized frontier min_j (val(g_j) - m_j)."""
+    tv = term_values(W, z)
+    g = gradient_from_terms(W, tv)
     fronts = [val(gj) - m if gj.terms else INF for gj, m in zip(g, row_vals)]
-    return g, min(fronts)
+    return tv, g, min(fronts)
+
+
+def _normalized_hessian(W: Potential, row_vals, tv) -> list[list[NovikovSeries]]:
+    """Series matrix q^{-m_j} * dgrad_j/db_k from a term list (valuations >= 0)."""
+    H = hessian_from_terms(W, tv)
+    return [[Hjk.shift(-m) for Hjk in row] for row, m in zip(H, row_vals)]
 
 
 def _normalized_jacobian(W: Potential, row_vals, z) -> list[list[NovikovSeries]]:
@@ -432,15 +445,15 @@ def _solve_series_system(Jhat, ghat, J0inv: np.ndarray):
     return delta
 
 
-def _certificate(W, z, g, method, nondegenerate, iterations, history) -> CriticalCertificate:
-    """Package the lifted point z; g is the gradient the lift last evaluated at z."""
+def _certificate(W, z, tv, g, method, nondegenerate, iterations, history) -> CriticalCertificate:
+    """Package the lifted point z from the term list tv and gradient g last taken at z."""
     res = min((val(gj) for gj in g), default=INF)
     return CriticalCertificate(
         fiber=W.fiber,
         z=tuple(z),
         residual_valuation=res,
         leading_jacobian_nondegenerate=nondegenerate,
-        critical_value=eval_potential(W, z),
+        critical_value=value_from_terms(W, tv),
         intersection_lower_bound=2**W.dimension,
         method=method,
         iterations=iterations,
@@ -451,6 +464,11 @@ def _certificate(W, z, g, method, nondegenerate, iterations, history) -> Critica
 def newton_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     """Series Newton iteration from the constant series zeta.
 
+    Each iterate evaluates the term list once: it gives the gradient, the
+    Hessian for the next step and, at the last iterate, the critical value.
+    The step solves Hhat db = -ghat in b = log z with the normalized
+    b-Hessian and moves z_k by z_k db_k, which is the Newton step
+    J dz = -g in z (J = H diag(1/z)) with no series inverse.
     Raises SingularLeadingHessian when the leading Jacobian has a vanishing
     diagonal entry or condition number >= 1e8 (fall back to graded_lift), and
     NoConvergence when the residual valuation stalls for three iterations.
@@ -459,26 +477,27 @@ def newton_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     z = tuple(constant_series(zj, W.truncation) for zj in zeta)
     J0 = _leading_jacobian(W, minima, zeta)
     startable = _newton_startable(J0)
-    g, front = _normalized_state(W, row_vals, z)
+    tv, g, front = _normalized_state(W, row_vals, z)
     history = [front]
     if all(gj.is_zero() for gj in g):
-        return _certificate(W, z, g, "newton", startable, 0, history)
+        return _certificate(W, z, tv, g, "newton", startable, 0, history)
     if not startable:
         raise SingularLeadingHessian(
             "leading Jacobian is unfit for plain Newton at this root"
         )
-    J0inv = np.linalg.inv(J0)
+    # leading part of the normalized b-Hessian: J0 diag(zeta)
+    H0inv = np.linalg.inv(J0 * np.array(zeta))
     stall = 0
     best = front
     for it in range(1, MAX_NEWTON_ITER + 1):
-        Jhat = _normalized_jacobian(W, row_vals, z)
+        Hhat = _normalized_hessian(W, row_vals, tv)
         ghat = tuple(gj.shift(-m) for gj, m in zip(g, row_vals))
-        delta = _solve_series_system(Jhat, ghat, J0inv)
-        z = tuple(zj + dj for zj, dj in zip(z, delta))
-        g, front = _normalized_state(W, row_vals, z)
+        db = _solve_series_system(Hhat, ghat, H0inv)
+        z = tuple(zj + zj * dj for zj, dj in zip(z, db))
+        tv, g, front = _normalized_state(W, row_vals, z)
         history.append(front)
         if all(gj.is_zero() for gj in g):
-            return _certificate(W, z, g, "newton", startable, it, history)
+            return _certificate(W, z, tv, g, "newton", startable, it, history)
         if front <= best:
             stall += 1
             if stall >= 3:
@@ -528,7 +547,7 @@ def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
             if a.valuation > b.valuation
         }
     )
-    g, front = _normalized_state(W, row_vals, z)
+    tv, g, front = _normalized_state(W, row_vals, z)
     history = [front]
     levels = 0
     stall = 0
@@ -579,9 +598,9 @@ def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
                 + monomial(complex(dj), front, W.truncation)
                 for zj, xj, dj in zip(z, xi, delta2)
             )
-        g, front = _normalized_state(W, row_vals, z)
+        tv, g, front = _normalized_state(W, row_vals, z)
         history.append(front)
-    return _certificate(W, z, g, "graded", startable, levels, history)
+    return _certificate(W, z, tv, g, "graded", startable, levels, history)
 
 
 def _shifted_correction(W, row_vals, z, J0, r, front, shifts, n):

@@ -177,6 +177,26 @@ def test_probe_bound_below_one_is_rejected(interval_file, capsys, argv):
     assert captured.out == ""
 
 
+def test_analyze_bound_below_one_is_rejected_without_probes(tmp_path, capsys):
+    # the quadrant reaches no probe search, so only analyze's own check can fire
+    quadrant = tmp_path / "quadrant.json"
+    quadrant.write_text(
+        json.dumps(
+            {
+                "dimension": 2,
+                "facets": [
+                    {"normal": [1, 0], "offset": "0"},
+                    {"normal": [0, 1], "offset": "0"},
+                ],
+            }
+        )
+    )
+    assert main(["analyze", "--input", str(quadrant), "--bound", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "bound must be positive" in captured.err
+    assert captured.out == ""
+
+
 def test_disks(weighted_file, capsys):
     rc = main(["disks", "--input", weighted_file, "--lambda", "1,1", "--json"])
     assert rc == 0

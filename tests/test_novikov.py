@@ -1,6 +1,7 @@
 """Series ring arithmetic: construction, valuation, inversion, exponential."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from toric_fiber_lab import (
     zero_series,
 )
 from toric_fiber_lab.novikov import INF, monomial_eval
+from test_properties import MIXED_STEPS, _random_series
 
 F = Fraction
 
@@ -73,6 +75,32 @@ def test_inverse_geometric_series():
     inv = nov_inverse(a)
     assert inv.terms == ((F(0), 1 + 0j), (F(1), 1 + 0j), (F(2), 1 + 0j))
     assert nov_mul(a, inv).terms == ((F(0), 1 + 0j),)
+
+
+def _geometric_inverse(a):
+    """Reference: 1/a0 * sum_k (-tail)^k with tail = (a - a0)/a0, one product per power."""
+    a0 = a.leading()
+    tail = (a - constant_series(a0, a.truncation)) * (1.0 / a0)
+    acc = one(a.truncation)
+    power = one(a.truncation)
+    while True:
+        power = power * (-tail)
+        if power.is_zero():
+            return acc * (1.0 / a0)
+        acc = acc + power
+
+
+def test_inverse_matches_geometric_series():
+    rng = random.Random(3)
+    cases = [
+        series([(0, 2.0), (F(1, 2), -1.0), (F(1, 3), 1 + 1j), (F(2, 5), 0.5)], 3),
+        series([(0, -1j), (F(3, 4), 0.25)], F(7, 2)),
+    ] + [_random_series(rng, F(3), True, steps=MIXED_STEPS) for _ in range(100)]
+    for a in cases:
+        got, ref = nov_inverse(a), _geometric_inverse(a)
+        assert [e for e, _ in got.terms] == [e for e, _ in ref.terms]
+        for (_, c), (_, d) in zip(got.terms, ref.terms):
+            assert abs(c - d) <= 1e-12 * abs(d)
 
 
 def test_inverse_requires_unit():

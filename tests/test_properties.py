@@ -39,27 +39,33 @@ ROUNDTRIP_TOL = 1e-9
 GRADIENT_REL_TOL = 1e-5
 MODULUS_TOL = 1e-9
 LEAD_TOL = 1e-6
+MIXED_STEPS = (F(1, 2), F(1, 3), F(2, 5))
 
 
-def _random_series(rng: random.Random, D, unit: bool, max_terms: int = 6):
+def _random_series(rng: random.Random, D, unit: bool, max_terms=6, steps=(F(1, 4),)):
+    """Random series whose positive exponents are multiples below D of the given steps."""
     terms = []
     if unit:
         r = rng.uniform(0.5, 2.0)
         theta = rng.uniform(0, 2 * math.pi)
         terms.append((F(0), r * cmath.exp(1j * theta)))
     for _ in range(rng.randrange(max_terms)):
-        e = F(rng.randrange(1, 4 * int(D)), 4)
+        # a single step draws no choice, so the quarter draws stay as they were
+        step = steps[0] if len(steps) == 1 else rng.choice(steps)
+        e = step * rng.randrange(1, math.ceil(D / step))
         c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         terms.append((e, c))
     return series(terms, D)
 
 
 def test_inverse_roundtrip_random():
-    rng = random.Random(0)
     D = F(3)
-    for _ in range(500):
-        u = _random_series(rng, D, unit=True)
-        assert nov_close(nov_mul(u, nov_inverse(u)), one(D), tol=ROUNDTRIP_TOL)
+    # quarter exponents, then mixed denominators
+    for steps in ((F(1, 4),), MIXED_STEPS):
+        rng = random.Random(0)
+        for _ in range(500):
+            u = _random_series(rng, D, unit=True, steps=steps)
+            assert nov_close(nov_mul(u, nov_inverse(u)), one(D), tol=ROUNDTRIP_TOL)
 
 
 def test_exp_additivity_random():

@@ -14,6 +14,7 @@ from toric_fiber_lab import (
     Probe,
     analyze,
     certificate_to_json,
+    make_polytope,
     probe_to_json,
     render_svg,
     report_to_json,
@@ -74,6 +75,14 @@ def test_analyze_unbounded_skips_grid():
     assert rep.grid == ()
     assert rep.unknown_count == 0
     assert any("skipped" in note for note in rep.notes)
+
+
+def test_analyze_rejects_bound_below_one_without_probes():
+    # the quadrant has no critical fiber and no grid, so no probe search runs
+    quadrant = make_polytope(2, [((1, 0), F(0)), ((0, 1), F(0))])
+    assert analyze(quadrant, seed=0).config["bound"] == 3
+    with pytest.raises(ValueError, match="bound must be positive"):
+        analyze(quadrant, seed=0, bound=0)
 
 
 def test_analyze_consistency_guard(monkeypatch):

@@ -395,6 +395,43 @@ def test_newton_lift_refuses_singular_leading_jacobian():
 # -- graded lifting ---------------------------------------------------------------
 
 
+def test_lifts_evaluate_each_point_once(monkeypatch):
+    """Each lift point builds one term list and inverts each z_j at most once."""
+    import toric_fiber_lab.novikov as novikov_mod
+    import toric_fiber_lab.potential as potential_mod
+
+    calls = {"term_values": 0, "nov_inverse": 0}
+    for name, home in (("term_values", potential_mod), ("nov_inverse", novikov_mod)):
+        original = getattr(home, name)
+
+        def counted(*args, _name=name, _f=original):
+            calls[_name] += 1
+            return _f(*args)
+
+        for mod in (novikov_mod, potential_mod, solver_mod):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+
+    P = corner_cut_polytope(F(1, 2))
+    seen = []
+    for fiber in ((F(0), F(0)), (F(1, 2), F(1, 2))):
+        W = build_potential(P, fiber)
+        for zeta in solve_leading(leading_system(W)):
+            try:
+                newton_lift(W, zeta)
+                lift = newton_lift
+            except SingularLeadingHessian:
+                lift = graded_lift
+            calls.update(term_values=0, nov_inverse=0)
+            cert = lift(W, zeta)
+            points = cert.iterations + 1
+            assert calls["term_values"] == points
+            assert calls["nov_inverse"] <= W.dimension * points
+            seen.append((cert.method, cert.iterations))
+    assert sorted(m for m, _ in seen) == ["graded"] + ["newton"] * 4
+    assert all(it >= 1 for _, it in seen)
+
+
 def test_graded_lift_cut_corner_diagonal_fiber():
     P = corner_cut_polytope(F(1, 2))
     W = build_potential(P, (F(1, 2), F(1, 2)))
