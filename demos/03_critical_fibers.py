@@ -5,9 +5,11 @@ its minimal valuation twice) -> complex leading-order roots -> lift to the
 truncated Novikov ring.  Leading systems that reduce to binomials, such as
 P(1,3,5)'s zeta1^6 zeta2^3 = 5, zeta1^5 zeta2^4 = 3, are solved in closed
 form: exactly |det E| = 9 roots for the exponent matrix E.  Other systems are
-solved by seeded multistart Newton.  Nondegenerate roots lift by Newton with
-quadratically growing residual valuation; degenerate ones fall back to
-level-by-level graded corrections.
+solved by seeded multistart Newton.  Roots lift by Newton with quadratically
+growing residual valuation when the leading Jacobian J0 has a nonzero
+diagonal; otherwise (or when Newton stalls) they lift by level-by-level
+graded corrections, one solve against J0 per level, which need only J0
+invertible.
 """
 
 from fractions import Fraction as F
@@ -56,4 +58,7 @@ for c in find_critical_fibers(cut, seed=0):
         f"leading Jacobian nondegenerate: {c.leading_jacobian_nondegenerate}  "
         f"residual history {c.residual_history}"
     )
-print("the diagonal fiber needs graded lifting: its leading Jacobian row is 0")
+print(
+    "the diagonal fiber needs graded lifting: its leading Jacobian [[0, -1], [-1, 0]]"
+    " is invertible but has a zero diagonal, which plain Newton refuses"
+)

@@ -50,7 +50,7 @@ class DegenerateDirection(ToricFiberError):
 
 
 class SingularLeadingHessian(ToricFiberError):
-    """Leading Jacobian unfit for plain Newton lifting; use the graded lifter."""
+    """Leading Jacobian has a zero diagonal entry or cond >= 1e8: no plain Newton."""
 
 
 class NoConvergence(ToricFiberError):
@@ -58,7 +58,7 @@ class NoConvergence(ToricFiberError):
 
 
 class Inconsistent(ToricFiberError):
-    """Graded lifting met a residual level that no admissible correction cancels."""
+    """Graded lifting failed: singular leading Jacobian or a stalled residual level."""
 
 
 class NotTransverse(ValidationError):

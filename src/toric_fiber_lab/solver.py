@@ -4,9 +4,9 @@ Pipeline: enumerate fibers where every gradient direction has its minimal
 term valuation attained at least twice (tropical candidates), solve the
 complex leading-coefficient system (in closed form when it reduces exactly to
 binomials, otherwise by seeded multistart Newton), then lift each leading root
-to a series solution of grad W = 0, either by series Newton iteration or, when
-the leading Jacobian is unfit for Newton, by cancelling residual levels one
-valuation at a time.
+to a series solution of grad W = 0 by series Newton iteration or, when the
+leading Jacobian J0 has a zero diagonal entry or Newton stalls, by cancelling
+residual levels one valuation at a time, which needs only J0 invertible.
 
 Derivatives of W are taken in b with z = e^b, so the Jacobian of the
 gradient in the z variables is the b-Hessian times diag(1/z_k); the leading
@@ -36,7 +36,6 @@ from .novikov import (
     NovikovSeries,
     constant_series,
     monomial,
-    nov_inverse,
     val,
 )
 from .polytope import (
@@ -50,7 +49,6 @@ from .potential import (
     Potential,
     build_potential,
     eval_gradient,
-    eval_hessian,
     gradient_from_terms,
     hessian_from_terms,
     term_values,
@@ -58,12 +56,11 @@ from .potential import (
 )
 
 COND_LIMIT = 1e8
-DIAG_TOL = 1e-8  # relative floor for leading-Jacobian diagonal entries
+DIAG_TOL = 1e-8  # floor for leading-Jacobian entries (diagonal: relative)
 ROOT_RESIDUAL_TOL = 1e-10
 ROOT_MODULUS_RANGE = (1e-6, 1e6)
 ROOT_DEDUP_TOL = 1e-6
 CERT_DEDUP_TOL = 1e-6
-LSTSQ_CONSISTENCY = 1e-8
 DEFAULT_STARTS_BASE = 64
 MAX_NEWTON_ITER = 60
 MAX_GRADED_LEVELS = 400
@@ -392,6 +389,9 @@ def _newton_startable(J0: np.ndarray) -> bool:
 
 
 def _well_conditioned(J0: np.ndarray) -> bool:
+    """Invertible in floats: not numerically zero, condition number < 1e8."""
+    if np.max(np.abs(J0)) <= DIAG_TOL:
+        return False
     cond = np.linalg.cond(J0)
     return bool(np.isfinite(cond) and cond < COND_LIMIT)
 
@@ -408,16 +408,6 @@ def _normalized_hessian(W: Potential, row_vals, tv) -> list[list[NovikovSeries]]
     """Series matrix q^{-m_j} * dgrad_j/db_k from a term list (valuations >= 0)."""
     H = hessian_from_terms(W, tv)
     return [[Hjk.shift(-m) for Hjk in row] for row, m in zip(H, row_vals)]
-
-
-def _normalized_jacobian(W: Potential, row_vals, z) -> list[list[NovikovSeries]]:
-    """Series matrix q^{-m_j} * dgrad_j/dz_k at z (entries have valuation >= 0)."""
-    H = eval_hessian(W, z)
-    inv = [nov_inverse(zk) for zk in z]
-    n = W.dimension
-    return [
-        [(H[j][k] * inv[k]).shift(-row_vals[j]) for k in range(n)] for j in range(n)
-    ]
 
 
 def _solve_series_system(Jhat, ghat, J0inv: np.ndarray):
@@ -470,8 +460,9 @@ def newton_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     b-Hessian and moves z_k by z_k db_k, which is the Newton step
     J dz = -g in z (J = H diag(1/z)) with no series inverse.
     Raises SingularLeadingHessian when the leading Jacobian has a vanishing
-    diagonal entry or condition number >= 1e8 (fall back to graded_lift), and
-    NoConvergence when the residual valuation stalls for three iterations.
+    diagonal entry or condition number >= 1e8, and NoConvergence when the
+    residual valuation stalls for three iterations; the pipeline then tries
+    graded_lift, which asks only that the leading Jacobian be invertible.
     """
     row_vals, minima = _row_data(W)
     z = tuple(constant_series(zj, W.truncation) for zj in zeta)
@@ -510,43 +501,20 @@ def newton_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     raise NoConvergence("iteration budget exhausted before reaching the truncation")
 
 
-def _jacobian_level(Jhat, s: Fraction, n: int) -> np.ndarray:
-    return np.array(
-        [[Jhat[j][k].coefficient(s) for k in range(n)] for j in range(n)]
-    )
-
-
-def _kernel_basis(J0: np.ndarray) -> np.ndarray:
-    u, sv, vh = np.linalg.svd(J0)
-    tol = max(J0.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-    null = [vh[i].conj() for i in range(len(sv)) if sv[i] <= max(tol, 1e-10)]
-    return np.array(null).T if null else np.zeros((J0.shape[0], 0))
-
-
 def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     """Cancel gradient residual levels one valuation at a time.
 
-    At frontier level f the correction delta q^f satisfies J0 delta = -r.
-    When J0 cannot cancel r, corrections are sought at a shifted level f - s
-    in the kernel of J0, entering level f through the valuation-s part of the
-    Jacobian; shifts scan the valuation differences present in the term list.
-    Raises Inconsistent when no admissible correction cancels the level.
-    Corrections only enter at positive levels, so J0 is fixed by zeta.
+    At frontier level f the correction delta q^f solves J0 delta = -r.
+    Corrections only enter at positive levels, so J0 is fixed by zeta; it must
+    be invertible, though its diagonal may vanish.  Raises Inconsistent when
+    J0 is singular or the frontier stalls, turns nonpositive or runs out.
     """
-    n = W.dimension
     row_vals, minima = _row_data(W)
-    z = tuple(constant_series(zj, W.truncation) for zj in zeta)
-    J0 = _leading_jacobian(W, minima, tuple(zj.coefficient(0) for zj in z))
+    J0 = _leading_jacobian(W, minima, zeta)
+    if not _well_conditioned(J0):
+        raise Inconsistent("leading Jacobian is singular at this root")
     startable = _newton_startable(J0)
-    solvable = _well_conditioned(J0)
-    shifts = sorted(
-        {
-            a.valuation - b.valuation
-            for a in W.terms
-            for b in W.terms
-            if a.valuation > b.valuation
-        }
-    )
+    z = tuple(constant_series(zj, W.truncation) for zj in zeta)
     tv, g, front = _normalized_state(W, row_vals, z)
     history = [front]
     levels = 0
@@ -568,74 +536,13 @@ def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
         r = np.array(
             [gj.coefficient(front + m) for gj, m in zip(g, row_vals)], dtype=complex
         )
-        delta = self_correction = None
-        if solvable:
-            delta = np.linalg.solve(J0, -r)
-        else:
-            cand, *_ = np.linalg.lstsq(J0, -r, rcond=None)
-            if np.linalg.norm(J0 @ cand + r) <= LSTSQ_CONSISTENCY * max(
-                np.linalg.norm(r), 1e-300
-            ):
-                delta = cand
-            else:
-                self_correction = _shifted_correction(
-                    W, row_vals, z, J0, r, front, shifts, n
-                )
-                if self_correction is None:
-                    raise Inconsistent(
-                        f"residual level {front} cannot be cancelled at any shift"
-                    )
-        if delta is not None:
-            z = tuple(
-                zj + monomial(complex(dj), front, W.truncation)
-                for zj, dj in zip(z, delta)
-            )
-        else:
-            shift_level, xi, delta2 = self_correction
-            z = tuple(
-                zj
-                + monomial(complex(xj), shift_level, W.truncation)
-                + monomial(complex(dj), front, W.truncation)
-                for zj, xj, dj in zip(z, xi, delta2)
-            )
+        delta = np.linalg.solve(J0, -r)
+        z = tuple(
+            zj + monomial(complex(dj), front, W.truncation) for zj, dj in zip(z, delta)
+        )
         tv, g, front = _normalized_state(W, row_vals, z)
         history.append(front)
     return _certificate(W, z, tv, g, "graded", startable, levels, history)
-
-
-def _shifted_correction(W, row_vals, z, J0, r, front, shifts, n):
-    """Kernel-direction correction at level front - s plus a level-front solve.
-
-    Constraints: the pair must cancel the level-front residual and must not
-    create residual at any intermediate level. Returns (level, xi, delta) for
-    the first consistent shift, else None.
-    """
-    K = _kernel_basis(J0)
-    if K.shape[1] == 0:
-        return None
-    Jhat = _normalized_jacobian(W, row_vals, z)
-    jac_levels = sorted({e for row in Jhat for s in row for e, _ in s.terms})
-    rnorm = max(np.linalg.norm(r), 1e-300)
-    for s in shifts:
-        if not 0 < s < front:
-            continue
-        A_s = _jacobian_level(Jhat, s, n) @ K
-        blocks = [np.hstack([J0, A_s])]
-        rhs = [-r]
-        for sp in jac_levels:
-            if 0 < sp < s:
-                blocks.append(
-                    np.hstack([np.zeros((n, n)), _jacobian_level(Jhat, sp, n) @ K])
-                )
-                rhs.append(np.zeros(n))
-        A = np.vstack(blocks)
-        b = np.concatenate(rhs)
-        sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-        if np.linalg.norm(A @ sol - b) <= LSTSQ_CONSISTENCY * rnorm:
-            delta = sol[:n]
-            xi = K @ sol[n:]
-            return front - s, xi, delta
-    return None
 
 
 # -- pipeline -----------------------------------------------------------------
@@ -654,7 +561,7 @@ def _lift_candidate(P, cand, alpha, truncation, seed):
         except (SingularLeadingHessian, NoConvergence):
             try:
                 cert = graded_lift(W, zeta)
-            except (Inconsistent, SingularLeadingHessian, NoConvergence):
+            except Inconsistent:
                 continue
         # independent recheck of the certificate invariant
         g = eval_gradient(W, cert.z)

@@ -1,12 +1,18 @@
 """Command line surface: exit codes, JSON payloads, determinism, seeding."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from toric_fiber_lab import polytope_to_json
 from toric_fiber_lab.cli import main
-from conftest import INTERVAL_JSON, WEIGHTED_35_JSON, square_polytope
+from conftest import (
+    INTERVAL_JSON,
+    WEIGHTED_35_JSON,
+    corner_cut_polytope,
+    square_polytope,
+)
 
 
 @pytest.fixture
@@ -27,6 +33,13 @@ def weighted_file(tmp_path):
 def square_file(tmp_path):
     p = tmp_path / "square.json"
     p.write_text(json.dumps(polytope_to_json(square_polytope())))
+    return str(p)
+
+
+@pytest.fixture
+def corner_cut_file(tmp_path):
+    p = tmp_path / "corner_cut.json"
+    p.write_text(json.dumps(polytope_to_json(corner_cut_polytope(Fraction(1, 2)))))
     return str(p)
 
 
@@ -98,24 +111,33 @@ def test_critical_reports_empty(interval_file, capsys):
     assert "no critical fibers" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "extra", [[], ["--truncation", "2"]], ids=["default", "truncation2"]
+)
+def test_critical_text_names_the_lift_route(corner_cut_file, capsys, extra):
+    assert main(["critical", "--input", corner_cut_file] + extra) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5
+    assert all("method=newton" in line for line in lines[:4])
+    assert lines[4].startswith("lambda = (1/2, 1/2)  method=graded  z leading = [")
+    assert lines[4].endswith("residual >= q^inf  intersections >= 4")
+
+
 def test_critical_with_bulk_twist(interval_file, tmp_path, capsys):
     bulk = tmp_path / "bulk.json"
     bulk.write_text(json.dumps({"alpha": [[{"exp": "1/2", "re": 0.25}], 0.0]}))
-    rc = main(
-        [
-            "critical",
-            "--input",
-            interval_file,
-            "--lambda",
-            "1/2",
-            "--bulk",
-            str(bulk),
-            "--json",
-        ]
-    )
-    assert rc == 0
-    docs = json.loads(capsys.readouterr().out)
-    assert len(docs) == 2  # a small twist deforms but keeps both solutions
+    argv = ["critical", "--input", interval_file, "--lambda", "1/2",
+            "--bulk", str(bulk), "--json"]
+    for extra, D in (([], Fraction(3, 2)), (["--truncation", "2"], Fraction(2))):
+        assert main(argv + extra) == 0
+        docs = json.loads(capsys.readouterr().out)
+        assert len(docs) == 2  # a small twist deforms but keeps both solutions
+        # the twist feeds the critical value at every level below the
+        # truncation (default 3 * 1/2), and no series reaches past it
+        for d in docs:
+            top = max(Fraction(t["exp"]) for t in d["critical_value"])
+            assert top == D - Fraction(1, 2)
+            assert all(Fraction(t["exp"]) < D for zj in d["z"] for t in zj)
 
 
 def test_critical_rejects_wrong_bulk_length(interval_file, tmp_path, capsys):
@@ -133,6 +155,9 @@ def test_probes_single(interval_file, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["probe"] is not None
+    assert main(["probes", "--input", interval_file, "--lambda", "1/4"]) == 0
+    out = capsys.readouterr().out
+    assert out == "(1/4): displaceable by probe from facet 0 along [1]\n"
 
 
 def test_probes_center_unknown(interval_file, capsys):
@@ -204,6 +229,10 @@ def test_disks(weighted_file, capsys):
     areas = [row["area"] for row in doc["classes"]]
     assert areas == ["1", "1", "7"]
     assert all(row["maslov_index"] == 2 for row in doc["classes"])
+    assert main(["disks", "--input", weighted_file, "--lambda", "1,1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "index-2 disk classes at lambda = (1, 1)"
+    assert [line.split("area=")[1].split()[0] for line in lines[1:]] == areas
 
 
 def test_disks_rejects_exterior_fiber(interval_file, capsys):
