@@ -5,11 +5,11 @@ its minimal valuation twice) -> complex leading-order roots -> lift to the
 truncated Novikov ring.  Leading systems that reduce to binomials, such as
 P(1,3,5)'s zeta1^6 zeta2^3 = 5, zeta1^5 zeta2^4 = 3, are solved in closed
 form: exactly |det E| = 9 roots for the exponent matrix E.  Other systems are
-solved by seeded multistart Newton.  Roots lift by Newton with quadratically
-growing residual valuation when the leading Jacobian J0 has a nonzero
-diagonal; otherwise (or when Newton stalls) they lift by level-by-level
-graded corrections, one solve against J0 per level, which need only J0
-invertible.
+solved by a polyhedral homotopy with one path per unit of mixed volume.
+Roots lift by Newton with quadratically growing residual valuation when the
+leading Jacobian J0 has a nonzero diagonal; otherwise (or when Newton stalls)
+they lift by level-by-level graded corrections, one solve against J0 per
+level, which need only J0 invertible.
 """
 
 from fractions import Fraction as F
@@ -30,7 +30,7 @@ for cand in tropical_candidates(triangle):
     print("  fiber", cand.fiber, "minima per direction", cand.per_direction_minima)
 
 W = build_potential(triangle, (F(5, 3), F(5, 3)))
-roots = solve_leading(leading_system(W), seed=0)
+roots = solve_leading(leading_system(W))
 print(f"leading system has {len(roots)} roots; the first:", roots[0])
 
 certs = find_critical_fibers(triangle, seed=0)

@@ -3,7 +3,8 @@
 Subcommands: validate, potential, critical, probes, disks, analyze, render.
 All take --input pointing at a polytope JSON document.  Exit codes: 0 success,
 2 validation problem, 3 internal inconsistency.  TFL_SEED overrides the
-default random seed; an explicit --seed wins over the environment.
+default seed; an explicit --seed wins over the environment.  The seed is
+recorded in the analyze report's config and changes no output.
 """
 
 from __future__ import annotations

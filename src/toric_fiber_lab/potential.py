@@ -104,9 +104,9 @@ def term_values(W: Potential, z: tuple[NovikovSeries, ...]) -> list[NovikovSerie
     """Value of each summand at z, in facet order.
 
     Each z_j is inverted once, and only when some term has a negative
-    exponent in direction j.  Callers that need several derivatives at z
-    build this list once and pass it to gradient_from_terms,
-    hessian_from_terms and value_from_terms.
+    exponent in direction j; a bulk tail that is exactly 1 is not multiplied.
+    Callers that need several derivatives at z build this list once and pass
+    it to gradient_from_terms, hessian_from_terms and value_from_terms.
     """
     _require_units(z, W.dimension)
     inverses = tuple(
@@ -114,13 +114,16 @@ def term_values(W: Potential, z: tuple[NovikovSeries, ...]) -> list[NovikovSerie
         for j, zj in enumerate(z)
     )
     point = tuple(z) + inverses
+    unit = one(W.truncation).terms
     out = []
     for t in W.terms:
         split = tuple(max(vj, 0) for vj in t.exponent) + tuple(
             max(-vj, 0) for vj in t.exponent
         )
-        v = monomial_eval(point, split) * t.bulk_tail * t.multiplier
-        out.append(v.shift(t.valuation))
+        v = monomial_eval(point, split)
+        if t.bulk_tail.terms != unit:  # an absent twist leaves the tail exactly 1
+            v = v * t.bulk_tail
+        out.append((v * t.multiplier).shift(t.valuation))
     return out
 
 

@@ -3,7 +3,8 @@
 Pipeline: enumerate fibers where every gradient direction has its minimal
 term valuation attained at least twice (tropical candidates), solve the
 complex leading-coefficient system (in closed form when it reduces exactly to
-binomials, otherwise by seeded multistart Newton), then lift each leading root
+binomials, otherwise by a polyhedral homotopy with one path per unit of mixed
+volume; nothing on either route is random), then lift each leading root
 to a series solution of grad W = 0 by series Newton iteration or, when the
 leading Jacobian J0 has a zero diagonal entry or Newton stalls, by cancelling
 residual levels one valuation at a time, which needs only J0 invertible.
@@ -20,6 +21,7 @@ the critical value.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +32,7 @@ from .errors import (
     Inconsistent,
     NoConvergence,
     SingularLeadingHessian,
+    ToricFiberError,
 )
 from .novikov import (
     INF,
@@ -58,10 +61,17 @@ from .potential import (
 COND_LIMIT = 1e8
 DIAG_TOL = 1e-8  # floor for leading-Jacobian entries (diagonal: relative)
 ROOT_RESIDUAL_TOL = 1e-10
-ROOT_MODULUS_RANGE = (1e-6, 1e6)
 ROOT_DEDUP_TOL = 1e-6
 CERT_DEDUP_TOL = 1e-6
-DEFAULT_STARTS_BASE = 64
+MAX_LIFTINGS = 8
+CELL_CHUNK = 2**14  # pair choices tested per vectorized batch
+GOLDEN_FRACTION = (5**0.5 - 1) / 2  # spreads the fixed homotopy angles theta_a
+PATH_TOL = 1e-9
+PATH_MAX_STEP = 0.1
+PATH_MIN_STEP = 1e-12
+PATH_END_GAP = 1e-9
+PATH_MAX_ROUNDS = 1000
+POLISH_STEPS = 16
 MAX_NEWTON_ITER = 60
 MAX_GRADED_LEVELS = 400
 FAMILY_SAMPLES = (
@@ -218,7 +228,7 @@ def _root_key(zeta) -> tuple:
     return tuple((round(x.real, 9), round(x.imag, 9)) for x in zeta)
 
 
-def solve_leading(sys: LeadingSystem, seed: int = 0) -> list[tuple[complex, ...]]:
+def solve_leading(sys: LeadingSystem) -> list[tuple[complex, ...]]:
     """Roots of the leading system on the complex torus, sorted.
 
     Row j is sum_i v_ij m_i zeta^{v_i}: the multipliers m_i only scale the
@@ -229,12 +239,11 @@ def solve_leading(sys: LeadingSystem, seed: int = 0) -> list[tuple[complex, ...]
     differences E have det E != 0, the result is the |det E| roots in closed
     form (_binomial_roots).  Anything else (rows of three or more terms,
     rank < n, det E = 0, or two terms of a row sharing an exponent) goes to
-    random multistart Newton (_multistart_roots), the only route the seed
-    affects.
+    the polyhedral homotopy (_homotopy_roots).  Neither route is random.
     """
     n = sys.dimension
     if any(len({e for _, e in eq}) < len(eq) for eq in sys.equations):
-        return _multistart_roots(sys, seed)
+        return _homotopy_roots(sys)
     monos = sorted({e for eq in sys.equations for _, e in eq})
     col = {e: k for k, e in enumerate(monos)}
     B = [[Fraction(0)] * len(monos) for _ in range(n)]
@@ -257,7 +266,10 @@ def solve_leading(sys: LeadingSystem, seed: int = 0) -> list[tuple[complex, ...]
         roots = _binomial_roots(E, rhs)
         if roots is not None:
             return sorted(roots, key=_root_key)
-    return _multistart_roots(sys, seed)
+    return _homotopy_roots(sys)
+
+
+_QUARTER_TURNS = {Fraction(0): 1, Fraction(1, 2): 1j, Fraction(1): -1, Fraction(3, 2): -1j}
 
 
 def _binomial_roots(E: list[list[int]], r: list[complex]):
@@ -266,7 +278,11 @@ def _binomial_roots(E: list[list[int]], r: list[complex]):
     Integer column operations give E V = H with V unimodular and H lower
     triangular with H_ii > 0.  With zeta = exp(V u), row i reads
     sum_{l <= i} H_il u_l = log r_i + 2 pi i k_i, solved downward for
-    k_i in range(H_ii): prod H_ii = |det E| distinct roots.
+    k_i in range(H_ii): prod H_ii = |det E| distinct roots.  When every r_i
+    is real, Im u_i / pi is the exact rational p_i solving
+    sum_{l <= i} H_il p_l = [r_i < 0] + 2 k_i, so each zeta_j has the exact
+    phase pi sum_i V_ji p_i, and a real or purely imaginary zeta_j comes out
+    with an exact zero part.
     """
     n = len(E)
     Hc = [list(c) for c in zip(*E)]  # columns of H
@@ -290,73 +306,296 @@ def _binomial_roots(E: list[list[int]], r: list[complex]):
             Vc[i] = [-x for x in Vc[i]]
     V = np.array(Vc, dtype=float).T
     logs = np.log(np.array(r, dtype=complex))
+    real = all(complex(x).imag == 0 for x in r)
     roots = []
     for k in itertools.product(*(range(Hc[i][i]) for i in range(n))):
         u = np.zeros(n, dtype=complex)
+        turns: list[Fraction] = []
         for i in range(n):
             lower = sum(Hc[l][i] * u[l] for l in range(i))
             u[i] = (logs[i] + 2j * np.pi * k[i] - lower) / Hc[i][i]
-        roots.append(tuple(complex(x) for x in np.exp(V @ u)))
+            if real:
+                lower_turns = sum(Hc[l][i] * turns[l] for l in range(i))
+                turns.append(
+                    Fraction(int(r[i].real < 0) + 2 * k[i] - lower_turns, Hc[i][i])
+                )
+        w = V @ u
+        zeta = [complex(x) for x in np.exp(w)]
+        if real:
+            for j in range(n):
+                unit = _QUARTER_TURNS.get(sum(Vc[i][j] * turns[i] for i in range(n)) % 2)
+                if unit is not None:
+                    zeta[j] = math.exp(w[j].real) * unit
+        roots.append(tuple(complex(x) for x in zeta))
     return roots
 
 
-def _multistart_roots(sys: LeadingSystem, seed: int) -> list[tuple[complex, ...]]:
-    """Torus roots of a leading system by random multistart Newton.
+def _int_det(M: np.ndarray) -> np.ndarray:
+    """Determinants of the integer matrices stacked on the leading axis.
 
-    Damped Newton in logarithmic coordinates from 64 * 3^n random points with
-    log-uniform modulus in [1/4, 4] and uniform phase; a converged point is
-    kept when every row satisfies |f_j| <= 1e-10 * max_i |c_i zeta^{v_i}|
-    and every |zeta_j| lies in [1e-6, 1e6], then deduplicated to 1e-6.
+    Cofactor expansion, exact in the dtype of M (int64 or Python integers).
+    """
+    if M.shape[-1] == 1:
+        return M[..., 0, 0]
+    return sum(
+        (-1) ** k * M[..., 0, k] * _int_det(np.delete(M[..., 1:, :], k, axis=-1))
+        for k in range(M.shape[-1])
+    )
+
+
+def _lifting(supports, attempt: int) -> list[list[int]]:
+    """Fixed integer heights in [0, 2^(4 + attempt)) for every support point.
+
+    The height of exponent a in row j is the top bits of an integer hash of
+    (attempt, j, a), nonlinear in a so that no row is lifted affinely, and
+    different per row so that rows with equal supports are lifted apart.
+    """
+    heights = []
+    for j, S in enumerate(supports):
+        row = []
+        for a in S:
+            x = attempt * 1000003 + j * 8191 + sum(v * p for v, p in zip(a, (131, 257, 521)))
+            for _ in range(2):
+                x = ((x % 2**32) ^ (x % 2**32 >> 16)) * 0x45D9F3B % 2**32
+            row.append(x >> (28 - attempt))
+        heights.append(row)
+    return heights
+
+
+def _mixed_cells(supports, lifting):
+    """Fine mixed cells of the lifted supports, or None if the lifting is not generic.
+
+    supports[j] lists the exponents of row j and lifting[j] their integer
+    heights h.  A cell picks one pair (a_j, b_j) per row whose inner normal
+    (alpha, 1) makes the pair the strict lower face of every lifted row:
+    <a_j - b_j, alpha> = h(b_j) - h(a_j), and every other point a of row j
+    lies above it.  With M the integer matrix of rows a_j - b_j and d = det M,
+    Cramer's rule gives N = d alpha in integers, and the height of a above the
+    face, times |d|, is the integer s = sign(d) (<a - a_j, N> + d (h(a) - h(a_j))).
+    The pair choices are tested CELL_CHUNK at a time in int64, or in Python
+    integers when the entries could overflow it.  A zero s off the pair means the lifting is
+    not generic: the cells would then miss part of the mixed volume.  Returns
+    one (pairs, |d|, s) per cell, with s[j] listed over supports[j]; the |d|
+    summed over the cells is the mixed volume.
+    """
+    n = len(supports)
+    big = max(abs(x) for S in supports for a in S for x in a)
+    top = max(x for h in lifting for x in h)
+    bound = 2 * n * math.factorial(n) * (2 * big) ** n * (top + 1)
+    dtype = np.int64 if bound < 2**62 else object
+    S = [np.array(Sj, dtype=dtype) for Sj in supports]
+    h = [np.array(hj, dtype=dtype) for hj in lifting]
+    pairs = [np.array(list(itertools.combinations(range(len(Sj)), 2))) for Sj in supports]
+    shape = [len(p) for p in pairs]
+    total = math.prod(shape)
+    cells = []
+    for first in range(0, total, CELL_CHUNK):
+        grid = np.unravel_index(np.arange(first, min(first + CELL_CHUNK, total)), shape)
+        ab = np.stack([p[g] for p, g in zip(pairs, grid)], axis=1)  # (choices, n, 2)
+        M = np.stack([S[j][ab[:, j, 0]] - S[j][ab[:, j, 1]] for j in range(n)], axis=1)
+        rhs = np.stack([h[j][ab[:, j, 1]] - h[j][ab[:, j, 0]] for j in range(n)], axis=1)
+        d = _int_det(M)
+        live = d != 0
+        ab, M, rhs, d = ab[live], M[live], rhs[live], d[live]
+        cramer = (
+            np.concatenate([M[..., :i], rhs[..., None], M[..., i + 1 :]], axis=-1)
+            for i in range(n)
+        )
+        N = np.stack([_int_det(Mi) for Mi in cramer], axis=1)
+        sign = np.where(d > 0, 1, -1)
+        choice = np.arange(len(d))
+        above = []
+        cell = np.ones(len(d), dtype=bool)
+        for j in range(n):
+            v = (N[:, None, :] * S[j][None, :, :]).sum(axis=-1) + d[:, None] * h[j][None, :]
+            sj = sign[:, None] * (v - v[choice, ab[:, j, 0]][:, None])
+            cell &= (sj >= 0).all(axis=1)
+            above.append(sj)
+        if any(((sj == 0).sum(axis=1) > 2)[cell].any() for sj in above):
+            return None
+        cells += [
+            (tuple(map(tuple, ab[c])), int(abs(d[c])), [sj[c] for sj in above])
+            for c in np.flatnonzero(cell)
+        ]
+    return cells
+
+
+def _path_field(E, R, c, theta, w, tau, pw, k):
+    """H, dH/dw and dH/dtau of the cell homotopies, one row per path.
+
+    Path p tracks H_j(w, tau) = sum_a c_a exp(i theta_a (1 - tau^k_p))
+    tau^pw[p, a] exp(<a, w>) over the terms a of row j; E holds the term
+    exponents, R[a, j] = 1 for a term of row j, and RE[a] = R[a] (x) E[a].
+    """
+    P, T = pw.shape
+    n = E.shape[1]
+    mono = np.exp(w @ E.T)
+    tk = tau**k
+    rot = c * np.exp(1j * np.outer(1.0 - tk, theta))
+    tp = tau[:, None] ** pw
+    terms = rot * tp * mono
+    RE = (R[:, :, None] * E[:, None, :]).reshape(T, n * n)
+    J = (terms @ RE).reshape(P, n, n)
+    dtp = np.where(pw > 0, pw * tau[:, None] ** np.maximum(pw - 1.0, 0.0), 0.0)
+    dk = (k * tau ** np.maximum(k - 1.0, 0.0))[:, None]
+    Ht = (rot * mono * (dtp - 1j * dk * theta * tp)) @ R
+    return terms @ R, J, Ht
+
+
+def _solve_paths(J: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve J[p] x[p] = b[p] for every path; a singular J[p] gives nan."""
+    try:
+        return np.linalg.solve(J, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan, dtype=complex)
+        for p in range(len(b)):
+            try:
+                out[p] = np.linalg.solve(J[p], b[p])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _track(E, R, c, theta, w, pw, k) -> np.ndarray:
+    """Carry every start point w at tau = 0 along its path to tau = 1.
+
+    Each round gives every live path one RK4 predictor step of its own size
+    and at most three Newton corrector steps.  A step is accepted when the
+    last correction is below PATH_TOL; the step size then doubles, up to
+    PATH_MAX_STEP, and is halved otherwise.  A path is done once tau is
+    within PATH_END_GAP of 1.  A path whose step falls below PATH_MIN_STEP
+    (a diverging path overflows and stalls there) is dropped (nan), and so
+    is every path still running after PATH_MAX_ROUNDS rounds.
+    """
+    P = len(w)
+    w = w.copy()
+    tau = np.zeros(P)
+    step = np.full(P, PATH_MAX_STEP / 8)
+    live = np.ones(P, dtype=bool)
+
+    def velocity(idx, wi, ti):
+        _, J, Ht = _path_field(E, R, c, theta, wi, ti, pw[idx], k[idx])
+        return -_solve_paths(J, Ht)
+
+    for _ in range(PATH_MAX_ROUNDS):
+        idx = np.flatnonzero(live & (tau < 1.0 - PATH_END_GAP))
+        if not idx.size:
+            break
+        t0, w0 = tau[idx], w[idx]
+        h = np.minimum(step[idx], 1.0 - t0)
+        t1 = np.where(h >= 1.0 - t0, 1.0, t0 + h)
+        hh = (h / 2)[:, None]
+        k1 = velocity(idx, w0, t0)
+        k2 = velocity(idx, w0 + hh * k1, t0 + h / 2)
+        k3 = velocity(idx, w0 + hh * k2, t0 + h / 2)
+        k4 = velocity(idx, w0 + h[:, None] * k3, t1)
+        wi = w0 + (h / 6)[:, None] * (k1 + 2 * k2 + 2 * k3 + k4)
+        for _ in range(3):
+            H, J, _ = _path_field(E, R, c, theta, wi, t1, pw[idx], k[idx])
+            dw = -_solve_paths(J, H)
+            wi = wi + dw
+        size = np.max(np.abs(dw), axis=1)
+        ok = size < PATH_TOL  # nan compares False
+        acc, rej = idx[ok], idx[~ok]
+        w[acc], tau[acc] = wi[ok], t1[ok]
+        step[acc] = np.minimum(2 * step[acc], PATH_MAX_STEP)
+        step[rej] /= 2
+        live[rej[step[rej] < PATH_MIN_STEP]] = False
+    live &= tau >= 1.0 - PATH_END_GAP
+    w[~live] = np.nan
+    return w
+
+
+def _row_supports(sys: LeadingSystem):
+    """Per row: the sorted exponents with a nonzero coefficient, and those coefficients.
+
+    Terms of a row that share an exponent are merged first.
+    """
+    supports, coeffs = [], []
+    for eq in sys.equations:
+        row: dict[tuple[int, ...], complex] = {}
+        for c, e in eq:
+            row[e] = row.get(e, 0j) + c
+        S = sorted(e for e, c in row.items() if c != 0)
+        supports.append(S)
+        coeffs.append([row[e] for e in S])
+    return supports, coeffs
+
+
+def _generic_cells(supports):
+    """Mixed cells under the first generic lifting in the fixed sequence."""
+    for attempt in range(MAX_LIFTINGS):
+        cells = _mixed_cells(supports, _lifting(supports, attempt))
+        if cells is not None:
+            return cells
+    raise ToricFiberError("no generic lifting of the leading supports found")
+
+
+def _homotopy_roots(sys: LeadingSystem) -> list[tuple[complex, ...]]:
+    """Torus roots of a leading system by the polyhedral homotopy, sorted.
+
+    Huber-Sturmfels (Math. Comp. 1995).  Row j is sum_a c_a zeta^a over its
+    support A_j (_row_supports).  One homotopy
+    H_j(x, t) = sum_a c_a exp(i theta_a (1 - t)) t^{h_j(a)} x^a, with the
+    heights h of the first generic lifting and fixed angles theta_a, is the
+    target system at t = 1; the rotating coefficients keep its paths apart
+    even when the c_a are real.  Near t = 0, in y = x t^{-alpha} for a mixed
+    cell with normal alpha, H is the cell's binomial face system, and
+    _binomial_roots gives its |det| start roots.  The start roots of all
+    cells number the mixed volume of the supports, which bounds the isolated
+    torus roots (Bernstein 1975), so each isolated root ends one path.  With
+    t = tau^k, k >= 1 chosen per cell so that every nonzero power of tau is
+    at least 1, all paths are tracked together in log y (_track).  Each end
+    point then takes POLISH_STEPS Newton steps on the target system.  It is
+    kept when the last step moved it by less than ROOT_DEDUP_TOL (a path
+    escaping to infinity keeps moving), every row passes the relative
+    residual test of ROOT_RESIDUAL_TOL, and no kept root lies within
+    ROOT_DEDUP_TOL (paths meeting at a multiple root end together).
     """
     n = sys.dimension
-    starts = DEFAULT_STARTS_BASE * 3**n
-    coeffs = [np.array([c for c, _ in eq], dtype=complex) for eq in sys.equations]
-    expos = [np.array([e for _, e in eq], dtype=float) for eq in sys.equations]
-
-    def f_at(w: np.ndarray) -> np.ndarray:
-        return np.array([c @ np.exp(E @ w) for c, E in zip(coeffs, expos)])
-
-    def jac_at(w: np.ndarray) -> np.ndarray:
-        return np.array([(c * np.exp(E @ w)) @ E for c, E in zip(coeffs, expos)])
-
-    rng = np.random.default_rng(seed)
+    supports, coeffs = _row_supports(sys)
+    if any(len(S) < 2 for S in supports):
+        return []
+    cells = _generic_cells(supports)
+    if not cells:
+        return []
+    E = np.array([a for S in supports for a in S], dtype=float)
+    R = np.array([[float(i == j) for j in range(n)] for i, S in enumerate(supports) for _ in S])
+    c = np.array([x for row in coeffs for x in row], dtype=complex)
+    theta = 2 * np.pi * ((np.arange(len(c)) + 1) * GOLDEN_FRACTION % 1.0)
+    start = c * np.exp(1j * theta)
+    offsets = np.cumsum([0] + [len(S) for S in supports])
+    starts, powers, ks = [], [], []
+    for pairs, d, above in cells:
+        Ecell, r = [], []
+        for j, (a, b) in enumerate(pairs):
+            Ecell.append([x - y for x, y in zip(supports[j][a], supports[j][b])])
+            r.append(-start[offsets[j] + b] / start[offsets[j] + a])
+        s = np.concatenate(above).astype(float) / d
+        k = max(1.0, 1.0 / s[s > 0].min()) if (s > 0).any() else 1.0
+        for y in _binomial_roots(Ecell, r):
+            starts.append(np.log(np.array(y)))
+            powers.append(k * s)
+            ks.append(k)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w = _track(E, R, c, theta, np.array(starts), np.array(powers), np.array(ks))
+        w = w[np.all(np.isfinite(w), axis=1)]
+        one = np.ones(len(w))
+        for _ in range(POLISH_STEPS):
+            H, J, _ = _path_field(E, R, c, theta, w, one, np.zeros(w.shape[:1] + c.shape), one)
+            dw = -_solve_paths(J, H)
+            w = w + dw
+        settled = np.max(np.abs(dw), axis=1) < ROOT_DEDUP_TOL
+        terms = c * np.exp(w[settled] @ E.T)
     roots: list[np.ndarray] = []
-    with np.errstate(over="ignore", invalid="ignore"):  # divergent starts overflow; guarded below
-        for _ in range(starts):
-            mod = rng.uniform(np.log(0.25), np.log(4.0), n)
-            phase = rng.uniform(0.0, 2.0 * np.pi, n)
-            w = mod + 1j * phase
-            fw = f_at(w)
-            nf = np.max(np.abs(fw))
-            for _ in range(MAX_NEWTON_ITER):
-                if nf < 1e-14:
-                    break
-                try:
-                    delta = np.linalg.solve(jac_at(w), -fw)
-                except np.linalg.LinAlgError:
-                    break
-                if not np.all(np.isfinite(delta)):
-                    break
-                for k in range(11):
-                    step = 0.5**k
-                    w2 = w + step * delta
-                    f2 = f_at(w2)
-                    n2 = np.max(np.abs(f2))
-                    if np.isfinite(n2) and (n2 < nf * (1 - 0.25 * step) or n2 < 1e-14):
-                        w, fw, nf = w2, f2, n2
-                        break
-                else:
-                    break
-            scale = [np.abs(c * np.exp(E @ w)).max() for c, E in zip(coeffs, expos)]
-            if not all(abs(f) <= ROOT_RESIDUAL_TOL * m for f, m in zip(fw, scale)):
-                continue
-            zeta = np.exp(w)
-            mods = np.abs(zeta)
-            if mods.min() < ROOT_MODULUS_RANGE[0] or mods.max() > ROOT_MODULUS_RANGE[1]:
-                continue
-            if any(np.max(np.abs(zeta - r)) < ROOT_DEDUP_TOL for r in roots):
-                continue
-            roots.append(zeta)
+    for zeta, row_terms in zip(np.exp(w[settled]), terms):
+        resid = np.abs(row_terms @ R)
+        scale = (np.abs(row_terms)[:, None] * R).max(axis=0)
+        if np.any(resid > ROOT_RESIDUAL_TOL * scale):
+            continue
+        if any(np.max(np.abs(zeta - r)) < ROOT_DEDUP_TOL for r in roots):
+            continue
+        roots.append(zeta)
     return sorted((tuple(complex(x) for x in r) for r in roots), key=_root_key)
 
 
@@ -548,14 +787,14 @@ def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
 # -- pipeline -----------------------------------------------------------------
 
 
-def _lift_candidate(P, cand, alpha, truncation, seed):
+def _lift_candidate(P, cand, alpha, truncation):
     W = build_potential(P, cand.fiber, alpha, truncation)
     try:
         sys = leading_system(W)
     except DegenerateDirection:
         return []
     certs = []
-    for zeta in solve_leading(sys, seed=seed):
+    for zeta in solve_leading(sys):
         try:
             cert = newton_lift(W, zeta)
         except (SingularLeadingHessian, NoConvergence):
@@ -595,17 +834,24 @@ def _dedup_certificates(certs: list[CriticalCertificate]) -> list[CriticalCertif
 def find_critical_fibers(
     P: MomentPolytope, alpha=None, truncation=None, seed: int = 0
 ) -> list[CriticalCertificate]:
-    """All certified critical fibers: candidates -> leading roots -> lifts."""
+    """All certified critical fibers: candidates -> leading roots -> lifts.
+
+    The seed is accepted for the reports' config and changes no output: no
+    step of the search is random.
+    """
     certs = []
     for cand in tropical_candidates(P):
-        certs.extend(_lift_candidate(P, cand, alpha, truncation, seed))
+        certs.extend(_lift_candidate(P, cand, alpha, truncation))
     return _dedup_certificates(certs)
 
 
 def certificates_at_fiber(
     P: MomentPolytope, lam, alpha=None, truncation=None, seed: int = 0
 ) -> list[CriticalCertificate]:
-    """Run the lifting pipeline at one user-supplied fiber only."""
+    """Run the lifting pipeline at one user-supplied fiber only.
+
+    Like find_critical_fibers, it accepts a seed that changes no output.
+    """
     lam = tuple(Fraction(x) for x in lam)
     if not is_interior(P, lam):
         return []
@@ -613,4 +859,4 @@ def certificates_at_fiber(
     if minima is None:
         return []
     cand = TropicalCandidate(lam, minima, True)
-    return _dedup_certificates(_lift_candidate(P, cand, alpha, truncation, seed))
+    return _dedup_certificates(_lift_candidate(P, cand, alpha, truncation))

@@ -4,6 +4,8 @@ Lifted solutions are cross-checked against the self-contained brute-force
 solver in oracles.py, which shares no arithmetic with the package.
 """
 
+import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -150,15 +152,34 @@ def test_leading_system_rejects_unbalanced_fiber():
 
 def test_leading_roots_interval():
     W = build_potential(interval_polytope(), (F(1, 2),))
-    roots = solve_leading(leading_system(W), seed=0)
+    roots = solve_leading(leading_system(W))
     assert len(roots) == 2
     assert sorted(round(z[0].real) for z in roots) == [-1, 1]
     assert all(abs(z[0].imag) < 1e-9 for z in roots)
 
 
+def test_real_binomial_roots_have_exact_phases():
+    # zeta^2 = 1 at the interval's centre: the phase pi of -1 is carried
+    # exactly, so no rounding noise such as -1.2246e-16j survives
+    W = build_potential(interval_polytope(), (F(1, 2),))
+    roots = solve_leading(leading_system(W))
+    assert [z[0] for z in roots] == [-1, 1]
+    assert all(z[0].imag == 0.0 for z in roots)
+    # quarter turns: zeta^2 = -1 gives +-i with real part exactly 0
+    assert sorted(solver_mod._binomial_roots([[2]], [-1.0]), key=solver_mod._root_key) == [
+        (-1j,),
+        (1j,),
+    ]
+    assert all(z[0].real == 0.0 for z in solver_mod._binomial_roots([[2]], [-4.0]))
+    # corner cut 1/2 on the diagonal: the real root (-1, -1)
+    P = corner_cut_polytope(F(1, 2))
+    (diag,) = solve_leading(leading_system(build_potential(P, (F(1, 2), F(1, 2)))))
+    assert diag == (-1, -1) and all(x.imag == 0.0 for x in diag)
+
+
 def test_leading_roots_plane_blowup():
     W = build_potential(plane_blowup_polytope(), (F(1), F(1)))
-    roots = solve_leading(leading_system(W), seed=0)
+    roots = solve_leading(leading_system(W))
     assert len(roots) == 1
     assert abs(roots[0][0] + 1) < 1e-9 and abs(roots[0][1] + 1) < 1e-9
 
@@ -168,7 +189,7 @@ def test_leading_roots_weighted_35():
     # |det [[6,3],[5,4]]| = 9 torus solutions
     lam = F(5, 3)
     W = build_potential(weighted_plane_polytope(3, 5), (lam, lam))
-    roots = solve_leading(leading_system(W), seed=0)
+    roots = solve_leading(leading_system(W))
     assert len(roots) == 9
     for z1, z2 in roots:
         assert abs(z1**6 * z2**3 - 5) < 1e-8
@@ -177,20 +198,24 @@ def test_leading_roots_weighted_35():
 
 def test_leading_roots_orbifold_interval():
     W = build_potential(orbifold_interval_polytope(), (F(2, 3),))
-    roots = solve_leading(leading_system(W), seed=0)
+    roots = solve_leading(leading_system(W))
     assert len(roots) == 3
     for (z,) in roots:
         assert abs(z**3 - 2) < 1e-9
 
 
 def test_leading_roots_deterministic():
-    W = build_potential(weighted_plane_polytope(3, 5), (F(5, 3), F(5, 3)))
-    sys = leading_system(W)
-    assert solve_leading(sys, seed=0) == solve_leading(sys, seed=7)
+    # one system on each route: closed form, and the homotopy
+    for P, lam in (
+        (weighted_plane_polytope(3, 5), (F(5, 3), F(5, 3))),
+        (hexagon_polytope(), (F(0), F(0))),
+    ):
+        sys = leading_system(build_potential(P, lam))
+        assert solve_leading(sys) == solve_leading(sys)
 
 
-def _no_multistart(sys, seed):
-    raise AssertionError("leading system was sent to multistart")
+def _no_homotopy(sys):
+    raise AssertionError("leading system was sent to the homotopy")
 
 
 def _satisfies(sys, zeta, rel=1e-10) -> bool:
@@ -223,29 +248,29 @@ def _det(M) -> int:
 @pytest.mark.parametrize("name", list(FIXTURES))
 def test_binomial_roots_count_det_exponents(name, monkeypatch):
     # every fixture's leading system is one binomial per row; its torus roots
-    # number |det E| for E the exponent differences, whatever the seed
-    monkeypatch.setattr(solver_mod, "_multistart_roots", _no_multistart)
+    # number |det E| for E the exponent differences
+    monkeypatch.setattr(solver_mod, "_homotopy_roots", _no_homotopy)
     P = FIXTURES[name][0]()
     for cand in tropical_candidates(P):
         sys = leading_system(build_potential(P, cand.fiber))
         assert all(len(eq) == 2 for eq in sys.equations)
         E = [[a - b for a, b in zip(eq[0][1], eq[1][1])] for eq in sys.equations]
-        roots = solve_leading(sys, seed=0)
+        roots = solve_leading(sys)
         assert len(roots) == abs(_det(E)) > 0
         assert _distinct(roots)
         assert all(_satisfies(sys, z) for z in roots)
-        assert solve_leading(sys, seed=7) == roots
+        assert solve_leading(sys) == roots
 
 
 def test_fixture_pipelines_never_reach_multistart(monkeypatch):
-    monkeypatch.setattr(solver_mod, "_multistart_roots", _no_multistart)
+    monkeypatch.setattr(solver_mod, "_homotopy_roots", _no_homotopy)
     for make, count in FIXTURES.values():
         assert len(find_critical_fibers(make(), seed=0)) == count
 
 
 def test_hexagon_family_samples_have_no_torus_roots(monkeypatch):
     # e.g. at (1/2, 1/2) the reduced rows are single terms 2a = 0, b = 0
-    monkeypatch.setattr(solver_mod, "_multistart_roots", _no_multistart)
+    monkeypatch.setattr(solver_mod, "_homotopy_roots", _no_homotopy)
     P = hexagon_polytope()
     samples = [c for c in tropical_candidates(P) if not c.isolated]
     assert len(samples) == 8
@@ -254,19 +279,19 @@ def test_hexagon_family_samples_have_no_torus_roots(monkeypatch):
 
 
 def test_twisted_binomial_roots(monkeypatch):
-    monkeypatch.setattr(solver_mod, "_multistart_roots", _no_multistart)
+    monkeypatch.setattr(solver_mod, "_homotopy_roots", _no_homotopy)
     P = weighted_plane_polytope(3, 5)
     D = F(3)
     alpha = tuple(constant_series(a, D) for a in (0.3 + 1.1j, -0.2 + 0.7j, 0.5 - 0.4j))
     sys = leading_system(build_potential(P, (F(5, 3), F(5, 3)), alpha, truncation=D))
     assert all(c.imag != 0 for eq in sys.equations for c, _ in eq)
-    roots = solve_leading(sys, seed=0)
+    roots = solve_leading(sys)
     assert len(roots) == 9
     assert _distinct(roots)
     assert all(_satisfies(sys, z) for z in roots)
 
 
-def test_singular_binomial_system_reaches_multistart(monkeypatch):
+def test_singular_binomial_system_reaches_homotopy(monkeypatch):
     # rows 2 z1^2 z2 + z1 and 3 z1^3 z2^3 + z1 z2 are binomials with exponent
     # differences (1, 1) and (2, 2): det E = 0, so no closed form applies
     sys = LeadingSystem(
@@ -277,23 +302,24 @@ def test_singular_binomial_system_reaches_multistart(monkeypatch):
         ),
         (F(0), F(0)),
     )
+    # z1 z2 = -1/2 and (z1 z2)^2 = -1/3 have no common root, and the
+    # supports have mixed volume 0: no cell, no path
+    assert solver_mod._homotopy_roots(sys) == []
     calls = []
-    monkeypatch.setattr(
-        solver_mod, "_multistart_roots", lambda s, seed: calls.append(seed) or []
-    )
-    assert solve_leading(sys, seed=5) == []
-    assert calls == [5]
+    monkeypatch.setattr(solver_mod, "_homotopy_roots", lambda s: calls.append(s) or [])
+    assert solve_leading(sys) == []
+    assert calls == [sys]
 
 
-def test_multistart_residual_is_relative_to_largest_term():
+def test_homotopy_residual_is_relative_to_largest_term():
     # at (1/2, 1/2) the hexagon's leading system 2a + b = 0, a + 2b = 0 in two
-    # monomials has no torus root; starts drift to tiny or huge zeta where
-    # every term, and so the absolute residual, is small
+    # monomials has no torus root; a point drifting to tiny or huge zeta makes
+    # every term, and so the absolute residual, small
     P = hexagon_polytope()
     half = leading_system(build_potential(P, (F(1, 2), F(1, 2))))
-    assert solver_mod._multistart_roots(half, 0) == []
+    assert solver_mod._homotopy_roots(half) == []
     centre = leading_system(build_potential(P, (F(0), F(0))))
-    roots = solver_mod._multistart_roots(centre, 0)
+    roots = solver_mod._homotopy_roots(centre)
     assert len(roots) == 18
     assert all(_satisfies(centre, z) for z in roots)
 
@@ -319,16 +345,95 @@ def _hull_area2(points) -> int:
     )
 
 
+def _mixed_volume2(supports) -> int:
+    """Twice the mixed volume of two planar supports, from hull areas."""
+    S, T = supports
+    minkowski = [(a[0] + b[0], a[1] + b[1]) for a in S for b in T]
+    return _hull_area2(minkowski) - _hull_area2(S) - _hull_area2(T)
+
+
 def test_hexagon_centre_root_count_is_the_mixed_volume():
     # BKK: the mixed volume MV = area(P + Q) - area(P) - area(Q) of the two
     # row supports bounds the isolated torus roots; the centre attains it
     P = hexagon_polytope()
     centre = leading_system(build_potential(P, (F(0), F(0))))
-    S, T = ([e for _, e in eq] for eq in centre.equations)
-    minkowski = [(a[0] + b[0], a[1] + b[1]) for a in S for b in T]
-    mv2 = _hull_area2(minkowski) - _hull_area2(S) - _hull_area2(T)
-    assert mv2 == 2 * 18
-    assert len(solve_leading(centre, seed=0)) == 18
+    assert _mixed_volume2([e for _, e in eq] for eq in centre.equations) == 2 * 18
+    assert len(solve_leading(centre)) == 18
+
+
+def _twelve_line_polytope():
+    normals = [(2, 1), (1, 2), (-1, 1), (-2, -1), (-1, -2), (1, -1)]
+    normals += [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1)]
+    return make_polytope(2, [(v, F(-3)) for v in normals])
+
+
+def test_hexagon_centre_tracks_one_path_per_unit_of_mixed_volume(monkeypatch):
+    centre = leading_system(build_potential(hexagon_polytope(), (F(0), F(0))))
+    supports, _ = solver_mod._row_supports(centre)
+    cells = solver_mod._generic_cells(supports)
+    assert 2 * sum(d for _, d, _ in cells) == _mixed_volume2(supports) == 2 * 18
+    paths = []
+    track = solver_mod._track
+
+    def counted(E, R, c, theta, w, pw, k):
+        paths.append(len(w))
+        return track(E, R, c, theta, w, pw, k)
+
+    monkeypatch.setattr(solver_mod, "_track", counted)
+    roots = solver_mod._homotopy_roots(centre)
+    assert paths == [18] and len(roots) == 18
+    assert _distinct(roots) and all(_satisfies(centre, z) for z in roots)
+
+
+def test_cells_give_the_mixed_volume_and_reject_a_non_generic_lifting():
+    # the 12-line centre: ten support points per row, a non-isolated root set
+    centre = leading_system(build_potential(_twelve_line_polytope(), (F(0), F(0))))
+    supports, _ = solver_mod._row_supports(centre)
+    assert [len(S) for S in supports] == [10, 10]
+    cells = solver_mod._generic_cells(supports)
+    assert 2 * sum(d for _, d, _ in cells) == _mixed_volume2(supports)
+    for pairs, d, heights in cells:
+        for (a, b), s in zip(pairs, heights):
+            assert s[a] == s[b] == 0 and sum(x == 0 for x in s) == 2
+            assert min(s) == 0
+    # a flat or an affine lifting makes every lower face a tie
+    flat = [[0] * len(S) for S in supports]
+    affine = [[3 * a[0] - a[1] + j for a in S] for j, S in enumerate(supports)]
+    assert solver_mod._mixed_cells(supports, flat) is None
+    assert solver_mod._mixed_cells(supports, affine) is None
+
+
+def _generic_system(support, n):
+    """Every row on the same support, with fixed complex coefficients in general position."""
+    eqs = []
+    for j in range(n):
+        row = []
+        for i, e in enumerate(support):
+            k = j * len(support) + i + 1
+            row.append((cmath.exp(1j * k * k) * (1 + (k * 0.618034) % 1), e))
+        eqs.append(tuple(row))
+    return LeadingSystem(n, tuple(eqs), (F(0),) * n)
+
+
+@pytest.mark.parametrize(
+    "support, n, volume",
+    [
+        ([(0, 0), (1, 0), (0, 1), (1, 1)], 2, 2),  # unit square: 2! area
+        (list(itertools.product((0, 1), repeat=3)), 3, 6),  # unit cube: 3! volume
+        ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], 3, 8),
+    ],
+    ids=["square", "cube", "cross-polytope"],
+)
+def test_homotopy_finds_every_root_of_a_generic_system(support, n, volume):
+    sys = _generic_system(support, n)
+    supports, _ = solver_mod._row_supports(sys)
+    assert sum(d for _, d, _ in solver_mod._generic_cells(supports)) == volume
+    # rows with a term constant in z_j are no leading system of a potential,
+    # so the homotopy is called directly
+    roots = solver_mod._homotopy_roots(sys)
+    assert len(roots) == volume
+    assert _distinct(roots)
+    assert all(_satisfies(sys, z) for z in roots)
 
 
 # -- newton lifting --------------------------------------------------------------
@@ -515,9 +620,10 @@ def test_obstructed_fiber_keeps_its_simple_root():
 
 
 def test_pipeline_drops_the_obstructed_double_root(monkeypatch):
-    # multistart meets the double root only approximately (zeta near 1 - 4e-8),
-    # where J0 is small but startable: Newton stalls, the graded lift reports
-    # Inconsistent and the root is dropped; the simple root -1/2 survives
+    # the two homotopy paths into the double root end only near it (zeta
+    # about 1 - 1e-8), where J0 is small but startable: Newton stalls, the
+    # graded lift reports Inconsistent and the root is dropped; the simple
+    # root -1/2 survives
     failures = []
     for name in ("newton_lift", "graded_lift"):
         original = getattr(solver_mod, name)
