@@ -56,7 +56,9 @@ def _load_bulk(path: str | None, n_facets: int, truncation=None):
         return None
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    entries = doc["alpha"] if isinstance(doc, dict) else doc
+    entries = doc.get("alpha") if isinstance(doc, dict) else doc
+    if not isinstance(entries, list):
+        raise ValidationError('bulk file must hold a list of series or an "alpha" list')
     if len(entries) != n_facets:
         raise ValidationError(
             f"bulk file supplies {len(entries)} series for {n_facets} facets"
@@ -67,7 +69,10 @@ def _load_bulk(path: str | None, n_facets: int, truncation=None):
             D = truncation
         elif isinstance(e, list):
             # keep every term the file specifies; potentials retruncate later
-            D = max((Fraction(str(t["exp"])) for t in e), default=Fraction(0)) + 1
+            try:
+                D = max((Fraction(str(t["exp"])) for t in e), default=Fraction(0)) + 1
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ValidationError(f'bulk term without a rational "exp" in {e!r}') from exc
         else:
             D = Fraction(1)
         out.append(series_from_json(e, D))

@@ -19,7 +19,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NegativeValuation, NotAUnit, TruncationMismatch
+from .errors import NegativeValuation, NotAUnit, SchemaError, TruncationMismatch
 
 PRUNE_THRESHOLD = 1e-12
 COMPARE_TOL = 1e-9
@@ -251,12 +251,15 @@ def series_to_json(s: NovikovSeries) -> list[dict]:
 
 
 def series_from_json(obj, truncation: RationalLike) -> NovikovSeries:
-    """Accepts a term list [{"exp","re","im"},...], a bare number, or {"re","im"}."""
+    """Accepts a term list [{"exp","re","im"},...], a bare number, or {"re","im"}.
+
+    Raises SchemaError on anything else, such as a term without "exp".
+    """
     if isinstance(obj, (int, float)):
-        return constant_series(complex(obj), truncation)
-    if isinstance(obj, dict):
-        return constant_series(complex(obj.get("re", 0.0), obj.get("im", 0.0)), truncation)
-    pairs = []
-    for t in obj:
-        pairs.append((Fraction(str(t["exp"])), complex(t.get("re", 0.0), t.get("im", 0.0))))
+        obj = {"re": obj}
+    terms = [{**obj, "exp": 0}] if isinstance(obj, dict) else obj
+    try:
+        pairs = [(Fraction(str(t["exp"])), complex(t.get("re", 0), t.get("im", 0))) for t in terms]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"not a series: {obj!r}") from exc
     return series(pairs, truncation)

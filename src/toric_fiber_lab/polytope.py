@@ -61,17 +61,17 @@ def exact_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
 
 
 def exact_rank(rows: list[list[Fraction]]) -> int:
-    if not rows:
-        return 0
     _, pivots = exact_rref(rows)
     return len(pivots)
 
 
 def exact_kernel(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
     """Basis of the null space of the (possibly empty) row system in R^n."""
-    if not rows:
-        return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    rref, pivots = exact_rref(rows)
+    return _kernel_from_rref(*exact_rref(rows), n)
+
+
+def _kernel_from_rref(rref, pivots, n: int) -> list[list[Fraction]]:
+    """Null-space basis of the first n columns of an RREF (pivots below n)."""
     free = [j for j in range(n) if j not in pivots]
     basis = []
     for f in free:
@@ -98,7 +98,7 @@ def exact_affine_solve(
     x = [Fraction(0)] * n
     for r, p in enumerate(pivots):
         x[p] = rref[r][n]
-    return x, exact_kernel(rows, n)
+    return x, _kernel_from_rref(rref, pivots, n)
 
 
 def exact_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:

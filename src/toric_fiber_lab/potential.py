@@ -21,6 +21,7 @@ from .novikov import (
     nov_exp,
     nov_inverse,
     one,
+    series_to_json,
     val,
     zero_series,
 )
@@ -209,9 +210,7 @@ def term_table(W: Potential) -> list[dict]:
             "exponent": list(t.exponent),
             "valuation": str(t.valuation),
             "multiplier": {"re": t.multiplier.real, "im": t.multiplier.imag},
-            "bulk_tail": [
-                {"exp": str(e), "re": c.real, "im": c.imag} for e, c in t.bulk_tail.terms
-            ],
+            "bulk_tail": series_to_json(t.bulk_tail),
         }
         for t in W.terms
     ]

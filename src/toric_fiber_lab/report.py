@@ -65,11 +65,13 @@ def analyze(
 ) -> AnalysisReport:
     """Run the critical-fiber search and the probe scan, then classify.
 
-    Raises ValueError for a direction bound below 1, whether or not any
-    probe search runs.
+    Raises ValueError for a direction bound or a grid resolution below 1,
+    whether or not any probe search runs.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
+    if resolution < 1:
+        raise ValueError("resolution must be positive")
     certs = tuple(find_critical_fibers(P, alpha=alpha, truncation=truncation, seed=seed))
     cert_fibers = {c.fiber: i for i, c in enumerate(certs)}
     notes = [BULK_CAVEAT]

@@ -46,7 +46,6 @@ from .polytope import (
     exact_affine_solve,
     exact_rref,
     facet_values,
-    is_interior,
 )
 from .potential import (
     Potential,
@@ -62,7 +61,6 @@ COND_LIMIT = 1e8
 DIAG_TOL = 1e-8  # floor for leading-Jacobian entries (diagonal: relative)
 ROOT_RESIDUAL_TOL = 1e-10
 ROOT_DEDUP_TOL = 1e-6
-CERT_DEDUP_TOL = 1e-6
 MAX_LIFTINGS = 8
 CELL_CHUNK = 2**14  # pair choices tested per vectorized batch
 GOLDEN_FRACTION = (5**0.5 - 1) / 2  # spreads the fixed homotopy angles theta_a
@@ -137,9 +135,12 @@ def _direction_minima(entries, n: int):
 def _candidate_minima(P: MomentPolytope, lam) -> tuple[tuple[int, ...], ...] | None:
     """Per direction, the facets of minimal value among those with v_ij != 0.
 
-    Returns None unless every direction attains its minimum at least twice.
+    Returns None unless lam is interior (every facet value positive) and
+    every direction attains its minimum at least twice.
     """
     values = facet_values(P, lam)
+    if any(v <= 0 for v in values):
+        return None
     entries = [(i, f.normal, v) for i, (f, v) in enumerate(zip(P.facets, values))]
     try:
         _, minima = _direction_minima(entries, P.dimension)
@@ -159,14 +160,10 @@ def tropical_candidates(P: MomentPolytope) -> list[TropicalCandidate]:
     supports = [
         [i for i, f in enumerate(P.facets) if f.normal[j] != 0] for j in range(n)
     ]
-    if any(len(s) < 2 for s in supports):
-        return []
     found: dict[tuple[Fraction, ...], TropicalCandidate] = {}
 
     def consider(lam, isolated):
         lam = tuple(lam)
-        if not is_interior(P, lam):
-            return
         minima = _candidate_minima(P, lam)
         if minima is None:
             return
@@ -690,6 +687,11 @@ def _certificate(W, z, tv, g, method, nondegenerate, iterations, history) -> Cri
     )
 
 
+def _stalled(history) -> bool:
+    """True when none of the last three frontiers passes the best one before them."""
+    return len(history) > 3 and max(history[-3:]) <= max(history[:-3])
+
+
 def newton_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     """Series Newton iteration from the constant series zeta.
 
@@ -700,8 +702,9 @@ def newton_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     J dz = -g in z (J = H diag(1/z)) with no series inverse.
     Raises SingularLeadingHessian when the leading Jacobian has a vanishing
     diagonal entry or condition number >= 1e8, and NoConvergence when the
-    residual valuation stalls for three iterations; the pipeline then tries
-    graded_lift, which asks only that the leading Jacobian be invertible.
+    frontier stalls (_stalled: none of the last three frontiers passes the
+    best one before them) or the iteration budget runs out; the pipeline then
+    tries graded_lift, which asks only that the leading Jacobian be invertible.
     """
     row_vals, minima = _row_data(W)
     z = tuple(constant_series(zj, W.truncation) for zj in zeta)
@@ -717,8 +720,6 @@ def newton_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
         )
     # leading part of the normalized b-Hessian: J0 diag(zeta)
     H0inv = np.linalg.inv(J0 * np.array(zeta))
-    stall = 0
-    best = front
     for it in range(1, MAX_NEWTON_ITER + 1):
         Hhat = _normalized_hessian(W, row_vals, tv)
         ghat = tuple(gj.shift(-m) for gj, m in zip(g, row_vals))
@@ -728,15 +729,10 @@ def newton_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
         history.append(front)
         if all(gj.is_zero() for gj in g):
             return _certificate(W, z, tv, g, "newton", startable, it, history)
-        if front <= best:
-            stall += 1
-            if stall >= 3:
-                raise NoConvergence(
-                    f"residual valuation stalled at {front} after {it} iterations"
-                )
-        else:
-            best = front
-            stall = 0
+        if _stalled(history):
+            raise NoConvergence(
+                f"residual valuation stalled at {front} after {it} iterations"
+            )
     raise NoConvergence("iteration budget exhausted before reaching the truncation")
 
 
@@ -746,7 +742,9 @@ def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     At frontier level f the correction delta q^f solves J0 delta = -r.
     Corrections only enter at positive levels, so J0 is fixed by zeta; it must
     be invertible, though its diagonal may vanish.  Raises Inconsistent when
-    J0 is singular or the frontier stalls, turns nonpositive or runs out.
+    J0 is singular or the frontier stalls, turns nonpositive or runs out.  The
+    stall rule is newton_lift's (_stalled); a correction at q^f leaves every
+    lower level untouched, so here it means four equal frontiers in a row.
     """
     row_vals, minima = _row_data(W)
     J0 = _leading_jacobian(W, minima, zeta)
@@ -757,21 +755,14 @@ def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     tv, g, front = _normalized_state(W, row_vals, z)
     history = [front]
     levels = 0
-    stall = 0
-    prev_front = None
     while not all(gj.is_zero() for gj in g):
         levels += 1
         if levels > MAX_GRADED_LEVELS:
             raise Inconsistent("level budget exhausted before the truncation")
         if front <= 0:
             raise Inconsistent(f"residual at nonpositive level {front}")
-        if prev_front is not None and front <= prev_front:
-            stall += 1
-            if stall >= 3:
-                raise Inconsistent(f"frontier stalled at level {front}")
-        else:
-            stall = 0
-        prev_front = front
+        if _stalled(history):
+            raise Inconsistent(f"frontier stalled at level {front}")
         r = np.array(
             [gj.coefficient(front + m) for gj, m in zip(g, row_vals)], dtype=complex
         )
@@ -787,14 +778,10 @@ def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
 # -- pipeline -----------------------------------------------------------------
 
 
-def _lift_candidate(P, cand, alpha, truncation):
-    W = build_potential(P, cand.fiber, alpha, truncation)
-    try:
-        sys = leading_system(W)
-    except DegenerateDirection:
-        return []
+def _lift_candidate(P, lam, alpha, truncation):
+    W = build_potential(P, lam, alpha, truncation)
     certs = []
-    for zeta in solve_leading(sys):
+    for zeta in solve_leading(leading_system(W)):
         try:
             cert = newton_lift(W, zeta)
         except (SingularLeadingHessian, NoConvergence):
@@ -803,32 +790,9 @@ def _lift_candidate(P, cand, alpha, truncation):
             except Inconsistent:
                 continue
         # independent recheck of the certificate invariant
-        g = eval_gradient(W, cert.z)
-        if not all(gj.is_zero() for gj in g):
-            continue
-        certs.append(cert)
+        if all(gj.is_zero() for gj in eval_gradient(W, cert.z)):
+            certs.append(cert)
     return certs
-
-
-def _dedup_certificates(certs: list[CriticalCertificate]) -> list[CriticalCertificate]:
-    certs = sorted(
-        certs, key=lambda c: (c.fiber, _root_key([zj.leading() for zj in c.z]))
-    )
-    kept: list[CriticalCertificate] = []
-    for cert in certs:
-        dup = False
-        for other in kept:
-            if other.fiber != cert.fiber:
-                continue
-            dist = max(
-                abs(a.leading() - b.leading()) for a, b in zip(cert.z, other.z)
-            )
-            if dist < CERT_DEDUP_TOL:
-                dup = True
-                break
-        if not dup:
-            kept.append(cert)
-    return kept
 
 
 def find_critical_fibers(
@@ -836,13 +800,14 @@ def find_critical_fibers(
 ) -> list[CriticalCertificate]:
     """All certified critical fibers: candidates -> leading roots -> lifts.
 
-    The seed is accepted for the reports' config and changes no output: no
-    step of the search is random.
+    One certificate per kept leading root (lifted, then rechecked by
+    eval_gradient), ordered by fiber, then by root.  The seed is accepted
+    for the reports' config and changes no output: no step is random.
     """
     certs = []
     for cand in tropical_candidates(P):
-        certs.extend(_lift_candidate(P, cand, alpha, truncation))
-    return _dedup_certificates(certs)
+        certs.extend(_lift_candidate(P, cand.fiber, alpha, truncation))
+    return certs
 
 
 def certificates_at_fiber(
@@ -853,10 +818,6 @@ def certificates_at_fiber(
     Like find_critical_fibers, it accepts a seed that changes no output.
     """
     lam = tuple(Fraction(x) for x in lam)
-    if not is_interior(P, lam):
+    if _candidate_minima(P, lam) is None:
         return []
-    minima = _candidate_minima(P, lam)
-    if minima is None:
-        return []
-    cand = TropicalCandidate(lam, minima, True)
-    return _dedup_certificates(_lift_candidate(P, cand, alpha, truncation))
+    return _lift_candidate(P, lam, alpha, truncation)

@@ -3,7 +3,9 @@
 The recurring cast: the interval [0,1], the blow-up of the affine plane, the
 weighted projective planes P(1,n1,n2), the orbifold interval P(1,2), the
 square, the square with one corner cut at depth a (the blow-up family), and
-the hexagon with normals (2,1), (1,2), (-1,1) and their negatives.
+the hexagon with normals (2,1), (1,2), (-1,1) and their negatives, the
+cube [-1,1]^3 and projective 3-space.  BENCH_CASES builds the benchmark's
+twelve input polytopes from these, under the benchmark's names.
 """
 
 from __future__ import annotations
@@ -61,6 +63,33 @@ def corner_cut_polytope(a):
 def hexagon_polytope():
     normals = ((2, 1), (1, 2), (-1, 1), (-2, -1), (-1, -2), (1, -1))
     return make_polytope(2, [(v, F(-3)) for v in normals])
+
+
+def cube_polytope():
+    axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    opposite = tuple(tuple(-x for x in e) for e in axes)
+    return make_polytope(3, [(v, F(-1)) for v in axes + opposite])
+
+
+def projective_space_polytope():
+    facets = [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), -1)]
+    return make_polytope(3, [(v, F(c)) for v, c in facets])
+
+
+BENCH_CASES = {
+    "interval": interval_polytope,
+    "plane_blowup": plane_blowup_polytope,
+    "P111": lambda: weighted_plane_polytope(1, 1),
+    "P123": lambda: weighted_plane_polytope(2, 3),
+    "P135": lambda: weighted_plane_polytope(3, 5),
+    "orbifold_P12": orbifold_interval_polytope,
+    "square": square_polytope,
+    "corner_cut_0": lambda: corner_cut_polytope(0),
+    "corner_cut_1/2": lambda: corner_cut_polytope(F(1, 2)),
+    "cube": cube_polytope,
+    "P3": projective_space_polytope,
+    "hexagon": hexagon_polytope,
+}
 
 
 @pytest.fixture

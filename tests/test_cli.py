@@ -11,6 +11,7 @@ from conftest import (
     INTERVAL_JSON,
     WEIGHTED_35_JSON,
     corner_cut_polytope,
+    cube_polytope,
     square_polytope,
 )
 
@@ -150,6 +151,21 @@ def test_critical_rejects_wrong_bulk_length(interval_file, tmp_path, capsys):
     assert "2 facets" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [{"beta": [0, 0]}, [[{"re": 1}], 0], [[1, 2], 0], {"alpha": 5}],
+    ids=["no-alpha-key", "term-without-exp", "bare-number-terms", "alpha-not-a-list"],
+)
+@pytest.mark.parametrize("extra", [[], ["--truncation", "2"]], ids=["default", "truncated"])
+def test_critical_rejects_malformed_bulk(interval_file, tmp_path, capsys, doc, extra):
+    bulk = tmp_path / "bulk.json"
+    bulk.write_text(json.dumps(doc))
+    assert main(["critical", "--input", interval_file, "--bulk", str(bulk)] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_probes_single(interval_file, capsys):
     rc = main(["probes", "--input", interval_file, "--lambda", "1/4", "--json"])
     assert rc == 0
@@ -219,6 +235,16 @@ def test_analyze_bound_below_one_is_rejected_without_probes(tmp_path, capsys):
     assert main(["analyze", "--input", str(quadrant), "--bound", "0"]) == 2
     captured = capsys.readouterr()
     assert "bound must be positive" in captured.err
+    assert captured.out == ""
+
+
+def test_analyze_resolution_below_one_is_rejected_without_a_scan(tmp_path, capsys):
+    # the cube is 3-D, so no probe scan runs and only analyze's own check can fire
+    cube = tmp_path / "cube.json"
+    cube.write_text(json.dumps(polytope_to_json(cube_polytope())))
+    assert main(["analyze", "--input", str(cube), "--resolution", "0", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert "resolution must be positive" in captured.err
     assert captured.out == ""
 
 

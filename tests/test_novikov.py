@@ -9,6 +9,7 @@ import pytest
 from toric_fiber_lab import (
     NegativeValuation,
     NotAUnit,
+    SchemaError,
     TruncationMismatch,
     constant_series,
     monomial,
@@ -170,3 +171,9 @@ def test_json_roundtrip():
     assert back.terms == s.terms
     assert series_from_json(3, 2).terms == ((F(0), 3 + 0j),)
     assert series_from_json({"re": 0.0, "im": 1.0}, 2).coefficient(0) == 1j
+
+
+@pytest.mark.parametrize("obj", [[{"re": 1}], [1, 2], [{"exp": "x"}], None, {"re": None}])
+def test_series_from_json_rejects_malformed_series(obj):
+    with pytest.raises(SchemaError):
+        series_from_json(obj, 2)

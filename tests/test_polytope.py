@@ -1,6 +1,7 @@
 """Polytope parsing, exact facet arithmetic, vertices, boundedness."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from toric_fiber_lab import (
     polytope_to_json,
     primitive_normal,
 )
+from toric_fiber_lab.polytope import exact_affine_solve, exact_kernel, exact_rank
 from conftest import (
     INTERVAL_JSON,
     corner_cut_polytope,
@@ -218,3 +220,26 @@ def test_vertices_lie_on_boundary():
             values = facet_values(P, v)
             assert not is_interior(P, v)
             assert sum(1 for x in values if x == 0) >= P.dimension
+
+
+def test_affine_solve_kernel_matches_exact_kernel():
+    # the kernel is read off the augmented reduction, with no second one
+    rng = random.Random(0)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        rows = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.5:
+            x = [F(rng.randint(-2, 2)) for _ in range(n)]
+            rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+        else:
+            rhs = [F(rng.randint(-2, 2)) for _ in range(m)]
+        part, kern = exact_affine_solve(rows, rhs)
+        consistent = exact_rank(rows) == exact_rank([r + [b] for r, b in zip(rows, rhs)])
+        seen[consistent] += 1
+        if consistent:
+            assert [sum(a * b for a, b in zip(row, part)) for row in rows] == rhs
+            assert kern == exact_kernel(rows, n)
+        else:
+            assert part is None and kern == []
+    assert min(seen.values()) >= 20  # both kinds are exercised

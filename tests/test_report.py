@@ -22,6 +22,7 @@ from toric_fiber_lab import (
 )
 from conftest import (
     corner_cut_polytope,
+    cube_polytope,
     hexagon_polytope,
     interval_polytope,
     orbifold_interval_polytope,
@@ -84,6 +85,12 @@ def test_analyze_rejects_bound_below_one_without_probes():
     assert analyze(quadrant, seed=0).config["bound"] == 3
     with pytest.raises(ValueError, match="bound must be positive"):
         analyze(quadrant, seed=0, bound=0)
+
+
+def test_analyze_rejects_resolution_below_one_without_a_scan():
+    # the cube is 3-D, so the probe grid is skipped and no scan checks the value
+    with pytest.raises(ValueError, match="resolution must be positive"):
+        analyze(cube_polytope(), seed=0, resolution=0)
 
 
 def test_analyze_consistency_guard(monkeypatch):

@@ -31,12 +31,12 @@ from toric_fiber_lab import (
 )
 from toric_fiber_lab.novikov import INF
 from conftest import (
+    BENCH_CASES,
     corner_cut_polytope,
     hexagon_polytope,
     interval_polytope,
     orbifold_interval_polytope,
     plane_blowup_polytope,
-    square_polytope,
     weighted_plane_polytope,
 )
 from oracles import (
@@ -50,31 +50,23 @@ from oracles import (
 F = Fraction
 
 
-def cube_polytope():
-    axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    return make_polytope(
-        3, [(v, F(-1)) for e in axes for v in (e, tuple(-x for x in e))]
-    )
-
-
-def projective_space_polytope():
-    facets = [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), -1)]
-    return make_polytope(3, [(v, F(c)) for v, c in facets])
-
-
-# fixture name -> (polytope, number of certificates find_critical_fibers ships)
+# benchmark case -> (polytope, number of certificates find_critical_fibers
+# ships), for every case but the hexagon, whose leading system is not binomial
 FIXTURES = {
-    "interval": (interval_polytope, 2),
-    "plane_blowup": (plane_blowup_polytope, 1),
-    "P111": (lambda: weighted_plane_polytope(1, 1), 3),
-    "P123": (lambda: weighted_plane_polytope(2, 3), 6),
-    "P135": (lambda: weighted_plane_polytope(3, 5), 9),
-    "orbifold_P12": (orbifold_interval_polytope, 3),
-    "square": (square_polytope, 4),
-    "corner_cut_0": (lambda: corner_cut_polytope(0), 4),
-    "corner_cut_1/2": (lambda: corner_cut_polytope(F(1, 2)), 5),
-    "cube": (cube_polytope, 8),
-    "P3": (projective_space_polytope, 4),
+    name: (BENCH_CASES[name], count)
+    for name, count in {
+        "interval": 2,
+        "plane_blowup": 1,
+        "P111": 3,
+        "P123": 6,
+        "P135": 9,
+        "orbifold_P12": 3,
+        "square": 4,
+        "corner_cut_0": 4,
+        "corner_cut_1/2": 5,
+        "cube": 8,
+        "P3": 4,
+    }.items()
 }
 
 
@@ -710,6 +702,70 @@ def test_pipeline_deterministic():
     b = find_critical_fibers(P, seed=3)
     assert [c.fiber for c in a] == [c.fiber for c in b]
     assert all(x.z == y.z for x, y in zip(a, b))
+
+
+# per benchmark case, runs of equal certificates in shipping order:
+# (fiber, "method iterations nondegenerate residual_history", count)
+LIFT_ROUTES = {
+    "interval": [("1/2", "newton 0 True inf", 2)],
+    "plane_blowup": [("1,1", "newton 0 False inf", 1)],
+    "P111": [("1/3,1/3", "newton 0 True inf", 3)],
+    "P123": [("1,1", "newton 0 True inf", 6)],
+    "P135": [("5/3,5/3", "newton 0 True inf", 9)],
+    "orbifold_P12": [("2/3", "newton 0 True inf", 3)],
+    "square": [("0,0", "newton 0 True inf", 4)],
+    "corner_cut_0": [("0,0", "newton 3 True 1 2 4 inf", 4)],
+    "corner_cut_1/2": [
+        ("0,0", "newton 3 True 1/2 1 2 inf", 4),
+        ("1/2,1/2", "graded 3 False 1 2 3 inf", 1),
+    ],
+    "cube": [("0,0,0", "newton 0 True inf", 8)],
+    "P3": [("1/4,1/4,1/4", "newton 0 True inf", 4)],
+    "hexagon": [("0,0", "newton 0 True inf", 18)],
+}
+
+
+@pytest.mark.parametrize("name", list(LIFT_ROUTES))
+def test_lift_routes_of_the_benchmark_cases(name):
+    # these fields hold no floats, so they do not move with the BLAS build
+    certs = find_critical_fibers(BENCH_CASES[name](), seed=0)
+    routes = [
+        (
+            ",".join(map(str, c.fiber)),
+            " ".join(
+                [c.method, str(c.iterations), str(c.leading_jacobian_nondegenerate)]
+                + ["inf" if v == INF else str(v) for v in c.residual_history]
+            ),
+        )
+        for c in certs
+    ]
+    assert routes == [(f, r) for f, r, k in LIFT_ROUTES[name] for _ in range(k)]
+    # one certificate per distinct leading root, ordered by fiber
+    assert [c.fiber for c in certs] == sorted(c.fiber for c in certs)
+    for a, b in itertools.combinations(certs, 2):
+        if a.fiber == b.fiber:
+            gap = max(abs(x.leading() - y.leading()) for x, y in zip(a.z, b.z))
+            assert gap > solver_mod.ROOT_DEDUP_TOL
+
+
+def test_stall_rule():
+    stalled = solver_mod._stalled
+    # monotone: three frontiers in a row no better than the best before them
+    assert not stalled([1, 2, 2, 2])
+    assert stalled([1, 2, 2, 2, 2])
+    # a Newton-style dip that recovers past the best never stalls
+    history = [1, 3, 2, 2, 4]
+    assert not any(stalled(history[:k]) for k in range(1, len(history) + 1))
+    # one that climbs back only to the best does
+    assert stalled([1, 3, 2, 2, 3])
+    # on nondecreasing histories (graded_lift's) it is the rule "each of the
+    # last three frontiers no better than the one before it"
+    for length in (4, 5, 6):
+        for history in itertools.product((1, 2, 3), repeat=length):
+            h = list(history)
+            if h == sorted(h):
+                previous_rule = all(a >= b for a, b in zip(h[-4:], h[-3:]))
+                assert stalled(h) == previous_rule
 
 
 def test_certificates_at_fiber():
