@@ -7,9 +7,10 @@ P(1,3,5)'s zeta1^6 zeta2^3 = 5, zeta1^5 zeta2^4 = 3, are solved in closed
 form: exactly |det E| = 9 roots for the exponent matrix E.  Other systems are
 solved by a polyhedral homotopy with one path per unit of mixed volume.
 Roots lift by Newton with quadratically growing residual valuation when the
-leading Jacobian J0 has a nonzero diagonal; otherwise (or when Newton stalls)
-they lift by level-by-level graded corrections, one solve against J0 per
-level, which need only J0 invertible.
+leading b-Hessian H0 (the constant part of the b-Hessian at the root, each row
+divided by its least power of q) has a nonzero diagonal; otherwise (or when
+Newton stalls) they lift by level-by-level graded corrections, one solve
+against H0 per level, which need only H0 invertible.
 """
 
 from fractions import Fraction as F
@@ -59,6 +60,6 @@ for c in find_critical_fibers(cut, seed=0):
         f"residual history {c.residual_history}"
     )
 print(
-    "the diagonal fiber needs graded lifting: its leading Jacobian [[0, -1], [-1, 0]]"
+    "the diagonal fiber needs graded lifting: its leading b-Hessian [[0, 1], [1, 0]]"
     " is invertible but has a zero diagonal, which plain Newton refuses"
 )

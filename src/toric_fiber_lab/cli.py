@@ -20,17 +20,17 @@ from .errors import InternalInconsistency, ToricFiberError, ValidationError
 from .novikov import series_from_json
 from .polytope import (
     enumerate_vertices,
+    format_point,
+    interior_values,
     is_bounded,
-    is_interior,
     parse_polytope,
 )
-from .potential import build_potential, default_truncation, term_table
+from .potential import build_potential, term_table
 from .probes import displaceable_by_probe, probe_scan
 from .report import (
     TOOL_VERSION,
     analyze,
     certificate_to_json,
-    format_point,
     probe_to_json,
     report_to_json,
     report_to_text,
@@ -49,6 +49,13 @@ def _parse_lambda(text: str) -> tuple[Fraction, ...]:
         return tuple(Fraction(part.strip()) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse fiber {text!r}: {exc}") from exc
+
+
+def _interior_fiber(P, text: str) -> tuple[Fraction, ...]:
+    """The parsed fiber; NotInterior (exit 2) unless it lies inside P."""
+    lam = _parse_lambda(text)
+    interior_values(P, lam)
+    return lam
 
 
 def _load_bulk(path: str | None, n_facets: int, truncation=None):
@@ -114,15 +121,13 @@ def cmd_potential(args) -> int:
     P = _load_polytope(args.input)
     lam = _parse_lambda(args.fiber)
     D = _truncation(args)
-    if D is None:
-        D = default_truncation(P, lam)
     alpha = _load_bulk(args.bulk, len(P.facets), D)
     W = build_potential(P, lam, alpha, truncation=D)
     if args.json:
-        print(json.dumps({"fiber": [str(x) for x in lam], "truncation": str(D),
+        print(json.dumps({"fiber": [str(x) for x in lam], "truncation": str(W.truncation),
                           "terms": term_table(W)}, indent=2, sort_keys=True))
         return 0
-    print(f"potential at lambda = {format_point(lam)}, truncation q^{D}")
+    print(f"potential at lambda = {format_point(lam)}, truncation q^{W.truncation}")
     print(f"{'facet':>5}  {'exponent':>12}  {'valuation':>9}  multiplier")
     for t in W.terms:
         mult = f"{t.multiplier.real:.6g}"
@@ -138,7 +143,7 @@ def cmd_critical(args) -> int:
     alpha = _load_bulk(args.bulk, len(P.facets), D)
     seed = _resolve_seed(args)
     if args.fiber is not None:
-        certs = certificates_at_fiber(P, _parse_lambda(args.fiber), alpha, D, seed)
+        certs = certificates_at_fiber(P, _interior_fiber(P, args.fiber), alpha, D, seed)
     else:
         certs = find_critical_fibers(P, alpha, D, seed)
     if args.json:
@@ -162,9 +167,7 @@ def cmd_probes(args) -> int:
     if (args.fiber is None) == (args.scan is None):
         raise ValidationError("provide exactly one of --lambda or --scan")
     if args.fiber is not None:
-        lam = _parse_lambda(args.fiber)
-        if not is_interior(P, lam):
-            raise ValidationError(f"fiber {format_point(lam)} is not interior")
+        lam = _interior_fiber(P, args.fiber)
         probe = displaceable_by_probe(P, lam, args.bound)
         if args.json:
             print(json.dumps({"fiber": [str(x) for x in lam], "probe": probe_to_json(probe)},
@@ -196,9 +199,7 @@ def cmd_probes(args) -> int:
 
 def cmd_disks(args) -> int:
     P = _load_polytope(args.input)
-    lam = _parse_lambda(args.fiber)
-    if not is_interior(P, lam):
-        raise ValidationError(f"fiber {format_point(lam)} is not interior")
+    lam = _interior_fiber(P, args.fiber)
     rows = []
     for cls in index_two_classes(P):
         rows.append(

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotInterior
 from .novikov import NovikovSeries
-from .polytope import MomentPolytope, facet_values, is_interior
+from .polytope import MomentPolytope, facet_values, interior_values
 from .potential import Potential, PotentialTerm, fiber_setup
 
 DiskClass = tuple[int, ...]
@@ -64,9 +63,7 @@ def blaschke_data(
     phases: list[complex] | None = None,
 ) -> BlaschkeData:
     """Package radii sqrt(l_j(lam)/pi) with per-coordinate zeros and phases."""
-    if not is_interior(P, lam):
-        raise NotInterior(f"fiber {lam} is not interior")
-    values = facet_values(P, lam)
+    values = interior_values(P, lam)
     if len(zeros) != len(values):
         raise ValueError("zeros must supply one list per facet coordinate")
     for zs in zeros:
@@ -101,7 +98,7 @@ def potential_from_disks(
 ) -> Potential:
     """Rebuild the potential from index-2 disk classes: term i has valuation
     disk_area(e_i) and exponent boundary_class(e_i)."""
-    lam, D, factors = fiber_setup(P, lam, alpha, truncation)
+    lam, _, D, factors = fiber_setup(P, lam, alpha, truncation)
     terms = tuple(
         PotentialTerm(i, mult, tail, boundary_class(cls, P), disk_area(cls, P, lam))
         for i, (cls, (mult, tail)) in enumerate(zip(index_two_classes(P), factors))

@@ -50,7 +50,7 @@ class DegenerateDirection(ToricFiberError):
 
 
 class SingularLeadingHessian(ToricFiberError):
-    """Leading Jacobian has a zero diagonal entry or cond >= 1e8: no plain Newton."""
+    """Leading b-Hessian H0 has a zero diagonal entry or cond >= 1e8: no plain Newton."""
 
 
 class NoConvergence(ToricFiberError):
@@ -58,7 +58,7 @@ class NoConvergence(ToricFiberError):
 
 
 class Inconsistent(ToricFiberError):
-    """Graded lifting failed: singular leading Jacobian or a stalled residual level."""
+    """Graded lifting failed: singular leading b-Hessian H0 or a stalled residual level."""
 
 
 class NotTransverse(ValidationError):

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, EmptyInterior, SchemaError
+from .errors import DimensionMismatch, EmptyInterior, NotInterior, SchemaError
 
 
 @dataclass(frozen=True)
@@ -243,6 +243,18 @@ def facet_values(P: MomentPolytope, lam) -> tuple[Fraction, ...]:
 
 def is_interior(P: MomentPolytope, lam) -> bool:
     return all(v > 0 for v in facet_values(P, lam))
+
+
+def interior_values(P: MomentPolytope, lam) -> tuple[Fraction, ...]:
+    """facet_values(P, lam), or NotInterior unless every value is positive."""
+    values = facet_values(P, lam)
+    if any(v <= 0 for v in values):
+        raise NotInterior(f"fiber {format_point(lam)} is not interior")
+    return values
+
+
+def format_point(pt) -> str:
+    return "(" + ", ".join(str(x) for x in pt) + ")"
 
 
 def primitive_normal(f: Facet) -> tuple[int, ...]:

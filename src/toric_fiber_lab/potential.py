@@ -13,7 +13,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotAUnit, NotInterior, ZeroComponent
+from .errors import NotAUnit, ZeroComponent
 from .novikov import (
     NovikovSeries,
     constant_series,
@@ -21,11 +21,12 @@ from .novikov import (
     nov_exp,
     nov_inverse,
     one,
+    series,
     series_to_json,
     val,
     zero_series,
 )
-from .polytope import MomentPolytope, facet_values, is_interior
+from .polytope import MomentPolytope, facet_values, interior_values
 
 DEFAULT_TRUNCATION_FACTOR = 3
 
@@ -54,16 +55,16 @@ def default_truncation(P: MomentPolytope, lam) -> Fraction:
 def fiber_setup(P: MomentPolytope, lam, alpha=None, truncation=None):
     """Shared set-up of both potential builders.
 
-    Returns the exact interior fiber, the truncation order (default
-    3 * max_i l_i(lam)) and per facet the twist factors (e^{a_i0},
-    exp(a_i - a_i0)); an absent twist gives (1, 1) for every facet.
+    Returns the exact interior fiber, its facet values l_i(lam), the
+    truncation order (default 3 * max_i l_i(lam)) and per facet the twist
+    factors (e^{a_i0}, exp(a_i - a_i0)); an absent twist gives (1, 1) for
+    every facet.
     """
     lam = tuple(Fraction(x) for x in lam)
-    if not is_interior(P, lam):
-        raise NotInterior(f"fiber {lam} is not interior")
-    D = Fraction(truncation) if truncation is not None else default_truncation(P, lam)
+    values = interior_values(P, lam)
+    D = DEFAULT_TRUNCATION_FACTOR * max(values) if truncation is None else Fraction(truncation)
     if alpha is None:
-        return lam, D, [(1.0 + 0j, one(D))] * len(P.facets)
+        return lam, values, D, [(1.0 + 0j, one(D))] * len(P.facets)
     if len(alpha) != len(P.facets):
         raise ValueError("twist must supply one series per facet")
     factors = []
@@ -73,7 +74,7 @@ def fiber_setup(P: MomentPolytope, lam, alpha=None, truncation=None):
             raise NotAUnit("twist coefficients must have nonnegative valuation")
         a0 = a.coefficient(0)
         factors.append((cmath.exp(a0), nov_exp(a - constant_series(a0, D))))
-    return lam, D, factors
+    return lam, values, D, factors
 
 
 def build_potential(
@@ -83,12 +84,10 @@ def build_potential(
     truncation=None,
 ) -> Potential:
     """One term per facet, in facet order; optional per-facet twist alpha."""
-    lam, D, factors = fiber_setup(P, lam, alpha, truncation)
+    lam, values, D, factors = fiber_setup(P, lam, alpha, truncation)
     terms = tuple(
         PotentialTerm(i, mult, tail, f.normal, v)
-        for i, (f, v, (mult, tail)) in enumerate(
-            zip(P.facets, facet_values(P, lam), factors)
-        )
+        for i, (f, v, (mult, tail)) in enumerate(zip(P.facets, values, factors))
     )
     return Potential(P.dimension, lam, terms, D)
 
@@ -129,39 +128,37 @@ def term_values(W: Potential, z: tuple[NovikovSeries, ...]) -> list[NovikovSerie
 
 
 def value_from_terms(W: Potential, tv: list[NovikovSeries]) -> NovikovSeries:
-    """W at the point where tv = term_values(W, z) was taken."""
+    """W at the point where tv = term_values(W, z) was taken.
+
+    A running sum, unlike the derivatives: a partial sum that cancels is pruned to exactly 0.
+    """
     acc = zero_series(W.truncation)
     for v in tv:
         acc = acc + v
     return acc
 
 
+def _weighted_sum(W: Potential, tv: list[NovikovSeries], weights) -> NovikovSeries:
+    """sum_i weights[i] * tv[i] over the nonzero weights, in one series() pass."""
+    pairs = [(e, c * float(w)) for w, v in zip(weights, tv) if w for e, c in v.terms]
+    return series(pairs, W.truncation)
+
+
 def gradient_from_terms(W: Potential, tv: list[NovikovSeries]) -> tuple[NovikovSeries, ...]:
     """Component j: sum_i v_ij * tv[i]."""
-    grad = []
-    for j in range(W.dimension):
-        acc = zero_series(W.truncation)
-        for t, v in zip(W.terms, tv):
-            if t.exponent[j]:
-                acc = acc + v * float(t.exponent[j])
-        grad.append(acc)
-    return tuple(grad)
+    return tuple(
+        _weighted_sum(W, tv, [t.exponent[j] for t in W.terms]) for j in range(W.dimension)
+    )
 
 
 def hessian_from_terms(W: Potential, tv: list[NovikovSeries]) -> list[list[NovikovSeries]]:
     """Symmetric matrix with entry (j,k) = sum_i v_ij v_ik tv[i]."""
     n = W.dimension
-    H = [[zero_series(W.truncation) for _ in range(n)] for _ in range(n)]
-    for t, v in zip(W.terms, tv):
-        for j in range(n):
-            if not t.exponent[j]:
-                continue
-            for k in range(j, n):
-                if t.exponent[k]:
-                    H[j][k] = H[j][k] + v * float(t.exponent[j] * t.exponent[k])
+    H = [[None] * n for _ in range(n)]
     for j in range(n):
-        for k in range(j):
-            H[j][k] = H[k][j]
+        for k in range(j, n):
+            weights = [t.exponent[j] * t.exponent[k] for t in W.terms]
+            H[j][k] = H[k][j] = _weighted_sum(W, tv, weights)
     return H
 
 

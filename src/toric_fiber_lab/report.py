@@ -20,6 +20,7 @@ from .polytope import (
     MomentPolytope,
     bounding_box,
     enumerate_vertices,
+    format_point,
     is_bounded,
     polytope_to_json,
 )
@@ -119,10 +120,6 @@ def analyze(
 
 def _point_json(pt) -> list[str]:
     return [str(x) for x in pt]
-
-
-def format_point(pt) -> str:
-    return "(" + ", ".join(str(x) for x in pt) + ")"
 
 
 def _valuation_json(v) -> str:

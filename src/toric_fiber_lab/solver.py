@@ -6,16 +6,15 @@ complex leading-coefficient system (in closed form when it reduces exactly to
 binomials, otherwise by a polyhedral homotopy with one path per unit of mixed
 volume; nothing on either route is random), then lift each leading root
 to a series solution of grad W = 0 by series Newton iteration or, when the
-leading Jacobian J0 has a zero diagonal entry or Newton stalls, by cancelling
-residual levels one valuation at a time, which needs only J0 invertible.
+leading matrix H0 has a zero diagonal entry or Newton stalls, by cancelling
+residual levels one valuation at a time, which needs only H0 invertible.
 
-Derivatives of W are taken in b with z = e^b, so the Jacobian of the
-gradient in the z variables is the b-Hessian times diag(1/z_k); the leading
-complex matrix used for startability tests and level solves includes that
-factor.  Newton steps are solved in b with the b-Hessian itself and moved to
-z by dz_k = z_k db_k, so they need no series inverse.  Each point a lift
-visits is evaluated once: its term list gives the gradient, the Hessian and
-the critical value.
+Both lifts work in b with z = e^b: row j of the b-Hessian, divided by
+q^{m_j} (m_j the row's least term valuation), is the normalized b-Hessian,
+and its constant part at the leading root zeta is H0.  Every step solves
+with it and moves z_k by z_k db_k, so no step needs a series inverse.  Each
+point a lift visits is evaluated once: its term list gives the gradient,
+the Hessian and the critical value.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from .potential import (
 )
 
 COND_LIMIT = 1e8
-DIAG_TOL = 1e-8  # floor for leading-Jacobian entries (diagonal: relative)
+DIAG_TOL = 1e-8  # floor for leading-matrix entries (diagonal: relative)
 ROOT_RESIDUAL_TOL = 1e-10
 ROOT_DEDUP_TOL = 1e-6
 MAX_LIFTINGS = 8
@@ -599,36 +598,20 @@ def _homotopy_roots(sys: LeadingSystem) -> list[tuple[complex, ...]]:
 # -- lifting infrastructure ---------------------------------------------------
 
 
-def _leading_jacobian(W: Potential, minima, zeta: tuple[complex, ...]) -> np.ndarray:
-    """Constant part of the normalized z-Jacobian of the gradient at zeta."""
-    n = W.dimension
-    J0 = np.zeros((n, n), dtype=complex)
-    for t in W.terms:
-        mono = t.multiplier
-        for zj, vj in zip(zeta, t.exponent):
-            mono *= zj**vj
-        for j in range(n):
-            if t.exponent[j] and t.facet_index in minima[j]:
-                for k in range(n):
-                    if t.exponent[k]:
-                        J0[j, k] += t.exponent[j] * t.exponent[k] * mono / zeta[k]
-    return J0
-
-
-def _newton_startable(J0: np.ndarray) -> bool:
+def _newton_startable(H0: np.ndarray) -> bool:
     """Plain Newton needs nonvanishing diagonal and moderate conditioning."""
-    for j in range(J0.shape[0]):
-        scale = max(1.0, float(np.max(np.abs(J0[j]))))
-        if abs(J0[j, j]) <= DIAG_TOL * scale:
+    for j in range(H0.shape[0]):
+        scale = max(1.0, float(np.max(np.abs(H0[j]))))
+        if abs(H0[j, j]) <= DIAG_TOL * scale:
             return False
-    return _well_conditioned(J0)
+    return _well_conditioned(H0)
 
 
-def _well_conditioned(J0: np.ndarray) -> bool:
+def _well_conditioned(H0: np.ndarray) -> bool:
     """Invertible in floats: not numerically zero, condition number < 1e8."""
-    if np.max(np.abs(J0)) <= DIAG_TOL:
+    if np.max(np.abs(H0)) <= DIAG_TOL:
         return False
-    cond = np.linalg.cond(J0)
+    cond = np.linalg.cond(H0)
     return bool(np.isfinite(cond) and cond < COND_LIMIT)
 
 
@@ -646,28 +629,31 @@ def _normalized_hessian(W: Potential, row_vals, tv) -> list[list[NovikovSeries]]
     return [[Hjk.shift(-m) for Hjk in row] for row, m in zip(H, row_vals)]
 
 
-def _solve_series_system(Jhat, ghat, J0inv: np.ndarray):
-    """delta with Jhat * delta = -ghat, by refinement with the leading inverse.
+def _constant_part(Hhat) -> np.ndarray:
+    """H0: the q^0 coefficients of a normalized b-Hessian."""
+    return np.array([[Hjk.coefficient(0) for Hjk in row] for row in Hhat], dtype=complex)
 
-    Each step adds J0inv * (-ghat - Jhat * delta).  Jhat - J0 has positive
-    valuation, so every correction gains valuation and the loop ends when one
-    is the zero series; the partial sums are those of the Neumann series of
-    (J0 (I + E))^{-1}.
+
+def _solve_series_system(Hhat, ghat, H0inv: np.ndarray):
+    """delta with Hhat * delta = -ghat, by refinement with the leading inverse.
+
+    The residual r starts at -ghat; each step adds H0inv * r to delta and
+    subtracts Hhat * step from r.  Hhat - H0 has positive valuation, so every
+    correction gains valuation and the loop ends when one is the zero series;
+    the partial sums are those of the Neumann series of (H0 (I + E))^{-1}.
     """
     n = len(ghat)
     zero = ghat[0] * 0.0
     delta = (zero,) * n
+    r = [-gj for gj in ghat]
     for _ in range(MAX_GRADED_LEVELS):
-        r = [
-            -ghat[j] - sum((Jhat[j][k] * delta[k] for k in range(n)), zero)
-            for j in range(n)
-        ]
         step = tuple(
-            sum((r[k] * complex(J0inv[j, k]) for k in range(n)), zero) for j in range(n)
+            sum((r[k] * complex(H0inv[j, k]) for k in range(n)), zero) for j in range(n)
         )
         if all(c.is_zero() for c in step):
             break
         delta = tuple(d + c for d, c in zip(delta, step))
+        r = [rj - sum((Hj[k] * step[k] for k in range(n)), zero) for rj, Hj in zip(r, Hhat)]
     return delta
 
 
@@ -698,19 +684,20 @@ def newton_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     Each iterate evaluates the term list once: it gives the gradient, the
     Hessian for the next step and, at the last iterate, the critical value.
     The step solves Hhat db = -ghat in b = log z with the normalized
-    b-Hessian and moves z_k by z_k db_k, which is the Newton step
-    J dz = -g in z (J = H diag(1/z)) with no series inverse.
-    Raises SingularLeadingHessian when the leading Jacobian has a vanishing
-    diagonal entry or condition number >= 1e8, and NoConvergence when the
-    frontier stalls (_stalled: none of the last three frontiers passes the
-    best one before them) or the iteration budget runs out; the pipeline then
-    tries graded_lift, which asks only that the leading Jacobian be invertible.
+    b-Hessian, refined with the inverse of its constant part H0 at zeta, and
+    moves z_k by z_k db_k: the Newton step in z with no series inverse.
+    Raises SingularLeadingHessian when H0 has a vanishing diagonal entry or
+    condition number >= 1e8, and NoConvergence when the frontier stalls
+    (_stalled: none of the last three frontiers passes the best one before
+    them) or the iteration budget runs out; the pipeline then tries
+    graded_lift, which asks only that H0 be invertible.
     """
-    row_vals, minima = _row_data(W)
+    row_vals, _ = _row_data(W)
     z = tuple(constant_series(zj, W.truncation) for zj in zeta)
-    J0 = _leading_jacobian(W, minima, zeta)
-    startable = _newton_startable(J0)
     tv, g, front = _normalized_state(W, row_vals, z)
+    Hhat = _normalized_hessian(W, row_vals, tv)
+    H0 = _constant_part(Hhat)
+    startable = _newton_startable(H0)
     history = [front]
     if all(gj.is_zero() for gj in g):
         return _certificate(W, z, tv, g, "newton", startable, 0, history)
@@ -718,10 +705,8 @@ def newton_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
         raise SingularLeadingHessian(
             "leading Jacobian is unfit for plain Newton at this root"
         )
-    # leading part of the normalized b-Hessian: J0 diag(zeta)
-    H0inv = np.linalg.inv(J0 * np.array(zeta))
+    H0inv = np.linalg.inv(H0)
     for it in range(1, MAX_NEWTON_ITER + 1):
-        Hhat = _normalized_hessian(W, row_vals, tv)
         ghat = tuple(gj.shift(-m) for gj, m in zip(g, row_vals))
         db = _solve_series_system(Hhat, ghat, H0inv)
         z = tuple(zj + zj * dj for zj, dj in zip(z, db))
@@ -733,26 +718,29 @@ def newton_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
             raise NoConvergence(
                 f"residual valuation stalled at {front} after {it} iterations"
             )
+        Hhat = _normalized_hessian(W, row_vals, tv)
     raise NoConvergence("iteration budget exhausted before reaching the truncation")
 
 
 def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     """Cancel gradient residual levels one valuation at a time.
 
-    At frontier level f the correction delta q^f solves J0 delta = -r.
-    Corrections only enter at positive levels, so J0 is fixed by zeta; it must
-    be invertible, though its diagonal may vanish.  Raises Inconsistent when
-    J0 is singular or the frontier stalls, turns nonpositive or runs out.  The
-    stall rule is newton_lift's (_stalled); a correction at q^f leaves every
-    lower level untouched, so here it means four equal frontiers in a row.
+    At frontier level f the correction solves H0 db = -r, with r the level-f
+    coefficients of the normalized gradient, and moves z_k by
+    zeta_k db_k q^f.  Corrections only enter at positive levels, so H0 is
+    fixed by zeta; it must be invertible, though its diagonal may vanish.
+    Raises Inconsistent when H0 is singular or the frontier stalls, turns
+    nonpositive or runs out.  The stall rule is newton_lift's (_stalled); a
+    correction at q^f leaves every lower level untouched, so here it means
+    four equal frontiers in a row.
     """
-    row_vals, minima = _row_data(W)
-    J0 = _leading_jacobian(W, minima, zeta)
-    if not _well_conditioned(J0):
-        raise Inconsistent("leading Jacobian is singular at this root")
-    startable = _newton_startable(J0)
+    row_vals, _ = _row_data(W)
     z = tuple(constant_series(zj, W.truncation) for zj in zeta)
     tv, g, front = _normalized_state(W, row_vals, z)
+    H0 = _constant_part(_normalized_hessian(W, row_vals, tv))
+    if not _well_conditioned(H0):
+        raise Inconsistent("leading Jacobian is singular at this root")
+    startable = _newton_startable(H0)
     history = [front]
     levels = 0
     while not all(gj.is_zero() for gj in g):
@@ -766,9 +754,10 @@ def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
         r = np.array(
             [gj.coefficient(front + m) for gj, m in zip(g, row_vals)], dtype=complex
         )
-        delta = np.linalg.solve(J0, -r)
+        db = np.linalg.solve(H0, -r)
         z = tuple(
-            zj + monomial(complex(dj), front, W.truncation) for zj, dj in zip(z, delta)
+            zj + monomial(complex(zk * dk), front, W.truncation)
+            for zj, zk, dk in zip(z, zeta, db)
         )
         tv, g, front = _normalized_state(W, row_vals, z)
         history.append(front)

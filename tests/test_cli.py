@@ -106,6 +106,14 @@ def test_critical_single_fiber(interval_file, capsys):
     assert len(docs) == 2
 
 
+@pytest.mark.parametrize("command", ["potential", "critical", "probes", "disks"])
+def test_exterior_fiber_is_rejected_plainly(interval_file, capsys, command):
+    assert main([command, "--input", interval_file, "--lambda", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: fiber (2) is not interior\n"
+    assert captured.out == ""
+
+
 def test_critical_reports_empty(interval_file, capsys):
     rc = main(["critical", "--input", interval_file, "--lambda", "1/3"])
     assert rc == 0

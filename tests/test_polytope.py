@@ -9,6 +9,7 @@ import pytest
 from toric_fiber_lab import (
     DimensionMismatch,
     EmptyInterior,
+    NotInterior,
     SchemaError,
     bounding_box,
     enumerate_vertices,
@@ -20,7 +21,13 @@ from toric_fiber_lab import (
     polytope_to_json,
     primitive_normal,
 )
-from toric_fiber_lab.polytope import exact_affine_solve, exact_kernel, exact_rank
+from toric_fiber_lab.polytope import (
+    exact_affine_solve,
+    exact_kernel,
+    exact_rank,
+    format_point,
+    interior_values,
+)
 from conftest import (
     INTERVAL_JSON,
     corner_cut_polytope,
@@ -101,6 +108,14 @@ def test_is_interior():
     B = plane_blowup_polytope()
     assert not is_interior(B, (F(1, 4), F(1, 4)))
     assert is_interior(B, (F(1), F(1)))
+
+
+def test_interior_values():
+    B = plane_blowup_polytope()
+    assert interior_values(B, (F(1), F(1))) == facet_values(B, (F(1), F(1)))
+    with pytest.raises(NotInterior, match=r"^fiber \(1/4, 1/4\) is not interior$"):
+        interior_values(B, (F(1, 4), F(1, 4)))
+    assert format_point((F(-1, 2), 3)) == "(-1/2, 3)"
 
 
 def test_primitive_normal():

@@ -10,6 +10,7 @@ from toric_fiber_lab import (
     NotAUnit,
     NotInterior,
     ZeroComponent,
+    blaschke_data,
     build_potential,
     constant_series,
     default_truncation,
@@ -18,10 +19,12 @@ from toric_fiber_lab import (
     eval_potential,
     monomial,
     nov_close,
+    potential_from_disks,
     specialize_q,
     val,
     zero_series,
 )
+from toric_fiber_lab.potential import gradient_from_terms, hessian_from_terms, term_values
 from conftest import (
     interval_polytope,
     plane_blowup_polytope,
@@ -59,6 +62,15 @@ def test_build_plane_blowup_potential():
 def test_build_rejects_boundary_fiber():
     with pytest.raises(NotInterior):
         build_potential(interval_polytope(), (F(0),))
+
+
+def test_not_interior_message_prints_the_fiber_plainly():
+    P = interval_polytope()
+    for build in (build_potential, potential_from_disks):
+        with pytest.raises(NotInterior, match=r"^fiber \(2\) is not interior$"):
+            build(P, (F(2),))
+    with pytest.raises(NotInterior, match=r"^fiber \(-1/2\) is not interior$"):
+        blaschke_data(P, (F(-1, 2),), [[], []])
 
 
 def test_constant_twist_becomes_multiplier():
@@ -150,6 +162,32 @@ def test_gradient_is_termwise_weighting():
         if weight:
             direct = direct + tv * float(weight)
     assert nov_close(combo, direct, 1e-9)
+
+
+def test_derivatives_match_running_sums():
+    # one series() pass per entry equals the term-by-term running sum
+    P = weighted_plane_polytope(3, 5)
+    lam = (F(1), F(1))
+    D = default_truncation(P, lam)
+    alpha = (monomial(0.7, F(1, 3), D), zero_series(D), monomial(2.0 - 1j, F(1, 2), D))
+    W = build_potential(P, lam, alpha)
+    z = tuple(
+        constant_series(c, D) + monomial(0.3 - 0.4j, F(2, 3), D)
+        for c in (1.3 + 0.2j, -0.7 + 1j)
+    )
+    tv = term_values(W, z)
+    g, H = gradient_from_terms(W, tv), hessian_from_terms(W, tv)
+    for j in range(2):
+        ref = zero_series(D)
+        for t, v in zip(W.terms, tv):
+            ref = ref + v * float(t.exponent[j])
+        assert nov_close(g[j], ref, 1e-12)
+        for k in range(2):
+            ref = zero_series(D)
+            for t, v in zip(W.terms, tv):
+                ref = ref + v * float(t.exponent[j] * t.exponent[k])
+            assert nov_close(H[j][k], ref, 1e-12)
+    assert H[0][1] == H[1][0]
 
 
 def test_specialize_q_interval():

@@ -9,6 +9,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import toric_fiber_lab.solver as solver_mod
@@ -25,11 +26,13 @@ from toric_fiber_lab import (
     leading_system,
     make_polytope,
     newton_lift,
+    series,
     solve_leading,
     tropical_candidates,
     zero_series,
 )
 from toric_fiber_lab.novikov import INF
+from toric_fiber_lab.potential import term_values
 from conftest import (
     BENCH_CASES,
     corner_cut_polytope,
@@ -40,6 +43,8 @@ from conftest import (
     weighted_plane_polytope,
 )
 from oracles import (
+    d_add,
+    d_mul,
     dict_of_series,
     is_critical,
     oracle_lift,
@@ -489,6 +494,68 @@ def test_newton_lift_refuses_singular_leading_jacobian():
         newton_lift(W, (-1.0 + 0j, -1.0 + 0j))
 
 
+def _leading_matrix(W, zeta):
+    row_vals, _ = solver_mod._row_data(W)
+    z = tuple(constant_series(x, W.truncation) for x in zeta)
+    tv = term_values(W, z)
+    return solver_mod._constant_part(solver_mod._normalized_hessian(W, row_vals, tv))
+
+
+@pytest.mark.parametrize("name", list(BENCH_CASES))
+def test_leading_matrix_is_the_z_jacobian_times_zeta(name):
+    # H0, read off the normalized b-Hessian, equals J0 diag(zeta) with J0 the
+    # leading z-Jacobian built here from the raw terms: row j sums
+    # v_ij v_ik m_i zeta^{v_i} / zeta_k over the terms of least valuation
+    # among those with v_ij != 0
+    P = BENCH_CASES[name]()
+    for cand in tropical_candidates(P):
+        W = build_potential(P, cand.fiber)
+        n = W.dimension
+        for zeta in solve_leading(leading_system(W)):
+            J0 = np.zeros((n, n), dtype=complex)
+            for j in range(n):
+                least = min(t.valuation for t in W.terms if t.exponent[j])
+                for t in W.terms:
+                    if t.exponent[j] and t.valuation == least:
+                        mono = t.multiplier * np.prod([x**v for x, v in zip(zeta, t.exponent)])
+                        for k in range(n):
+                            J0[j, k] += t.exponent[j] * t.exponent[k] * mono / zeta[k]
+            H0 = _leading_matrix(W, zeta)
+            assert np.allclose(H0, J0 * np.array(zeta), rtol=1e-12, atol=1e-12)
+
+
+def test_corner_cut_diagonal_leading_matrix_keeps_a_zero_diagonal():
+    W = build_potential(corner_cut_polytope(F(1, 2)), (F(1, 2), F(1, 2)))
+    H0 = _leading_matrix(W, (-1.0 + 0j, -1.0 + 0j))
+    assert H0.tolist() == [[0, 1], [1, 0]]
+    assert solver_mod._well_conditioned(H0)
+    assert not solver_mod._newton_startable(H0)
+
+
+def test_series_solve_matches_the_system():
+    # Hhat = H0 + (positive valuation), the shape Newton hands the refinement:
+    # the in-place residual must leave Hhat delta + ghat zero below q^D
+    D = F(4)
+    rng = np.random.default_rng(3)
+    steps = [F(1, 2), F(2, 3), F(1), F(3, 2)]
+
+    def rand_series(lead):
+        pairs = [(F(0), lead)] + [
+            (e, complex(*rng.normal(size=2))) for e in steps if rng.random() < 0.8
+        ]
+        return series(pairs, D)
+
+    H0 = np.array([[2.0, 0.5 - 1j], [0.3j, -1.5]])
+    Hhat = [[rand_series(H0[j, k]) for k in range(2)] for j in range(2)]
+    ghat = tuple(rand_series(complex(*rng.normal(size=2))) for _ in range(2))
+    delta = solver_mod._solve_series_system(Hhat, ghat, np.linalg.inv(H0))
+    for j in range(2):
+        acc = dict_of_series(ghat[j])
+        for k in range(2):
+            acc = d_add(acc, d_mul(dict_of_series(Hhat[j][k]), dict_of_series(delta[k]), D), D)
+        assert all(abs(c) < 1e-10 for c in acc.values())
+
+
 # -- graded lifting ---------------------------------------------------------------
 
 
@@ -591,7 +658,7 @@ def _obstructed_setup():
 
 
 def test_graded_lift_reports_inconsistency():
-    # J0 = 6 zeta^2 - 6 zeta vanishes at zeta = 1 up to rounding (about 5e-16):
+    # H0 = 6 zeta^3 - 6 zeta^2 vanishes at zeta = 1 up to rounding (about 5e-16):
     # its condition number is 1, so only the floor on its size rejects it
     W = _obstructed_setup()
     with pytest.raises(SingularLeadingHessian):
@@ -613,7 +680,7 @@ def test_obstructed_fiber_keeps_its_simple_root():
 
 def test_pipeline_drops_the_obstructed_double_root(monkeypatch):
     # the two homotopy paths into the double root end only near it (zeta
-    # about 1 - 1e-8), where J0 is small but startable: Newton stalls, the
+    # about 1 - 1e-8), where H0 is small but startable: Newton stalls, the
     # graded lift reports Inconsistent and the root is dropped; the simple
     # root -1/2 survives
     failures = []
@@ -680,20 +747,23 @@ def test_pipeline_corner_cut():
 
 
 def test_pipeline_certificates_verified_independently():
-    examples = [
-        interval_polytope(),
-        plane_blowup_polytope(),
-        weighted_plane_polytope(2, 3),
-        orbifold_interval_polytope(),
-        corner_cut_polytope(F(1, 2)),
-    ]
-    for P in examples:
-        for cert in find_critical_fibers(P, seed=0):
+    for make in BENCH_CASES.values():
+        P = make()
+        certs = find_critical_fibers(P, seed=0)
+        assert certs
+        for cert in certs:
             W = build_potential(P, cert.fiber)
             terms = terms_of_potential(W)
             z = [dict_of_series(zj) for zj in cert.z]
             assert is_critical(terms, z, W.truncation)
             assert cert.intersection_lower_bound == 2**P.dimension
+
+
+def test_certificates_at_fiber_is_empty_off_the_interior():
+    P = interval_polytope()
+    assert certificates_at_fiber(P, (2,)) == []
+    assert certificates_at_fiber(P, (0,)) == []
+    assert certificates_at_fiber(P, (F(1, 3),)) == []
 
 
 def test_pipeline_deterministic():
