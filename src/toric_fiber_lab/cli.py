@@ -2,16 +2,15 @@
 
 Subcommands: validate, potential, critical, probes, disks, analyze, render.
 All take --input pointing at a polytope JSON document.  Exit codes: 0 success,
-2 validation problem, 3 internal inconsistency.  TFL_SEED overrides the
-default seed; an explicit --seed wins over the environment.  The seed is
-recorded in the analyze report's config and changes no output.
+2 validation problem, 3 internal inconsistency.  analyze and render take
+--seed (default 0), which is recorded in the report's config and changes no
+output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -86,18 +85,6 @@ def _load_bulk(path: str | None, n_facets: int, truncation=None):
     return tuple(out)
 
 
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("TFL_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValidationError(f"TFL_SEED={env!r} is not an integer") from exc
-    return 0
-
-
 def _truncation(args):
     if getattr(args, "truncation", None) is None:
         return None
@@ -141,11 +128,10 @@ def cmd_critical(args) -> int:
     P = _load_polytope(args.input)
     D = _truncation(args)
     alpha = _load_bulk(args.bulk, len(P.facets), D)
-    seed = _resolve_seed(args)
     if args.fiber is not None:
-        certs = certificates_at_fiber(P, _interior_fiber(P, args.fiber), alpha, D, seed)
+        certs = certificates_at_fiber(P, _interior_fiber(P, args.fiber), alpha, D)
     else:
-        certs = find_critical_fibers(P, alpha, D, seed)
+        certs = find_critical_fibers(P, alpha, D)
     if args.json:
         print(json.dumps([certificate_to_json(c) for c in certs], indent=2, sort_keys=True))
         return 0
@@ -228,7 +214,7 @@ def _run_analysis(args):
     alpha = _load_bulk(args.bulk, len(P.facets), D)
     return analyze(
         P,
-        seed=_resolve_seed(args),
+        seed=args.seed,
         truncation=D,
         bound=args.bound,
         resolution=args.resolution,
@@ -279,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="fiber", help="restrict to one fiber")
     p.add_argument("--bulk", help="JSON file with per-facet twist series")
     p.add_argument("--truncation", help="truncation order p/q")
-    p.add_argument("--seed", type=int)
     p.add_argument("--json", action="store_true")
 
     p = add("probes", cmd_probes, "probe displaceability of one fiber or a grid")
@@ -295,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_analysis_flags(p):
         p.add_argument("--bulk", help="JSON file with per-facet twist series")
         p.add_argument("--truncation", help="truncation order p/q")
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--bound", type=int, default=3)
         p.add_argument("--resolution", type=int, default=16)
 

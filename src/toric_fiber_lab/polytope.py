@@ -235,7 +235,10 @@ def facet_values(P: MomentPolytope, lam) -> tuple[Fraction, ...]:
     """(l_1(lam), ..., l_N(lam)) exactly."""
     lam = tuple(Fraction(x) for x in lam)
     if len(lam) != P.dimension:
-        raise DimensionMismatch("point has the wrong length")
+        raise DimensionMismatch(
+            f"point {format_point(lam)} has length {len(lam)}, "
+            f"but the polytope has dimension {P.dimension}"
+        )
     return tuple(
         sum(a * b for a, b in zip(lam, f.normal)) - f.offset for f in P.facets
     )

@@ -1,7 +1,8 @@
 """Critical fiber search over the truncated series ring.
 
-Pipeline: enumerate fibers where every gradient direction has its minimal
-term valuation attained at least twice (tropical candidates), solve the
+Pipeline: enumerate the isolated fibers where every gradient direction has
+its minimal term valuation attained at least twice (tropical candidates; a
+tie point that is not isolated has no isolated leading root), solve the
 complex leading-coefficient system (in closed form when it reduces exactly to
 binomials, otherwise by a polyhedral homotopy with one path per unit of mixed
 volume; nothing on either route is random), then lift each leading root
@@ -42,14 +43,13 @@ from .novikov import (
 )
 from .polytope import (
     MomentPolytope,
-    exact_affine_solve,
     exact_rref,
+    exact_solve,
     facet_values,
 )
 from .potential import (
     Potential,
     build_potential,
-    eval_gradient,
     gradient_from_terms,
     hessian_from_terms,
     term_values,
@@ -71,22 +71,12 @@ PATH_MAX_ROUNDS = 1000
 POLISH_STEPS = 16
 MAX_NEWTON_ITER = 60
 MAX_GRADED_LEVELS = 400
-FAMILY_SAMPLES = (
-    Fraction(0),
-    Fraction(1, 2),
-    Fraction(-1, 2),
-    Fraction(1),
-    Fraction(-1),
-    Fraction(2),
-    Fraction(-2),
-)
 
 
 @dataclass(frozen=True)
 class TropicalCandidate:
     fiber: tuple[Fraction, ...]
     per_direction_minima: tuple[tuple[int, ...], ...]
-    isolated: bool = True
 
 
 @dataclass(frozen=True)
@@ -149,27 +139,29 @@ def _candidate_minima(P: MomentPolytope, lam) -> tuple[tuple[int, ...], ...] | N
 
 
 def tropical_candidates(P: MomentPolytope) -> list[TropicalCandidate]:
-    """Fibers where leading-order cancellation is possible in every direction.
+    """Isolated fibers where leading-order cancellation is possible in every direction.
 
     For each direction a pair of facets is forced to share the minimal
-    valuation; the resulting exact linear systems are solved and filtered.
-    Twists never move valuations, so the candidates depend on P alone.
+    valuation.  Each choice whose exact linear system has a unique solution
+    gives one fiber, and each distinct fiber is tested once.  Twists never
+    move valuations, so the candidates depend on P alone.
+
+    A tie point lam that no pair choice isolates is never a candidate,
+    because its leading system has no isolated torus root.  Every choice of
+    one minimal pair per direction has a singular difference matrix there,
+    since otherwise lam would be that system's unique solution.  By Rado's
+    theorem the pair differences of the row supports S_j (the exponents of
+    direction j's minimal terms) then have no independent transversal; by
+    Minkowski's criterion MV(conv S_1, ..., conv S_n) = 0; and by Bernstein's
+    bound (1975) the leading system has no isolated torus root.  Merging or
+    cancelling coefficients only shrinks the supports, so the bound holds
+    for every twist.
     """
     n = P.dimension
     supports = [
         [i for i, f in enumerate(P.facets) if f.normal[j] != 0] for j in range(n)
     ]
-    found: dict[tuple[Fraction, ...], TropicalCandidate] = {}
-
-    def consider(lam, isolated):
-        lam = tuple(lam)
-        minima = _candidate_minima(P, lam)
-        if minima is None:
-            return
-        prev = found.get(lam)
-        if prev is None or (isolated and not prev.isolated):
-            found[lam] = TropicalCandidate(lam, minima, isolated)
-
+    found: dict[tuple[Fraction, ...], tuple | None] = {}
     for pairs in itertools.product(*(itertools.combinations(s, 2) for s in supports)):
         rows = []
         rhs = []
@@ -177,17 +169,14 @@ def tropical_candidates(P: MomentPolytope) -> list[TropicalCandidate]:
             fi, fk = P.facets[i], P.facets[k]
             rows.append([Fraction(a - b) for a, b in zip(fi.normal, fk.normal)])
             rhs.append(fi.offset - fk.offset)
-        part, kern = exact_affine_solve(rows, rhs)
-        if part is None:
-            continue
-        if not kern:
-            consider(part, True)
-        else:
-            # positive-dimensional family: sample along the first kernel direction
-            k0 = kern[0]
-            for t in FAMILY_SAMPLES:
-                consider([p + t * k for p, k in zip(part, k0)], False)
-    return [found[key] for key in sorted(found)]
+        lam = exact_solve(rows, rhs)
+        if lam is not None and tuple(lam) not in found:
+            found[tuple(lam)] = _candidate_minima(P, lam)
+    return [
+        TropicalCandidate(lam, minima)
+        for lam, minima in sorted(found.items())
+        if minima is not None
+    ]
 
 
 # -- leading system -----------------------------------------------------------
@@ -702,9 +691,7 @@ def newton_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     if all(gj.is_zero() for gj in g):
         return _certificate(W, z, tv, g, "newton", startable, 0, history)
     if not startable:
-        raise SingularLeadingHessian(
-            "leading Jacobian is unfit for plain Newton at this root"
-        )
+        raise SingularLeadingHessian("H0 is unfit for plain Newton at this root")
     H0inv = np.linalg.inv(H0)
     for it in range(1, MAX_NEWTON_ITER + 1):
         ghat = tuple(gj.shift(-m) for gj, m in zip(g, row_vals))
@@ -739,7 +726,7 @@ def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     tv, g, front = _normalized_state(W, row_vals, z)
     H0 = _constant_part(_normalized_hessian(W, row_vals, tv))
     if not _well_conditioned(H0):
-        raise Inconsistent("leading Jacobian is singular at this root")
+        raise Inconsistent("H0 is singular at this root")
     startable = _newton_startable(H0)
     history = [front]
     levels = 0
@@ -768,19 +755,20 @@ def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
 
 
 def _lift_candidate(P, lam, alpha, truncation):
+    """Certificates for the leading roots at lam that a lift carries to grad W = 0.
+
+    Each lift returns only once the gradient at its last point is zero.
+    """
     W = build_potential(P, lam, alpha, truncation)
     certs = []
     for zeta in solve_leading(leading_system(W)):
         try:
-            cert = newton_lift(W, zeta)
+            certs.append(newton_lift(W, zeta))
         except (SingularLeadingHessian, NoConvergence):
             try:
-                cert = graded_lift(W, zeta)
+                certs.append(graded_lift(W, zeta))
             except Inconsistent:
-                continue
-        # independent recheck of the certificate invariant
-        if all(gj.is_zero() for gj in eval_gradient(W, cert.z)):
-            certs.append(cert)
+                pass
     return certs
 
 
@@ -789,9 +777,9 @@ def find_critical_fibers(
 ) -> list[CriticalCertificate]:
     """All certified critical fibers: candidates -> leading roots -> lifts.
 
-    One certificate per kept leading root (lifted, then rechecked by
-    eval_gradient), ordered by fiber, then by root.  The seed is accepted
-    for the reports' config and changes no output: no step is random.
+    One certificate per lifted leading root, ordered by fiber, then by root.
+    The seed is accepted for the reports' config and changes no output: no
+    step is random.
     """
     certs = []
     for cand in tropical_candidates(P):
@@ -800,12 +788,9 @@ def find_critical_fibers(
 
 
 def certificates_at_fiber(
-    P: MomentPolytope, lam, alpha=None, truncation=None, seed: int = 0
+    P: MomentPolytope, lam, alpha=None, truncation=None
 ) -> list[CriticalCertificate]:
-    """Run the lifting pipeline at one user-supplied fiber only.
-
-    Like find_critical_fibers, it accepts a seed that changes no output.
-    """
+    """Run the lifting pipeline at one user-supplied fiber only."""
     lam = tuple(Fraction(x) for x in lam)
     if _candidate_minima(P, lam) is None:
         return []

@@ -114,6 +114,16 @@ def test_exterior_fiber_is_rejected_plainly(interval_file, capsys, command):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["potential", "critical", "probes", "disks"])
+def test_wrong_length_fiber_names_point_and_dimension(interval_file, capsys, command):
+    assert main([command, "--input", interval_file, "--lambda", "1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: point (1, 2) has length 2, but the polytope has dimension 1\n"
+    )
+    assert captured.out == ""
+
+
 def test_critical_reports_empty(interval_file, capsys):
     rc = main(["critical", "--input", interval_file, "--lambda", "1/3"])
     assert rc == 0
@@ -274,8 +284,7 @@ def test_disks_rejects_exterior_fiber(interval_file, capsys):
     assert "not interior" in capsys.readouterr().err
 
 
-def test_analyze_json_deterministic(weighted_file, capsys, monkeypatch):
-    monkeypatch.setenv("TFL_SEED", "0")
+def test_analyze_json_deterministic(weighted_file, capsys):
     assert main(["analyze", "--input", weighted_file, "--json"]) == 0
     first = capsys.readouterr().out
     assert main(["analyze", "--input", weighted_file, "--json"]) == 0
@@ -286,21 +295,10 @@ def test_analyze_json_deterministic(weighted_file, capsys, monkeypatch):
     assert len(doc["certificates"]) == 9
 
 
-def test_seed_resolution(weighted_file, capsys, monkeypatch):
-    monkeypatch.setenv("TFL_SEED", "11")
-    assert main(["analyze", "--input", weighted_file, "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["config"]["seed"] == 11
-    # explicit flag wins over the environment
+def test_seed_resolution(weighted_file, capsys):
     assert main(["analyze", "--input", weighted_file, "--json", "--seed", "4"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["config"]["seed"] == 4
-
-
-def test_bad_seed_env(weighted_file, capsys, monkeypatch):
-    monkeypatch.setenv("TFL_SEED", "not-a-number")
-    assert main(["critical", "--input", weighted_file]) == 2
-    assert "TFL_SEED" in capsys.readouterr().err
 
 
 def test_analyze_writes_svg(square_file, tmp_path, capsys):

@@ -26,6 +26,7 @@ from toric_fiber_lab import (
     leading_system,
     make_polytope,
     newton_lift,
+    probe_scan,
     series,
     solve_leading,
     tropical_candidates,
@@ -81,7 +82,6 @@ FIXTURES = {
 def test_candidates_interval():
     cands = tropical_candidates(interval_polytope())
     assert [c.fiber for c in cands] == [(F(1, 2),)]
-    assert cands[0].isolated
     assert cands[0].per_direction_minima == ((0, 1),)
 
 
@@ -265,14 +265,43 @@ def test_fixture_pipelines_never_reach_multistart(monkeypatch):
         assert len(find_critical_fibers(make(), seed=0)) == count
 
 
-def test_hexagon_family_samples_have_no_torus_roots(monkeypatch):
-    # e.g. at (1/2, 1/2) the reduced rows are single terms 2a = 0, b = 0
-    monkeypatch.setattr(solver_mod, "_homotopy_roots", _no_homotopy)
-    P = hexagon_polytope()
-    samples = [c for c in tropical_candidates(P) if not c.isolated]
-    assert len(samples) == 8
-    for cand in samples:
-        assert solve_leading(leading_system(build_potential(P, cand.fiber))) == []
+# points of the hexagon's (and the 12-line input's) positive-dimensional tie
+# families: every direction ties there, but no pair choice isolates them
+FAMILY_POINTS = [
+    (F(-1), F(1, 2)),
+    (F(-1, 2), F(-1, 2)),
+    (F(-1, 2), F(1)),
+    (F(-1, 4), F(1, 2)),
+    (F(1, 4), F(-1, 2)),
+    (F(1, 2), F(-1)),
+    (F(1, 2), F(1, 2)),
+    (F(1), F(-1, 2)),
+]
+
+
+@pytest.mark.parametrize("make", [hexagon_polytope, lambda: _twelve_line_polytope()],
+                         ids=["hexagon", "12-line"])
+def test_only_isolated_tie_points_are_candidates(make):
+    # each family point ties in every direction, yet its minimal pairs have
+    # singular difference matrices: mixed volume 0, so no isolated leading root
+    P = make()
+    assert [c.fiber for c in tropical_candidates(P)] == [(F(0), F(0))]
+    for lam in FAMILY_POINTS:
+        assert solver_mod._candidate_minima(P, lam) is not None
+        assert certificates_at_fiber(P, lam) == []
+
+
+@pytest.mark.parametrize(
+    "make",
+    [hexagon_polytope, lambda: corner_cut_polytope(F(1, 2)), lambda: weighted_plane_polytope(3, 5)],
+    ids=["hexagon", "corner_cut_1/2", "P135"],
+)
+def test_grid_fibers_off_the_candidates_carry_no_certificate(make):
+    P = make()
+    candidates = {c.fiber for c in tropical_candidates(P)}
+    grid = [lam for lam in probe_scan(P, 16, 3) if lam not in candidates]
+    assert len(grid) > 100
+    assert all(certificates_at_fiber(P, lam) == [] for lam in grid)
 
 
 def test_twisted_binomial_roots(monkeypatch):
@@ -696,7 +725,7 @@ def test_pipeline_drops_the_obstructed_double_root(monkeypatch):
 
         monkeypatch.setattr(solver_mod, name, recorded)
     P, alpha, D = _obstructed_data()
-    certs = certificates_at_fiber(P, (1,), alpha, D, seed=0)
+    certs = certificates_at_fiber(P, (1,), alpha, D)
     assert len(certs) == 1
     assert certs[0].method == "newton"
     assert abs(certs[0].z[0].leading() + 0.5) < 1e-9
