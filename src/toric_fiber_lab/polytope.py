@@ -67,14 +67,9 @@ def exact_rank(rows: list[list[Fraction]]) -> int:
 
 def exact_kernel(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
     """Basis of the null space of the (possibly empty) row system in R^n."""
-    return _kernel_from_rref(*exact_rref(rows), n)
-
-
-def _kernel_from_rref(rref, pivots, n: int) -> list[list[Fraction]]:
-    """Null-space basis of the first n columns of an RREF (pivots below n)."""
-    free = [j for j in range(n) if j not in pivots]
+    rref, pivots = exact_rref(rows)
     basis = []
-    for f in free:
+    for f in (j for j in range(n) if j not in pivots):
         vec = [Fraction(0)] * n
         vec[f] = Fraction(1)
         for r, p in enumerate(pivots):
@@ -83,30 +78,17 @@ def _kernel_from_rref(rref, pivots, n: int) -> list[list[Fraction]]:
     return basis
 
 
-def exact_affine_solve(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> tuple[list[Fraction] | None, list[list[Fraction]]]:
-    """Solve rows * x = rhs exactly.
-
-    Returns (particular solution or None if inconsistent, kernel basis).
-    """
-    n = len(rows[0]) if rows else 0
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    rref, pivots = exact_rref(aug)
-    if n in pivots:  # pivot in the constant column: inconsistent
-        return None, []
-    x = [Fraction(0)] * n
-    for r, p in enumerate(pivots):
-        x[p] = rref[r][n]
-    return x, _kernel_from_rref(rref, pivots, n)
-
-
 def exact_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Unique solution of a square system, or None when singular."""
-    part, kern = exact_affine_solve(rows, rhs)
-    if part is None or kern:
+    """Unique solution of a square system, or None when singular.
+
+    The solution is unique exactly when the augmented RREF pivots on every
+    unknown and not on the constant column.
+    """
+    n = len(rows)
+    rref, pivots = exact_rref([row + [b] for row, b in zip(rows, rhs)])
+    if pivots != list(range(n)):
         return None
-    return part
+    return [rref[r][n] for r in range(n)]
 
 
 # -- construction ------------------------------------------------------------

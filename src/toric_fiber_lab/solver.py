@@ -1,8 +1,11 @@
 """Critical fiber search over the truncated series ring.
 
-Pipeline: enumerate the isolated fibers where every gradient direction has
-its minimal term valuation attained at least twice (tropical candidates; a
-tie point that is not isolated has no isolated leading root), solve the
+Pipeline: enumerate the fibers where every gradient direction has its
+minimal term valuation attained at least twice and one minimal pair per
+direction isolates the fiber (tropical candidates: the lower faces of the
+facet lifting, found by the integer kernel that also finds the homotopy's
+mixed cells; any other tie point has leading supports of mixed volume 0 and
+so no isolated leading root), solve the
 complex leading-coefficient system (in closed form when it reduces exactly to
 binomials, otherwise by a polyhedral homotopy with one path per unit of mixed
 volume; nothing on either route is random), then lift each leading root
@@ -44,7 +47,6 @@ from .novikov import (
 from .polytope import (
     MomentPolytope,
     exact_rref,
-    exact_solve,
     facet_values,
 )
 from .potential import (
@@ -141,50 +143,43 @@ def _candidate_minima(P: MomentPolytope, lam) -> tuple[tuple[int, ...], ...] | N
 def tropical_candidates(P: MomentPolytope) -> list[TropicalCandidate]:
     """Isolated fibers where leading-order cancellation is possible in every direction.
 
-    For each direction a pair of facets is forced to share the minimal
-    valuation.  Each choice whose exact linear system has a unique solution
-    gives one fiber, and each distinct fiber is tested once.  Twists never
-    move valuations, so the candidates depend on P alone.
+    Row j lifts each facet i with v_ij != 0 to (v_i, -L c_i), L the lcm of
+    the offset denominators.  A lower face of the lifted rows with inner
+    normal (alpha, 1) picks one facet pair per direction that is minimal at
+    lam = alpha / L, so the candidates are the fibers isolated by a lower
+    face (_lower_faces, ties included); each distinct fiber is tested once.
+    Twists never move valuations, so the candidates depend on P alone.
 
-    A tie point lam that no pair choice isolates is never a candidate,
-    because its leading system has no isolated torus root.  Every choice of
-    one minimal pair per direction has a singular difference matrix there,
-    since otherwise lam would be that system's unique solution.  By Rado's
-    theorem the pair differences of the row supports S_j (the exponents of
-    direction j's minimal terms) then have no independent transversal; by
-    Minkowski's criterion MV(conv S_1, ..., conv S_n) = 0; and by Bernstein's
-    bound (1975) the leading system has no isolated torus root.  Merging or
+    These are exactly the tie points whose leading supports have positive
+    mixed volume.  At a tie point lam that no choice of one minimal pair per
+    direction isolates, every such choice has a singular difference matrix,
+    since otherwise lam would be its unique solution.  By Rado's theorem the
+    pair differences of the row supports S_j (the exponents of direction j's
+    minimal terms) then have no independent transversal; by Minkowski's
+    criterion MV(conv S_1, ..., conv S_n) = 0; and by Bernstein's bound
+    (1975) the leading system has no isolated torus root.  Merging or
     cancelling coefficients only shrinks the supports, so the bound holds
-    for every twist.
+    for every twist.  A pair choice that is not minimal at its solution is
+    no lower face, so points only such choices isolate are never tested.
     """
     n = P.dimension
-    supports = [
-        [i for i, f in enumerate(P.facets) if f.normal[j] != 0] for j in range(n)
-    ]
-    found: dict[tuple[Fraction, ...], tuple | None] = {}
-    for pairs in itertools.product(*(itertools.combinations(s, 2) for s in supports)):
-        rows = []
-        rhs = []
-        for i, k in pairs:
-            fi, fk = P.facets[i], P.facets[k]
-            rows.append([Fraction(a - b) for a, b in zip(fi.normal, fk.normal)])
-            rhs.append(fi.offset - fk.offset)
-        lam = exact_solve(rows, rhs)
-        if lam is not None and tuple(lam) not in found:
-            found[tuple(lam)] = _candidate_minima(P, lam)
-    return [
-        TropicalCandidate(lam, minima)
-        for lam, minima in sorted(found.items())
-        if minima is not None
-    ]
+    rows = [[f for f in P.facets if f.normal[j] != 0] for j in range(n)]
+    L = math.lcm(*(f.offset.denominator for f in P.facets))
+    faces = _lower_faces(
+        [[f.normal for f in row] for row in rows],
+        [[int(-L * f.offset) for f in row] for row in rows],
+    )
+    found = {tuple(Fraction(int(x), d * L) for x in N) for _, d, N, _ in faces}
+    minima = ((lam, _candidate_minima(P, lam)) for lam in sorted(found))
+    return [TropicalCandidate(lam, m) for lam, m in minima if m is not None]
 
 
 # -- leading system -----------------------------------------------------------
 
 
 def _row_data(W: Potential):
-    """Per direction: min term valuation, and the facet indices attaining it."""
-    entries = [(t.facet_index, t.exponent, t.valuation) for t in W.terms]
+    """Per direction: min term valuation, and the positions in W.terms attaining it."""
+    entries = [(i, t.exponent, t.valuation) for i, t in enumerate(W.terms)]
     return _direction_minima(entries, W.dimension)
 
 
@@ -195,14 +190,10 @@ def leading_system(W: Potential) -> LeadingSystem:
     for j, S in enumerate(minima):
         if len(S) < 2:
             raise DegenerateDirection(
-                f"direction {j}: minimal valuation attained once (facet {S[0]})"
+                f"direction {j}: minimal valuation attained once (term {S[0]})"
             )
-        eq = tuple(
-            (t.exponent[j] * t.multiplier, t.exponent)
-            for t in W.terms
-            if t.facet_index in S
-        )
-        equations.append(eq)
+        terms = [W.terms[i] for i in S]
+        equations.append(tuple((t.exponent[j] * t.multiplier, t.exponent) for t in terms))
     return LeadingSystem(W.dimension, tuple(equations), row_vals)
 
 
@@ -347,33 +338,32 @@ def _lifting(supports, attempt: int) -> list[list[int]]:
     return heights
 
 
-def _mixed_cells(supports, lifting):
-    """Fine mixed cells of the lifted supports, or None if the lifting is not generic.
+def _lower_faces(supports, lifting):
+    """Every choice of one pair per row that is a lower face of every lifted row.
 
     supports[j] lists the exponents of row j and lifting[j] their integer
-    heights h.  A cell picks one pair (a_j, b_j) per row whose inner normal
-    (alpha, 1) makes the pair the strict lower face of every lifted row:
-    <a_j - b_j, alpha> = h(b_j) - h(a_j), and every other point a of row j
-    lies above it.  With M the integer matrix of rows a_j - b_j and d = det M,
-    Cramer's rule gives N = d alpha in integers, and the height of a above the
-    face, times |d|, is the integer s = sign(d) (<a - a_j, N> + d (h(a) - h(a_j))).
-    The pair choices are tested CELL_CHUNK at a time in int64, or in Python
-    integers when the entries could overflow it.  A zero s off the pair means the lifting is
-    not generic: the cells would then miss part of the mixed volume.  Returns
-    one (pairs, |d|, s) per cell, with s[j] listed over supports[j]; the |d|
-    summed over the cells is the mixed volume.
+    heights h.  A pair (a_j, b_j) per row fixes the inner normal (alpha, 1)
+    by <a_j - b_j, alpha> = h(b_j) - h(a_j); the choice is a lower face when
+    no point a of row j lies below the pair.  With M the integer matrix of
+    rows a_j - b_j and d = |det M| > 0, Cramer's rule gives N = d alpha in
+    integers, and the height of a above the face, times d, is the integer
+    s = <a - a_j, N> + d (h(a) - h(a_j)) >= 0.  The pair choices are tested
+    CELL_CHUNK at a time in int64, or in Python integers when the entries
+    could overflow it.  Returns one (pairs, d, N, s) per lower face, ties
+    (a zero s off the pair) included, with s[j] listed over supports[j].
     """
     n = len(supports)
     big = max(abs(x) for S in supports for a in S for x in a)
-    top = max(x for h in lifting for x in h)
-    bound = 2 * n * math.factorial(n) * (2 * big) ** n * (top + 1)
+    top = max(abs(x) for hj in lifting for x in hj)
+    # |d| <= n! (2 big)^n, |N_i| <= n! (2 big)^(n-1) 2 top, |s| <= 2 (n+1) n! (2 big)^n top
+    bound = 2 * (n + 1) * math.factorial(n) * (2 * big) ** n * (top + 1)
     dtype = np.int64 if bound < 2**62 else object
     S = [np.array(Sj, dtype=dtype) for Sj in supports]
     h = [np.array(hj, dtype=dtype) for hj in lifting]
     pairs = [np.array(list(itertools.combinations(range(len(Sj)), 2))) for Sj in supports]
     shape = [len(p) for p in pairs]
     total = math.prod(shape)
-    cells = []
+    faces = []
     for first in range(0, total, CELL_CHUNK):
         grid = np.unravel_index(np.arange(first, min(first + CELL_CHUNK, total)), shape)
         ab = np.stack([p[g] for p, g in zip(pairs, grid)], axis=1)  # (choices, n, 2)
@@ -386,23 +376,37 @@ def _mixed_cells(supports, lifting):
             np.concatenate([M[..., :i], rhs[..., None], M[..., i + 1 :]], axis=-1)
             for i in range(n)
         )
-        N = np.stack([_int_det(Mi) for Mi in cramer], axis=1)
         sign = np.where(d > 0, 1, -1)
+        N = sign[:, None] * np.stack([_int_det(Mi) for Mi in cramer], axis=1)
+        d = sign * d
         choice = np.arange(len(d))
         above = []
-        cell = np.ones(len(d), dtype=bool)
+        face = np.ones(len(d), dtype=bool)
         for j in range(n):
             v = (N[:, None, :] * S[j][None, :, :]).sum(axis=-1) + d[:, None] * h[j][None, :]
-            sj = sign[:, None] * (v - v[choice, ab[:, j, 0]][:, None])
-            cell &= (sj >= 0).all(axis=1)
+            sj = v - v[choice, ab[:, j, 0]][:, None]
+            face &= (sj >= 0).all(axis=1)
             above.append(sj)
-        if any(((sj == 0).sum(axis=1) > 2)[cell].any() for sj in above):
-            return None
-        cells += [
-            (tuple(map(tuple, ab[c])), int(abs(d[c])), [sj[c] for sj in above])
-            for c in np.flatnonzero(cell)
+        faces += [
+            (tuple(map(tuple, ab[c])), int(d[c]), N[c], [sj[c] for sj in above])
+            for c in np.flatnonzero(face)
         ]
-    return cells
+    return faces
+
+
+def _mixed_cells(supports, lifting):
+    """Fine mixed cells of the lifted supports, or None if the lifting is not generic.
+
+    A cell is a lower face (_lower_faces) whose pair is the whole lower face
+    of every row.  A lower face with a zero s off its pair means the lifting
+    is not generic: the cells would then miss part of the mixed volume.
+    Returns one (pairs, d, s) per cell; the d summed over the cells is the
+    mixed volume.
+    """
+    faces = _lower_faces(supports, lifting)
+    if any((sj == 0).sum() > 2 for *_, s in faces for sj in s):
+        return None
+    return [(pairs, d, s) for pairs, d, _, s in faces]
 
 
 def _path_field(E, R, c, theta, w, tau, pw, k):
@@ -623,6 +627,19 @@ def _constant_part(Hhat) -> np.ndarray:
     return np.array([[Hjk.coefficient(0) for Hjk in row] for row in Hhat], dtype=complex)
 
 
+def _lift_start(W: Potential, zeta):
+    """Shared start of both lifts at the constant point zeta.
+
+    Returns the row valuations m_j, the constant series z, its term list,
+    gradient and normalized frontier, the normalized b-Hessian Hhat and H0.
+    """
+    row_vals, _ = _row_data(W)
+    z = tuple(constant_series(zj, W.truncation) for zj in zeta)
+    tv, g, front = _normalized_state(W, row_vals, z)
+    Hhat = _normalized_hessian(W, row_vals, tv)
+    return row_vals, z, tv, g, front, Hhat, _constant_part(Hhat)
+
+
 def _solve_series_system(Hhat, ghat, H0inv: np.ndarray):
     """delta with Hhat * delta = -ghat, by refinement with the leading inverse.
 
@@ -681,11 +698,7 @@ def newton_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     them) or the iteration budget runs out; the pipeline then tries
     graded_lift, which asks only that H0 be invertible.
     """
-    row_vals, _ = _row_data(W)
-    z = tuple(constant_series(zj, W.truncation) for zj in zeta)
-    tv, g, front = _normalized_state(W, row_vals, z)
-    Hhat = _normalized_hessian(W, row_vals, tv)
-    H0 = _constant_part(Hhat)
+    row_vals, z, tv, g, front, Hhat, H0 = _lift_start(W, zeta)
     startable = _newton_startable(H0)
     history = [front]
     if all(gj.is_zero() for gj in g):
@@ -721,10 +734,7 @@ def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     correction at q^f leaves every lower level untouched, so here it means
     four equal frontiers in a row.
     """
-    row_vals, _ = _row_data(W)
-    z = tuple(constant_series(zj, W.truncation) for zj in zeta)
-    tv, g, front = _normalized_state(W, row_vals, z)
-    H0 = _constant_part(_normalized_hessian(W, row_vals, tv))
+    row_vals, z, tv, g, front, _, H0 = _lift_start(W, zeta)
     if not _well_conditioned(H0):
         raise Inconsistent("H0 is singular at this root")
     startable = _newton_startable(H0)

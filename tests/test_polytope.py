@@ -22,9 +22,9 @@ from toric_fiber_lab import (
     primitive_normal,
 )
 from toric_fiber_lab.polytope import (
-    exact_affine_solve,
     exact_kernel,
     exact_rank,
+    exact_solve,
     format_point,
     interior_values,
 )
@@ -237,24 +237,42 @@ def test_vertices_lie_on_boundary():
             assert sum(1 for x in values if x == 0) >= P.dimension
 
 
-def test_affine_solve_kernel_matches_exact_kernel():
-    # the kernel is read off the augmented reduction, with no second one
+def _apply(rows, x):
+    return [sum(a * b for a, b in zip(row, x)) for row in rows]
+
+
+def test_exact_solve_matches_rank_on_square_systems():
+    # a solution exactly when the square system has full rank; singular
+    # systems give None whether or not they are consistent
     rng = random.Random(0)
-    seen = {True: 0, False: 0}
+    seen = {"unique": 0, "consistent": 0, "inconsistent": 0}
     for _ in range(300):
-        m, n = rng.randint(1, 3), rng.randint(1, 3)
-        rows = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(m)]
+        n = rng.randint(1, 3)
+        rows = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
         if rng.random() < 0.5:
-            x = [F(rng.randint(-2, 2)) for _ in range(n)]
-            rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+            rhs = _apply(rows, [F(rng.randint(-2, 2)) for _ in range(n)])
         else:
-            rhs = [F(rng.randint(-2, 2)) for _ in range(m)]
-        part, kern = exact_affine_solve(rows, rhs)
-        consistent = exact_rank(rows) == exact_rank([r + [b] for r, b in zip(rows, rhs)])
-        seen[consistent] += 1
-        if consistent:
-            assert [sum(a * b for a, b in zip(row, part)) for row in rows] == rhs
-            assert kern == exact_kernel(rows, n)
+            rhs = [F(rng.randint(-2, 2)) for _ in range(n)]
+        x = exact_solve(rows, rhs)
+        if exact_rank(rows) == n:
+            seen["unique"] += 1
+            assert _apply(rows, x) == rhs
         else:
-            assert part is None and kern == []
-    assert min(seen.values()) >= 20  # both kinds are exercised
+            augmented = [r + [b] for r, b in zip(rows, rhs)]
+            seen["consistent" if exact_rank(augmented) == exact_rank(rows) else "inconsistent"] += 1
+            assert x is None
+    assert min(seen.values()) >= 20  # every kind is exercised
+
+
+def test_exact_kernel_spans_the_null_space():
+    rng = random.Random(1)
+    for _ in range(300):
+        m, n = rng.randint(0, 3), rng.randint(1, 3)
+        rows = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(m)]
+        kern = exact_kernel(rows, n)
+        assert len(kern) == n - exact_rank(rows)
+        assert exact_rank(kern) == len(kern)
+        assert all(_apply(rows, vec) == [0] * m for vec in kern)
+    # one vector per free column, with 1 there and 0 at the other free columns
+    assert exact_kernel([[F(1), F(2), F(0)]], 3) == [[-2, 1, 0], [0, 0, 1]]
+    assert exact_kernel([], 2) == [[1, 0], [0, 1]]

@@ -7,6 +7,7 @@ solver in oracles.py, which shares no arithmetic with the package.
 import cmath
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -17,15 +18,21 @@ from toric_fiber_lab import (
     DegenerateDirection,
     Inconsistent,
     LeadingSystem,
+    Potential,
+    PotentialTerm,
     SingularLeadingHessian,
+    ToricFiberError,
     build_potential,
     certificates_at_fiber,
     constant_series,
+    facet_values,
     find_critical_fibers,
     graded_lift,
+    is_bounded,
     leading_system,
     make_polytope,
     newton_lift,
+    one,
     probe_scan,
     series,
     solve_leading,
@@ -33,6 +40,7 @@ from toric_fiber_lab import (
     zero_series,
 )
 from toric_fiber_lab.novikov import INF
+from toric_fiber_lab.polytope import exact_solve
 from toric_fiber_lab.potential import term_values
 from conftest import (
     BENCH_CASES,
@@ -112,6 +120,105 @@ def test_candidates_corner_cut():
     ]
 
 
+
+def _pair_solutions(P, minimal):
+    """Tie points from the definition: one Fraction solve per pair choice.
+
+    Keeps each interior solution where every direction's least facet value
+    is attained at least twice, with the per-direction minimal facets; with
+    minimal=True only when a pair choice solved by it picks minimal pairs only.
+    """
+    normals = [f.normal for f in P.facets]
+    supports = [[i for i, v in enumerate(normals) if v[j] != 0] for j in range(P.dimension)]
+    choices = {}
+    for pairs in itertools.product(*(itertools.combinations(s, 2) for s in supports)):
+        rows = [[F(a - b) for a, b in zip(normals[i], normals[k])] for i, k in pairs]
+        lam = exact_solve(rows, [P.facets[i].offset - P.facets[k].offset for i, k in pairs])
+        if lam is not None:
+            choices.setdefault(tuple(lam), []).append(pairs)
+    found = {}
+    for lam, pair_choices in choices.items():
+        values = facet_values(P, lam)
+        if any(v <= 0 for v in values):
+            continue
+        least = [min(values[i] for i in s) for s in supports]
+        minima = tuple(tuple(i for i in s if values[i] == m) for s, m in zip(supports, least))
+        if any(len(S) < 2 for S in minima):
+            continue
+        if minimal and not any(
+            all(values[i] == values[k] == m for (i, k), m in zip(pairs, least))
+            for pairs in pair_choices
+        ):
+            continue
+        found[lam] = minima
+    return sorted(found.items())
+
+
+def _sixteen_gon():
+    # the primitive normals v with max |v_j| <= 2, offsets -round(10 |v|)
+    normals = [v for v in itertools.product(range(-2, 3), repeat=2) if math.gcd(*v) == 1]
+    return make_polytope(2, [(v, F(-round(10 * math.hypot(*v)))) for v in normals])
+
+
+@pytest.mark.parametrize(
+    "make",
+    list(BENCH_CASES.values()) + [lambda: _twelve_line_polytope(), _sixteen_gon],
+    ids=list(BENCH_CASES) + ["12-line", "16-gon"],
+)
+def test_candidates_are_the_tie_points_of_minimal_pair_choices(make):
+    P = make()
+    found = [(c.fiber, c.per_direction_minima) for c in tropical_candidates(P)]
+    assert found == _pair_solutions(P, minimal=True)
+
+
+def test_points_only_a_non_minimal_pair_isolates_have_no_leading_root():
+    rng = random.Random(0)
+    tested, extra = 0, 0
+    while tested < 30:
+        normals = {(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rng.randint(4, 6))}
+        normals.discard((0, 0))
+        try:
+            P = make_polytope(2, [(v, F(-rng.randint(1, 4))) for v in sorted(normals)])
+        except ToricFiberError:
+            continue
+        if not is_bounded(P):
+            continue
+        tested += 1
+        candidates = {c.fiber for c in tropical_candidates(P)}
+        for lam, _ in _pair_solutions(P, minimal=False):
+            if lam not in candidates:
+                extra += 1
+                assert solve_leading(leading_system(build_potential(P, lam))) == []
+    assert extra > 40
+
+
+@pytest.mark.parametrize(
+    "facets",
+    [
+        # all offsets positive, so every height -L c_i is negative: a bound on
+        # the largest height instead of the largest |height| would pick int64
+        [((1, 0), 2**61), ((0, 1), 2**61), ((1, 1), 2**62 + 1)],
+        # offsets whose denominators have an lcm near 10^30
+        [((1, 0), F(1, 1000003)), ((0, 1), F(1, 1000033)), ((-1, 0), F(-1) + F(1, 1000037)),
+         ((0, -1), F(-1) + F(1, 1000039)), ((-1, -1), F(-3, 2) + F(1, 999983))],
+    ],
+    ids=["large-positive-offsets", "large-lcm-denominator"],
+)
+def test_candidates_with_heights_past_int64_use_python_integers(facets, monkeypatch):
+    P = make_polytope(2, [(v, F(c)) for v, c in facets])
+    dtypes = set()
+    det = solver_mod._int_det
+
+    def recorded(M):
+        dtypes.add(M.dtype)
+        return det(M)
+
+    monkeypatch.setattr(solver_mod, "_int_det", recorded)
+    found = [(c.fiber, c.per_direction_minima) for c in tropical_candidates(P)]
+    assert dtypes == {np.dtype(object)}
+    assert found and found == _pair_solutions(P, minimal=True)
+
+
 # -- leading systems -----------------------------------------------------------
 
 
@@ -136,6 +243,18 @@ def test_leading_system_weighted_plane():
     sys = leading_system(W)
     assert sys.equations[0] == (((1 + 0j), (1, 0)), ((-n2 + 0j), (-n2, -n1)))
     assert sys.equations[1] == (((1 + 0j), (0, 1)), ((-n1 + 0j), (-n2, -n1)))
+
+
+def test_leading_system_keys_terms_by_position():
+    # a hand-built potential may repeat a facet index: only the two terms of
+    # least valuation form the row, not every term sharing their index
+    D = F(3)
+    terms = tuple(
+        PotentialTerm(i, 1 + 0j, one(D), e, F(v))
+        for i, e, v in [(0, (1,), 0), (1, (-1,), 0), (0, (2,), 1)]
+    )
+    sys = leading_system(Potential(1, (F(0),), terms, D))
+    assert sys.equations == ((((1 + 0j), (1,)), ((-1 + 0j), (-1,))),)
 
 
 def test_leading_system_rejects_unbalanced_fiber():
