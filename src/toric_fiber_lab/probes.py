@@ -5,24 +5,31 @@ along an integer direction that pairs to 1 with the facet's primitive inward
 normal, and ends where it exits the polytope.  Fibers strictly inside the
 first half of a probe are displaceable.  All arithmetic here is exact.
 
-The covering test runs on Python integers.  A direction table pairs each
-(facet i, direction alpha) once, with the slopes s_g = <v_g, alpha> of every
-facet.  A fiber's facet values are scaled by a common denominator L to the
-integers V_g = L l_g(lam); on a grid lam = lo + k h they are
-V_g = A_g + sum_j k_j B_gj with A and B computed once per scan.  The fiber is
-interior when every V_g > 0, and the probe from entry (i, alpha) covers it
-when V_g s_i > V_i |s_g| for every other facet g.  Fractions (base, exit
+One block kernel tests coverage.  A direction table pairs each (facet i,
+direction alpha) once, with the slopes s_g = <v_g, alpha> of every facet,
+all from one integer product of normals and directions.  A fiber's facet
+values are scaled by a common denominator L to the integers V_g = L l_g(lam);
+on a grid lam = lo + k h they are V = A + K B^T with A and B computed once
+per scan.  The probe from entry (i, alpha) covers the fiber when
+V_g s_i > V_i W_g for every facet g, with W_g = |s_g| and W_i = 0, and
+_first_probes tests every table entry against a block of fibers in one
+numpy comparison.  It runs in int64 when a bound on max|V| * max|s| is below
+2**62 and on Python integers otherwise: numpy's int64 arithmetic wraps
+without a warning, so only that bound keeps it exact.  Fractions (base, exit
 parameter) are built only for the probe that is returned.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionUnsupported, NotTransverse, UnboundedPolytope
+import numpy as np
+
+from .errors import DimensionMismatch, DimensionUnsupported, NotTransverse, UnboundedPolytope
 from .polytope import (
     MomentPolytope,
     bounding_box,
@@ -52,74 +59,120 @@ class Verdict:
 
 def integrally_transverse(f, alpha: tuple[int, ...]) -> bool:
     """True iff <primitive inward normal, alpha> = 1 (probe enters the polytope)."""
+    if len(alpha) != len(f.normal):
+        raise DimensionMismatch(
+            f"direction {tuple(alpha)} has length {len(alpha)}, "
+            f"but the polytope has dimension {len(f.normal)}"
+        )
     if all(a == 0 for a in alpha):
         raise ValueError("direction must be nonzero")
     return sum(a * b for a, b in zip(primitive_normal(f), alpha)) == 1
 
 
-def _slopes(P: MomentPolytope, alpha) -> tuple[int, ...]:
-    return tuple(sum(a * b for a, b in zip(f.normal, alpha)) for f in P.facets)
+def _dtype(top: int):
+    """int64 when top, a bound on every integer formed, is below 2**62;
+    Python integers otherwise."""
+    return np.int64 if top < 2**62 else object
 
 
-def _entry(facet_index: int, alpha, slopes: tuple[int, ...]):
-    """One direction-table row: (i, alpha, slopes, others), where others lists
-    (g, |s_g|) for the facets g != i with s_g != 0.  A facet with s_g = 0
-    needs only V_g > 0, which the interior test already checks."""
-    others = tuple((g, abs(s)) for g, s in enumerate(slopes) if g != facet_index and s)
-    return facet_index, tuple(alpha), slopes, others
+def _slopes(P: MomentPolytope, alphas) -> np.ndarray:
+    """s_g = <v_g, alpha> for each facet g (row) and direction alpha (column)."""
+    normals = [f.normal for f in P.facets]
+    big = max(map(abs, itertools.chain(*normals))) * max(map(abs, itertools.chain(*alphas)))
+    dtype = _dtype(P.dimension * big)
+    return np.array(normals, dtype=dtype) @ np.array(alphas, dtype=dtype).T
 
 
-def _directions(n: int, bound: int):
-    """Nonzero integer vectors with sup-norm <= bound, lexicographic order."""
-    for alpha in itertools.product(range(-bound, bound + 1), repeat=n):
-        if any(alpha):
-            yield alpha
-
-
-def _direction_table(P: MomentPolytope, bound: int) -> list:
+def _direction_table(P: MomentPolytope, bound: int):
     """Every facet with primitive normal, in order, with each direction of
     sup-norm <= bound pairing to 1 with it, in lexicographic order.  A normal
-    with gcd m pairs to multiples of m only, so s_i = 1 picks out both."""
+    with gcd m pairs to multiples of m only, so s_i = 1 picks out both.
+
+    Returns (facets, directions, slopes), one entry per position, with the
+    slopes as an (entries, facets) array.
+    """
     if bound < 1:
         raise ValueError("bound must be positive")
-    paired = [(alpha, _slopes(P, alpha)) for alpha in _directions(P.dimension, bound)]
-    return [
-        _entry(i, alpha, slopes)
-        for i in range(len(P.facets))
-        for alpha, slopes in paired
-        if slopes[i] == 1
-    ]
+    box = itertools.product(range(-bound, bound + 1), repeat=P.dimension)
+    alphas = [a for a in box if any(a)]
+    S = _slopes(P, alphas)
+    facets, cols = np.nonzero(S == 1)  # row-major: facet order, then direction order
+    return facets.tolist(), [alphas[c] for c in cols], S[:, cols].T
 
 
-def _first_probe(lam, values, scale: int, table) -> Probe | None:
-    """The probe of the first table entry that covers lam, or None.
+def _value_dtype(vmax: int, table):
+    """The kernel's dtype for facet values |V_g| <= vmax: its products are at
+    most vmax * max|s|."""
+    return _dtype(vmax * int(np.abs(table[2]).max(initial=1)))
 
-    values are the integers V_g = scale * l_g(lam).  With t = l_i(lam)/s_i the
-    parameter from facet i to lam, the probe covers lam exactly when t > 0 and
-    l_g(lam) > t|s_g| for every other facet g; scaled, that is V_i > 0 and
-    V_g s_i > V_i |s_g|.  Together these hold only if every V_g > 0, so a
-    fiber off the open polytope is never covered.
+
+def _first_probes(V: np.ndarray, table) -> np.ndarray:
+    """Index of the first table entry covering each row of V, or -1.
+
+    Row p holds V_g = L l_g(lam_p).  With t = l_i(lam)/s_i the parameter from
+    facet i to lam, entry (i, alpha) covers lam exactly when t > 0 and
+    l_g(lam) > t|s_g| for every other facet g; scaled, V_g s_i > V_i W_g for
+    every g, with W_g = |s_g| and W_i = 0.  These hold only if every V_g > 0,
+    so a fiber off the open polytope is never covered.  Rows are tested in
+    blocks of about 2**16 (row, entry, facet) products.
     """
-    if min(values) <= 0:
-        return None
-    for i, alpha, slopes, others in table:
-        vi, si = values[i], slopes[i]
-        if all(values[g] * si > vi * w for g, w in others):
-            # t = vi/d; the base is lam - t alpha, the exit the least
-            # (l_g - t s_g)/(-s_g) = (V_g s_i - V_i s_g)/(-s_g d) over s_g < 0
-            d = scale * si
-            base = tuple(Fraction(x.numerator * d - vi * a * x.denominator, x.denominator * d)
-                         for x, a in zip(lam, alpha))
-            exits = [Fraction(v * si - vi * s, -s * d) for v, s in zip(values, slopes) if s < 0]
-            return Probe(i, base, alpha, min(exits) if exits else None)
-    return None
+    facets, _, S = table
+    first = np.full(len(V), -1)
+    if not facets:
+        return first
+    entries = np.arange(len(facets))
+    si = S[entries, facets][:, None]
+    W = np.abs(S)
+    W[entries, facets] = 0
+    step = max(1, 2**16 // S.size)
+    for lo in range(0, len(V), step):
+        block = V[lo : lo + step]
+        covers = (block[:, None, :] * si > block[:, facets][:, :, None] * W).all(axis=2)
+        first[lo : lo + step] = np.where(covers.any(axis=1), covers.argmax(axis=1), -1)
+    return first
 
 
-def _probe_at(P: MomentPolytope, lam, table) -> Probe | None:
-    lam = tuple(Fraction(x) for x in lam)
-    values = facet_values(P, lam)
-    scale = math.lcm(*(v.denominator for v in values))
-    return _first_probe(lam, [int(v * scale) for v in values], scale, table)
+def _probes(lams, V: np.ndarray, scale: int, table) -> list[Probe | None]:
+    """The probe of the first table entry covering each lam, or None.
+
+    With d = L s_i, t = V_i/d; the base is lam - t alpha, the exit the least
+    (V_g s_i - V_i s_g)/(-s_g d) over s_g < 0, found by cross-multiplying.
+    Equal (numerator, denominator) pairs share one Fraction.
+    """
+    facets, alphas, S = table
+    slopes = S.tolist()
+    fraction = functools.cache(Fraction)
+    out: list[Probe | None] = []
+    for lam, row, e in zip(lams, V.tolist(), _first_probes(V, table).tolist()):
+        if e < 0:
+            out.append(None)
+            continue
+        i, alpha, s = facets[e], alphas[e], slopes[e]
+        vi, si = row[i], s[i]
+        d = scale * si
+        base = tuple(
+            fraction(x.numerator * d - vi * a * x.denominator, x.denominator * d)
+            for x, a in zip(lam, alpha)
+        )
+        least = None
+        for v, sg in zip(row, s):
+            if sg < 0:
+                num, den = v * si - vi * sg, -sg * d
+                if least is None or num * least[1] < least[0] * den:
+                    least = num, den
+        out.append(Probe(i, base, alpha, None if least is None else fraction(*least)))
+    return out
+
+
+def _fiber_rows(P: MomentPolytope, lams, table):
+    """Exact fibers, their facet values as integer rows V = L l(lam) over one
+    common denominator L, and L."""
+    lams = [tuple(Fraction(x) for x in lam) for lam in lams]
+    values = [facet_values(P, lam) for lam in lams]
+    scale = math.lcm(*(v.denominator for row in values for v in row))
+    rows = [[int(v * scale) for v in row] for row in values]
+    vmax = max((abs(v) for row in rows for v in row), default=0)
+    return lams, np.array(rows, dtype=_value_dtype(vmax, table)), scale
 
 
 def probe_through(
@@ -140,13 +193,38 @@ def probe_through(
     f = P.facets[facet_index]
     if not integrally_transverse(f, alpha):
         raise NotTransverse(f"direction {alpha} is not transverse to facet {facet_index}")
-    return _probe_at(P, lam, [_entry(facet_index, alpha, _slopes(P, alpha))])
+    table = [facet_index], [tuple(alpha)], _slopes(P, [alpha]).T
+    return _probes(*_fiber_rows(P, [lam], table), table)[0]
 
 
 def displaceable_by_probe(P: MomentPolytope, lam, bound: int = DEFAULT_BOUND) -> Probe | None:
     """First probe covering lam, scanning facets with primitive normal in
     order, then directions."""
-    return _probe_at(P, lam, _direction_table(P, bound))
+    table = _direction_table(P, bound)
+    return _probes(*_fiber_rows(P, [lam], table), table)[0]
+
+
+def _grid_probes(
+    P: MomentPolytope, resolution: int, table
+) -> dict[tuple[Fraction, ...], Probe | None]:
+    """probe_scan with its direction table given."""
+    box = bounding_box(P)
+    steps = [(hi - lo) / resolution for lo, hi in box]
+    axes = [[lo + k * h for k in range(resolution + 1)] for (lo, _), h in zip(box, steps)]
+    # l_g(lo + k h) = l_g(lo) + sum_j k_j v_gj h_j, scaled to integers by L
+    origin = facet_values(P, [lo for lo, _ in box])
+    rates = [[v * h for v, h in zip(f.normal, steps)] for f in P.facets]
+    scale = math.lcm(*(x.denominator for x in itertools.chain(origin, *rates)))
+    A = [int(x * scale) for x in origin]
+    B = [[int(x * scale) for x in row] for row in rates]
+    # every V_g, and every partial sum of it, is at most |A_g| + R sum_j |B_gj|
+    vmax = max(abs(a) + resolution * sum(map(abs, row)) for a, row in zip(A, B))
+    dtype = _value_dtype(vmax, table)
+    K = np.indices((resolution + 1,) * P.dimension).reshape(P.dimension, -1).T
+    V = np.array(A, dtype=dtype) + K @ np.array(B, dtype=dtype).T
+    inside = (V > 0).all(axis=1)
+    lams = [tuple(axis[k] for axis, k in zip(axes, ks)) for ks in K[inside].tolist()]
+    return dict(zip(lams, _probes(lams, V[inside], scale, table)))
 
 
 def probe_scan(
@@ -164,20 +242,4 @@ def probe_scan(
         raise UnboundedPolytope("grid scan needs a bounded polytope")
     if resolution < 1:
         raise ValueError("resolution must be positive")
-    table = _direction_table(P, bound)
-    box = bounding_box(P)
-    steps = [(hi - lo) / resolution for lo, hi in box]
-    axes = [[lo + k * h for k in range(resolution + 1)] for (lo, _), h in zip(box, steps)]
-    # l_g(lo + k h) = l_g(lo) + sum_j k_j v_gj h_j, scaled to integers by L
-    origin = facet_values(P, [lo for lo, _ in box])
-    rates = [[v * h for v, h in zip(f.normal, steps)] for f in P.facets]
-    scale = math.lcm(*(x.denominator for x in itertools.chain(origin, *rates)))
-    A = [int(x * scale) for x in origin]
-    B = [[int(x * scale) for x in row] for row in rates]
-    out: dict[tuple[Fraction, ...], Probe | None] = {}
-    for ks in itertools.product(range(resolution + 1), repeat=P.dimension):
-        values = [a + sum(k * b for k, b in zip(ks, row)) for a, row in zip(A, B)]
-        if min(values) > 0:
-            lam = tuple(axis[k] for axis, k in zip(axes, ks))
-            out[lam] = _first_probe(lam, values, scale, table)
-    return out
+    return _grid_probes(P, resolution, _direction_table(P, bound))

@@ -24,7 +24,7 @@ from .polytope import (
     is_bounded,
     polytope_to_json,
 )
-from .probes import Probe, Verdict, displaceable_by_probe, probe_scan
+from .probes import Probe, Verdict, _direction_table, _fiber_rows, _first_probes, _grid_probes
 from .solver import CriticalCertificate, find_critical_fibers
 
 TOOL_VERSION = "0.1.0"
@@ -69,16 +69,15 @@ def analyze(
     Raises ValueError for a direction bound or a grid resolution below 1,
     whether or not any probe search runs.
     """
-    if bound < 1:
-        raise ValueError("bound must be positive")
+    table = _direction_table(P, bound)  # the guard and the scan share it
     if resolution < 1:
         raise ValueError("resolution must be positive")
     certs = tuple(find_critical_fibers(P, alpha=alpha, truncation=truncation, seed=seed))
     cert_fibers = {c.fiber: i for i, c in enumerate(certs)}
     notes = [BULK_CAVEAT]
-    for fiber in cert_fibers:
-        probe = displaceable_by_probe(P, fiber, bound)
-        if probe is not None:
+    _, V, _ = _fiber_rows(P, cert_fibers, table)
+    for fiber, entry in zip(cert_fibers, _first_probes(V, table)):
+        if entry >= 0:
             raise InternalInconsistency(
                 f"fiber {fiber} is certified critical and displaced by a probe"
             )
@@ -86,7 +85,7 @@ def analyze(
     unknown: list[tuple[Fraction, ...]] = []
     if P.dimension <= 2 and is_bounded(P):
         # the scan repeats the guard's probe search, so certified fibers got None
-        for lam, probe in probe_scan(P, resolution, bound).items():
+        for lam, probe in _grid_probes(P, resolution, table).items():
             if lam in cert_fibers:
                 grid.append(Verdict(lam, "critical", None, cert_fibers[lam]))
             elif probe is not None:

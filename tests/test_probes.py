@@ -7,9 +7,12 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import toric_fiber_lab.probes as probes_mod
 from toric_fiber_lab import (
+    DimensionMismatch,
     DimensionUnsupported,
     NotTransverse,
     Probe,
@@ -143,6 +146,17 @@ def test_probe_through_matches_definition(P):
                     assert min(facet_values(P, end)) == 0
                     beyond = [x + a for x, a in zip(end, alpha)]
                     assert not is_interior(P, beyond)
+
+
+@pytest.mark.parametrize("alpha", [(1,), (1, 0, 5)])
+def test_probe_rejects_direction_of_wrong_length(alpha):
+    # zip would truncate (1, 0, 5) to (1, 0) and pad nothing onto (1,)
+    P = square_polytope()
+    message = f"has length {len(alpha)}, but the polytope has dimension 2"
+    with pytest.raises(DimensionMismatch, match=message):
+        probe_through(P, (F(-1, 2), F(0)), 0, alpha)
+    with pytest.raises(DimensionMismatch, match=message):
+        integrally_transverse(P.facets[0], alpha)
 
 
 def test_probe_rejects_non_transverse_direction():
@@ -331,6 +345,8 @@ REFERENCE_POLYTOPES = {
     "corner_cut_0": lambda: corner_cut_polytope(0),
     "corner_cut_1/2": lambda: corner_cut_polytope(F(1, 2)),
     "hexagon": hexagon_polytope,
+    # no facet normal is primitive, so the direction table is empty
+    "P22": lambda: make_polytope(1, [((2,), F(0)), ((-2,), F(-2))]),
 }
 
 
@@ -343,6 +359,33 @@ def test_scan_matches_reference(name, resolution, bound):
     expected = _reference_scan(P, resolution, bound)
     assert list(grid) == list(expected)  # same points in the same order
     assert grid == expected
+
+
+@pytest.mark.parametrize("name", REFERENCE_POLYTOPES)
+def test_single_fiber_probes_match_scan(name):
+    P = REFERENCE_POLYTOPES[name]()
+    for lam, probe in probe_scan(P, 16, 3).items():
+        assert displaceable_by_probe(P, lam, 3) == probe
+        if probe is not None:
+            assert probe_through(P, lam, probe.facet_index, probe.direction) == probe
+
+
+@pytest.mark.parametrize("c, dtype", [(2**61 - 16, np.int64), (2**61, object)])
+def test_scan_dtype_follows_overflow_bound(c, dtype, monkeypatch):
+    # on [0, c]^2 at resolution 16 (c a multiple of 16) the scaled facet values
+    # are the integers A_g + sum_j k_j B_gj, bounded by |A_g| + 16 sum_j |B_gj| = 2c,
+    # and bound 1 keeps every slope within 1: the kernel's bound 2c is just
+    # below 2**62 in the first case and equal to it in the second
+    P = make_polytope(2, [((1, 0), F(0)), ((0, 1), F(0)), ((-1, 0), F(-c)), ((0, -1), F(-c))])
+    kernel, seen = probes_mod._first_probes, []
+
+    def spy(V, table):
+        seen.append(V.dtype)
+        return kernel(V, table)
+
+    monkeypatch.setattr(probes_mod, "_first_probes", spy)
+    assert probe_scan(P, 16, 1) == _reference_scan(P, 16, 1)
+    assert seen == [np.dtype(dtype)]
 
 
 def test_scan_exact_beyond_64_bits():

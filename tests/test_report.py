@@ -94,11 +94,10 @@ def test_analyze_rejects_resolution_below_one_without_a_scan():
 
 
 def test_analyze_consistency_guard(monkeypatch):
-    # force the probe search to claim it displaces everything; a certified
-    # critical fiber must then trip the internal consistency check
-    bogus = Probe(0, (F(0),), (1,), F(10))
-    monkeypatch.setattr(report_mod, "displaceable_by_probe", lambda P, lam, bound: bogus)
-    with pytest.raises(InternalInconsistency):
+    # force the probe kernel to claim its first entry displaces everything; a
+    # certified critical fiber must then trip the internal consistency check
+    monkeypatch.setattr(report_mod, "_first_probes", lambda V, table: [0] * len(V))
+    with pytest.raises(InternalInconsistency, match="certified critical and displaced"):
         analyze(interval_polytope(), seed=0)
 
 
