@@ -25,7 +25,7 @@ from .polytope import (
     parse_polytope,
 )
 from .potential import build_potential, term_table
-from .probes import displaceable_by_probe, probe_scan
+from .probes import DEFAULT_BOUND, DEFAULT_RESOLUTION, displaceable_by_probe, probe_scan
 from .report import (
     TOOL_VERSION,
     analyze,
@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("probes", cmd_probes, "probe displaceability of one fiber or a grid")
     p.add_argument("--lambda", dest="fiber", help="fiber to test")
     p.add_argument("--scan", type=int, help="grid resolution")
-    p.add_argument("--bound", type=int, default=3, help="direction sup-norm bound")
+    p.add_argument("--bound", type=int, default=DEFAULT_BOUND, help="direction sup-norm bound")
     p.add_argument("--json", action="store_true")
 
     p = add("disks", cmd_disks, "list index-2 disk classes at a fiber")
@@ -281,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bulk", help="JSON file with per-facet twist series")
         p.add_argument("--truncation", help="truncation order p/q")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--bound", type=int, default=3)
-        p.add_argument("--resolution", type=int, default=16)
+        p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+        p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
 
     p = add("analyze", cmd_analyze, "full analysis: critical fibers + probe grid")
     add_analysis_flags(p)

@@ -2,9 +2,14 @@
 
 A polytope in R^n is the set {x : l_i(x) >= 0} for facet functions
 l_i(x) = <x, v_i> - c_i with integer normal v_i (inward, not necessarily
-primitive) and rational offset c_i.  Everything in this module is exact
-Fraction arithmetic; no floating point, so tropical equalities l_i = l_j
-can be decided reliably downstream.
+primitive) and rational offset c_i.  Nothing here uses floating point, so
+tropical equalities l_i = l_j can be decided reliably downstream.  Facet
+values are Fractions; vertices and boundedness come from one integer kernel
+(_int_cross, cramer_solve) that solves stacks of small square systems at
+once, with the offsets scaled to integers.  It runs in int64 when a bound on
+every integer it forms is below 2**62 and on Python integers otherwise
+(int_dtype): numpy's int64 arithmetic wraps without a warning.  The solver's
+lower faces and the probe kernel share both.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import DimensionMismatch, EmptyInterior, NotInterior, SchemaError
 
@@ -33,7 +40,10 @@ class MomentPolytope:
     witness: tuple[Fraction, ...]  # validated rational interior point
 
 
-# -- exact linear algebra helpers -------------------------------------------
+CHUNK = 2**14  # integer systems solved per vectorized batch
+
+
+# -- exact linear algebra ------------------------------------------------------
 
 
 def exact_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -60,35 +70,44 @@ def exact_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
     return m, pivots
 
 
-def exact_rank(rows: list[list[Fraction]]) -> int:
-    _, pivots = exact_rref(rows)
-    return len(pivots)
+def int_dtype(top: int):
+    """int64 if top, a bound on every integer formed, is below 2**62, else Python integers."""
+    return np.int64 if top < 2**62 else object
 
 
-def exact_kernel(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
-    """Basis of the null space of the (possibly empty) row system in R^n."""
-    rref, pivots = exact_rref(rows)
-    basis = []
-    for f in (j for j in range(n) if j not in pivots):
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -rref[r][f]
-        basis.append(vec)
-    return basis
-
-
-def exact_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Unique solution of a square system, or None when singular.
-
-    The solution is unique exactly when the augmented RREF pivots on every
-    unknown and not on the constant column.
+def _int_cross(X: np.ndarray) -> np.ndarray:
+    """w_i = (-1)^i det(X without column i) for the integer m x (m+1)
+    matrices X stacked on the leading axis: X w = 0, and w != 0 exactly when
+    X has rank m.  Laplace expansion along the first row, each minor of the
+    last rows formed once per set of columns, exact in the dtype of X.
     """
-    n = len(rows)
-    rref, pivots = exact_rref([row + [b] for row, b in zip(rows, rhs)])
-    if pivots != list(range(n)):
-        return None
-    return [rref[r][n] for r in range(n)]
+    m, k = X.shape[-2:]
+    minors = {(): np.ones(X.shape[:-2], dtype=X.dtype)}  # columns -> minor of the last rows
+    for r in range(m - 1, -1, -1):
+        minors = {
+            cols: sum((-1) ** p * X[..., r, c] * minors[cols[:p] + cols[p + 1 :]]
+                      for p, c in enumerate(cols))
+            for cols in itertools.combinations(range(k), m - r)
+        }
+    return np.stack([(-1) ** i * minors[(*range(i), *range(i + 1, k))] for i in range(k)], -1)
+
+
+def cramer_solve(M: np.ndarray, rhs: np.ndarray):
+    """Solve the stacked square integer systems M[k] x = rhs[k] by Cramer's rule:
+    (live, d, N) with live the k where det M[k] != 0, d = |det M[k]| and N = d x.
+    With w = _int_cross([M | rhs]), x = -w[:n] / w[n] and w[n] = +-det M."""
+    w = _int_cross(np.concatenate([M, rhs[..., None]], axis=-1))
+    live = np.flatnonzero(w[:, -1] != 0)
+    w = w[live]
+    sign = np.where(w[:, -1] > 0, -1, 1)
+    return live, -sign * w[:, -1], sign[:, None] * w[:, :-1]
+
+
+def _subsets(count: int, k: int):
+    """The k-subsets of range(count), in order, as arrays of CHUNK rows at most."""
+    combos = itertools.combinations(range(count), k)
+    while block := list(itertools.islice(combos, CHUNK)):
+        yield np.array(block, dtype=np.intp).reshape(len(block), k)
 
 
 # -- construction ------------------------------------------------------------
@@ -115,6 +134,8 @@ def make_polytope(
     """Validate facet data and locate a rational interior point."""
     if dimension < 1:
         raise SchemaError("dimension must be a positive integer")
+    if not facets:
+        raise SchemaError("facets must be a nonempty list")
     built = []
     for normal, offset in facets:
         if len(normal) != dimension:
@@ -148,8 +169,8 @@ def _find_witness(P: MomentPolytope) -> tuple[Fraction, ...]:
     if not is_bounded(P):
         coords = [abs(x) for v in enumerate_vertices(P) for x in v]
         half = 2 * max(coords or [abs(f.offset) for f in P.facets]) + 1
-        axes = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-        box = [Facet(tuple(s * x for x in e), -half) for e in axes for s in (1, -1)]
+        box = [Facet(tuple(s * (i == j) for i in range(n)), -half)
+               for j in range(n) for s in (1, -1)]
         cut = MomentPolytope(n, P.facets + tuple(box), P.witness)
     verts = enumerate_vertices(cut)
     if verts:
@@ -174,7 +195,7 @@ def parse_polytope(text: str) -> MomentPolytope:
         raise SchemaError(f"missing required key {exc}") from exc
     if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
         raise SchemaError("dimension must be a positive integer")
-    if not isinstance(raw_facets, list) or not raw_facets:
+    if not isinstance(raw_facets, list):
         raise SchemaError("facets must be a nonempty list")
     facets = []
     for item in raw_facets:
@@ -248,39 +269,48 @@ def primitive_normal(f: Facet) -> tuple[int, ...]:
 
 
 def enumerate_vertices(P: MomentPolytope) -> list[tuple[Fraction, ...]]:
-    """All intersections of n facet hyperplanes satisfying every inequality."""
-    n = P.dimension
+    """All intersections of n facet hyperplanes satisfying every inequality.
+
+    With offsets scaled to integers C = L c, cramer_solve gives each n-subset
+    of facets as d L x = N; x is a vertex when <v_g, N> >= d C_g for every g.
+    """
+    n, a = P.dimension, max(abs(x) for f in P.facets for x in f.normal)
+    L = math.lcm(*(f.offset.denominator for f in P.facets))
+    C = [int(f.offset * L) for f in P.facets]
+    # |d| <= n! a^n, |N_i| <= n! a^(n-1) max|C|, each pairing <= (n+1) n! a^n max|C|
+    dtype = int_dtype((n + 1) * math.factorial(n) * a**n * max(1, *map(abs, C)))
+    A = np.array([f.normal for f in P.facets], dtype=dtype)
+    C = np.array(C, dtype=dtype)
     seen: set[tuple[Fraction, ...]] = set()
-    for subset in itertools.combinations(range(len(P.facets)), n):
-        rows = [[Fraction(x) for x in P.facets[i].normal] for i in subset]
-        rhs = [P.facets[i].offset for i in subset]
-        x = exact_solve(rows, rhs)
-        if x is None:
-            continue
-        if all(v >= 0 for v in facet_values(P, x)):
-            seen.add(tuple(x))
+    for S in _subsets(len(A), n):
+        _, d, N = cramer_solve(A[S], C[S])
+        ok = (N @ A.T >= d[:, None] * C).all(axis=1)
+        for row, dk in zip(N[ok].tolist(), d[ok].tolist()):
+            seen.add(tuple(Fraction(x, dk * L) for x in row))
     return sorted(seen)
 
 
 def is_bounded(P: MomentPolytope) -> bool:
-    """True iff the recession cone {d : <v_i, d> >= 0 for all i} is {0}."""
+    """True iff the recession cone {d : <v_i, d> >= 0 for all i} is {0}.
+
+    Every kernel vector c = _int_cross of n - 1 normals is zero when they have
+    rank < n - 1.  Otherwise the cone is {0} exactly when no nonzero c pairs
+    with every normal with one sign: at rank n - 1 some c is orthogonal to
+    every normal, at rank n every extreme ray is some c or -c.
+    """
     n = P.dimension
-    normals = [[Fraction(x) for x in f.normal] for f in P.facets]
-    if exact_rank(normals) < n:
-        return False  # the polytope contains a line direction
-    # any unbounded direction lies on an extreme ray cut out by n-1 normals
-    for subset in itertools.combinations(range(len(normals)), n - 1):
-        rows = [normals[i] for i in subset]
-        kern = exact_kernel(rows, n)
-        if len(kern) != 1:
-            continue
-        d = kern[0]
-        for cand in (d, [-x for x in d]):
-            if any(x != 0 for x in cand) and all(
-                sum(a * b for a, b in zip(row, cand)) >= 0 for row in normals
-            ):
-                return False
-    return True
+    # every minor and pairing is at most n! a^n
+    dtype = int_dtype(math.factorial(n) * max(abs(x) for f in P.facets for x in f.normal) ** n)
+    A = np.array([f.normal for f in P.facets], dtype=dtype)
+    spans = False
+    for S in _subsets(len(A), n - 1):
+        c = _int_cross(A[S])
+        pairs = c @ A.T
+        live = (c != 0).any(axis=1)
+        if (live & ((pairs >= 0).all(axis=1) | (pairs <= 0).all(axis=1))).any():
+            return False
+        spans |= live.any()
+    return bool(spans)
 
 
 def bounding_box(P: MomentPolytope) -> tuple[tuple[Fraction, Fraction], ...]:

@@ -14,9 +14,9 @@ per scan.  The probe from entry (i, alpha) covers the fiber when
 V_g s_i > V_i W_g for every facet g, with W_g = |s_g| and W_i = 0, and
 _first_probes tests every table entry against a block of fibers in one
 numpy comparison.  It runs in int64 when a bound on max|V| * max|s| is below
-2**62 and on Python integers otherwise: numpy's int64 arithmetic wraps
-without a warning, so only that bound keeps it exact.  Fractions (base, exit
-parameter) are built only for the probe that is returned.
+2**62 and on Python integers otherwise, by the polytope kernel's rule
+(polytope.int_dtype).  Fractions (base, exit parameter) are built only for
+the probe that is returned.
 """
 
 from __future__ import annotations
@@ -34,11 +34,13 @@ from .polytope import (
     MomentPolytope,
     bounding_box,
     facet_values,
+    int_dtype,
     is_bounded,
     primitive_normal,
 )
 
-DEFAULT_BOUND = 3
+DEFAULT_BOUND = 3  # direction sup-norm bound
+DEFAULT_RESOLUTION = 16  # grid steps per axis in analyze
 
 
 @dataclass(frozen=True)
@@ -69,17 +71,11 @@ def integrally_transverse(f, alpha: tuple[int, ...]) -> bool:
     return sum(a * b for a, b in zip(primitive_normal(f), alpha)) == 1
 
 
-def _dtype(top: int):
-    """int64 when top, a bound on every integer formed, is below 2**62;
-    Python integers otherwise."""
-    return np.int64 if top < 2**62 else object
-
-
 def _slopes(P: MomentPolytope, alphas) -> np.ndarray:
     """s_g = <v_g, alpha> for each facet g (row) and direction alpha (column)."""
     normals = [f.normal for f in P.facets]
     big = max(map(abs, itertools.chain(*normals))) * max(map(abs, itertools.chain(*alphas)))
-    dtype = _dtype(P.dimension * big)
+    dtype = int_dtype(P.dimension * big)
     return np.array(normals, dtype=dtype) @ np.array(alphas, dtype=dtype).T
 
 
@@ -103,7 +99,7 @@ def _direction_table(P: MomentPolytope, bound: int):
 def _value_dtype(vmax: int, table):
     """The kernel's dtype for facet values |V_g| <= vmax: its products are at
     most vmax * max|s|."""
-    return _dtype(vmax * int(np.abs(table[2]).max(initial=1)))
+    return int_dtype(vmax * int(np.abs(table[2]).max(initial=1)))
 
 
 def _first_probes(V: np.ndarray, table) -> np.ndarray:
@@ -164,15 +160,14 @@ def _probes(lams, V: np.ndarray, scale: int, table) -> list[Probe | None]:
     return out
 
 
-def _fiber_rows(P: MomentPolytope, lams, table):
-    """Exact fibers, their facet values as integer rows V = L l(lam) over one
-    common denominator L, and L."""
-    lams = [tuple(Fraction(x) for x in lam) for lam in lams]
-    values = [facet_values(P, lam) for lam in lams]
-    scale = math.lcm(*(v.denominator for row in values for v in row))
-    rows = [[int(v * scale) for v in row] for row in values]
-    vmax = max((abs(v) for row in rows for v in row), default=0)
-    return lams, np.array(rows, dtype=_value_dtype(vmax, table)), scale
+def _probe_at(P: MomentPolytope, lam, table) -> Probe | None:
+    """_probes for one fiber, its facet values scaled to integers V = L l(lam)."""
+    lam = tuple(Fraction(x) for x in lam)
+    values = facet_values(P, lam)
+    scale = math.lcm(*(v.denominator for v in values))
+    row = [int(v * scale) for v in values]
+    V = np.array([row], dtype=_value_dtype(max(map(abs, row)), table))
+    return _probes([lam], V, scale, table)[0]
 
 
 def probe_through(
@@ -194,37 +189,14 @@ def probe_through(
     if not integrally_transverse(f, alpha):
         raise NotTransverse(f"direction {alpha} is not transverse to facet {facet_index}")
     table = [facet_index], [tuple(alpha)], _slopes(P, [alpha]).T
-    return _probes(*_fiber_rows(P, [lam], table), table)[0]
+    return _probe_at(P, lam, table)
 
 
 def displaceable_by_probe(P: MomentPolytope, lam, bound: int = DEFAULT_BOUND) -> Probe | None:
     """First probe covering lam, scanning facets with primitive normal in
     order, then directions."""
     table = _direction_table(P, bound)
-    return _probes(*_fiber_rows(P, [lam], table), table)[0]
-
-
-def _grid_probes(
-    P: MomentPolytope, resolution: int, table
-) -> dict[tuple[Fraction, ...], Probe | None]:
-    """probe_scan with its direction table given."""
-    box = bounding_box(P)
-    steps = [(hi - lo) / resolution for lo, hi in box]
-    axes = [[lo + k * h for k in range(resolution + 1)] for (lo, _), h in zip(box, steps)]
-    # l_g(lo + k h) = l_g(lo) + sum_j k_j v_gj h_j, scaled to integers by L
-    origin = facet_values(P, [lo for lo, _ in box])
-    rates = [[v * h for v, h in zip(f.normal, steps)] for f in P.facets]
-    scale = math.lcm(*(x.denominator for x in itertools.chain(origin, *rates)))
-    A = [int(x * scale) for x in origin]
-    B = [[int(x * scale) for x in row] for row in rates]
-    # every V_g, and every partial sum of it, is at most |A_g| + R sum_j |B_gj|
-    vmax = max(abs(a) + resolution * sum(map(abs, row)) for a, row in zip(A, B))
-    dtype = _value_dtype(vmax, table)
-    K = np.indices((resolution + 1,) * P.dimension).reshape(P.dimension, -1).T
-    V = np.array(A, dtype=dtype) + K @ np.array(B, dtype=dtype).T
-    inside = (V > 0).all(axis=1)
-    lams = [tuple(axis[k] for axis, k in zip(axes, ks)) for ks in K[inside].tolist()]
-    return dict(zip(lams, _probes(lams, V[inside], scale, table)))
+    return _probe_at(P, lam, table)
 
 
 def probe_scan(
@@ -242,4 +214,21 @@ def probe_scan(
         raise UnboundedPolytope("grid scan needs a bounded polytope")
     if resolution < 1:
         raise ValueError("resolution must be positive")
-    return _grid_probes(P, resolution, _direction_table(P, bound))
+    table = _direction_table(P, bound)
+    box = bounding_box(P)
+    steps = [(hi - lo) / resolution for lo, hi in box]
+    axes = [[lo + k * h for k in range(resolution + 1)] for (lo, _), h in zip(box, steps)]
+    # l_g(lo + k h) = l_g(lo) + sum_j k_j v_gj h_j, scaled to integers by L
+    origin = facet_values(P, [lo for lo, _ in box])
+    rates = [[v * h for v, h in zip(f.normal, steps)] for f in P.facets]
+    scale = math.lcm(*(x.denominator for x in itertools.chain(origin, *rates)))
+    A = [int(x * scale) for x in origin]
+    B = [[int(x * scale) for x in row] for row in rates]
+    # every V_g, and every partial sum of it, is at most |A_g| + R sum_j |B_gj|
+    vmax = max(abs(a) + resolution * sum(map(abs, row)) for a, row in zip(A, B))
+    dtype = _value_dtype(vmax, table)
+    K = np.indices((resolution + 1,) * P.dimension).reshape(P.dimension, -1).T
+    V = np.array(A, dtype=dtype) + K @ np.array(B, dtype=dtype).T
+    inside = (V > 0).all(axis=1)
+    lams = [tuple(axis[k] for axis, k in zip(axes, ks)) for ks in K[inside].tolist()]
+    return dict(zip(lams, _probes(lams, V[inside], scale, table)))

@@ -24,7 +24,8 @@ from .polytope import (
     is_bounded,
     polytope_to_json,
 )
-from .probes import Probe, Verdict, _direction_table, _fiber_rows, _first_probes, _grid_probes
+from .probes import DEFAULT_BOUND, DEFAULT_RESOLUTION, Probe, Verdict
+from .probes import displaceable_by_probe, probe_scan
 from .solver import CriticalCertificate, find_critical_fibers
 
 TOOL_VERSION = "0.1.0"
@@ -60,8 +61,8 @@ def analyze(
     P: MomentPolytope,
     seed: int = 0,
     truncation=None,
-    bound: int = 3,
-    resolution: int = 16,
+    bound: int = DEFAULT_BOUND,
+    resolution: int = DEFAULT_RESOLUTION,
     alpha=None,
 ) -> AnalysisReport:
     """Run the critical-fiber search and the probe scan, then classify.
@@ -69,23 +70,20 @@ def analyze(
     Raises ValueError for a direction bound or a grid resolution below 1,
     whether or not any probe search runs.
     """
-    table = _direction_table(P, bound)  # the guard and the scan share it
+    if bound < 1:
+        raise ValueError("bound must be positive")
     if resolution < 1:
         raise ValueError("resolution must be positive")
     certs = tuple(find_critical_fibers(P, alpha=alpha, truncation=truncation, seed=seed))
     cert_fibers = {c.fiber: i for i, c in enumerate(certs)}
     notes = [BULK_CAVEAT]
-    _, V, _ = _fiber_rows(P, cert_fibers, table)
-    for fiber, entry in zip(cert_fibers, _first_probes(V, table)):
-        if entry >= 0:
-            raise InternalInconsistency(
-                f"fiber {fiber} is certified critical and displaced by a probe"
-            )
+    for lam in filter(lambda x: displaceable_by_probe(P, x, bound), cert_fibers):
+        raise InternalInconsistency(f"fiber {lam} is certified critical and displaced by a probe")
     grid: list[Verdict] = []
     unknown: list[tuple[Fraction, ...]] = []
     if P.dimension <= 2 and is_bounded(P):
-        # the scan repeats the guard's probe search, so certified fibers got None
-        for lam, probe in _grid_probes(P, resolution, table).items():
+        # the guard above found no probe at a certified fiber
+        for lam, probe in probe_scan(P, resolution, bound).items():
             if lam in cert_fibers:
                 grid.append(Verdict(lam, "critical", None, cert_fibers[lam]))
             elif probe is not None:
@@ -232,7 +230,7 @@ def render_svg(report: AnalysisReport) -> str:
         f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
         f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="#ffffff" />',
     ]
-    resolution = report.config.get("resolution") or 16
+    resolution = report.config.get("resolution") or DEFAULT_RESOLUTION
     cw = scale * wx / resolution
     ch = scale * wy / resolution
     for v in report.grid:

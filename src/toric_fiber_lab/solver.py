@@ -45,9 +45,12 @@ from .novikov import (
     val,
 )
 from .polytope import (
+    CHUNK,
     MomentPolytope,
+    cramer_solve,
     exact_rref,
     facet_values,
+    int_dtype,
 )
 from .potential import (
     Potential,
@@ -63,7 +66,6 @@ DIAG_TOL = 1e-8  # floor for leading-matrix entries (diagonal: relative)
 ROOT_RESIDUAL_TOL = 1e-10
 ROOT_DEDUP_TOL = 1e-6
 MAX_LIFTINGS = 8
-CELL_CHUNK = 2**14  # pair choices tested per vectorized batch
 GOLDEN_FRACTION = (5**0.5 - 1) / 2  # spreads the fixed homotopy angles theta_a
 PATH_TOL = 1e-9
 PATH_MAX_STEP = 0.1
@@ -306,19 +308,6 @@ def _binomial_roots(E: list[list[int]], r: list[complex]):
     return roots
 
 
-def _int_det(M: np.ndarray) -> np.ndarray:
-    """Determinants of the integer matrices stacked on the leading axis.
-
-    Cofactor expansion, exact in the dtype of M (int64 or Python integers).
-    """
-    if M.shape[-1] == 1:
-        return M[..., 0, 0]
-    return sum(
-        (-1) ** k * M[..., 0, k] * _int_det(np.delete(M[..., 1:, :], k, axis=-1))
-        for k in range(M.shape[-1])
-    )
-
-
 def _lifting(supports, attempt: int) -> list[list[int]]:
     """Fixed integer heights in [0, 2^(4 + attempt)) for every support point.
 
@@ -345,40 +334,30 @@ def _lower_faces(supports, lifting):
     heights h.  A pair (a_j, b_j) per row fixes the inner normal (alpha, 1)
     by <a_j - b_j, alpha> = h(b_j) - h(a_j); the choice is a lower face when
     no point a of row j lies below the pair.  With M the integer matrix of
-    rows a_j - b_j and d = |det M| > 0, Cramer's rule gives N = d alpha in
+    rows a_j - b_j and d = |det M| > 0, cramer_solve gives N = d alpha in
     integers, and the height of a above the face, times d, is the integer
     s = <a - a_j, N> + d (h(a) - h(a_j)) >= 0.  The pair choices are tested
-    CELL_CHUNK at a time in int64, or in Python integers when the entries
-    could overflow it.  Returns one (pairs, d, N, s) per lower face, ties
+    CHUNK at a time, in the dtype int_dtype picks for the bound below.  Returns one (pairs, d, N, s) per lower face, ties
     (a zero s off the pair) included, with s[j] listed over supports[j].
     """
     n = len(supports)
     big = max(abs(x) for S in supports for a in S for x in a)
     top = max(abs(x) for hj in lifting for x in hj)
     # |d| <= n! (2 big)^n, |N_i| <= n! (2 big)^(n-1) 2 top, |s| <= 2 (n+1) n! (2 big)^n top
-    bound = 2 * (n + 1) * math.factorial(n) * (2 * big) ** n * (top + 1)
-    dtype = np.int64 if bound < 2**62 else object
+    dtype = int_dtype(2 * (n + 1) * math.factorial(n) * (2 * big) ** n * (top + 1))
     S = [np.array(Sj, dtype=dtype) for Sj in supports]
     h = [np.array(hj, dtype=dtype) for hj in lifting]
     pairs = [np.array(list(itertools.combinations(range(len(Sj)), 2))) for Sj in supports]
     shape = [len(p) for p in pairs]
     total = math.prod(shape)
     faces = []
-    for first in range(0, total, CELL_CHUNK):
-        grid = np.unravel_index(np.arange(first, min(first + CELL_CHUNK, total)), shape)
+    for first in range(0, total, CHUNK):
+        grid = np.unravel_index(np.arange(first, min(first + CHUNK, total)), shape)
         ab = np.stack([p[g] for p, g in zip(pairs, grid)], axis=1)  # (choices, n, 2)
         M = np.stack([S[j][ab[:, j, 0]] - S[j][ab[:, j, 1]] for j in range(n)], axis=1)
         rhs = np.stack([h[j][ab[:, j, 1]] - h[j][ab[:, j, 0]] for j in range(n)], axis=1)
-        d = _int_det(M)
-        live = d != 0
-        ab, M, rhs, d = ab[live], M[live], rhs[live], d[live]
-        cramer = (
-            np.concatenate([M[..., :i], rhs[..., None], M[..., i + 1 :]], axis=-1)
-            for i in range(n)
-        )
-        sign = np.where(d > 0, 1, -1)
-        N = sign[:, None] * np.stack([_int_det(Mi) for Mi in cramer], axis=1)
-        d = sign * d
+        live, d, N = cramer_solve(M, rhs)
+        ab = ab[live]
         choice = np.arange(len(d))
         above = []
         face = np.ones(len(d), dtype=bool)

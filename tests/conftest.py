@@ -19,6 +19,22 @@ from toric_fiber_lab import make_polytope
 F = Fraction
 
 
+def fraction_solve(rows, rhs):
+    """The unique solution of a square Fraction system by Gauss-Jordan
+    elimination, or None when it is singular."""
+    m = [list(row) + [b] for row, b in zip(rows, rhs)]
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        for r in range(len(m)):
+            if r != col:
+                f = m[r][col] / m[col][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return [row[-1] / row[i] for i, row in enumerate(m)]
+
+
 def interval_polytope():
     return make_polytope(1, [((1,), F(0)), ((-1,), F(-1))])
 

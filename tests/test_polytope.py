@@ -1,11 +1,15 @@
 """Polytope parsing, exact facet arithmetic, vertices, boundedness."""
 
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import toric_fiber_lab.polytope as polytope_mod
 from toric_fiber_lab import (
     DimensionMismatch,
     EmptyInterior,
@@ -21,16 +25,11 @@ from toric_fiber_lab import (
     polytope_to_json,
     primitive_normal,
 )
-from toric_fiber_lab.polytope import (
-    exact_kernel,
-    exact_rank,
-    exact_solve,
-    format_point,
-    interior_values,
-)
+from toric_fiber_lab.polytope import Facet, MomentPolytope, format_point, interior_values
 from conftest import (
     INTERVAL_JSON,
     corner_cut_polytope,
+    fraction_solve,
     orbifold_interval_polytope,
     plane_blowup_polytope,
     weighted_plane_polytope,
@@ -71,6 +70,13 @@ def test_parse_rejects_malformed_documents():
             parse_polytope(text)
     with pytest.raises(SchemaError):
         parse_polytope('{"dimension": 1, "facets": [[[1], "x/y"], [[-1], -1]]}')
+
+
+def test_make_polytope_rejects_empty_facet_list():
+    with pytest.raises(SchemaError, match="facets must be a nonempty list"):
+        make_polytope(1, [])
+    with pytest.raises(SchemaError, match="facets must be a nonempty list"):
+        parse_polytope('{"dimension": 2, "facets": []}')
 
 
 def test_witness_validation():
@@ -237,42 +243,62 @@ def test_vertices_lie_on_boundary():
             assert sum(1 for x in values if x == 0) >= P.dimension
 
 
-def _apply(rows, x):
-    return [sum(a * b for a, b in zip(row, x)) for row in rows]
+def _pairing(normal, x):
+    return sum(a * b for a, b in zip(normal, x))
 
 
-def test_exact_solve_matches_rank_on_square_systems():
-    # a solution exactly when the square system has full rank; singular
-    # systems give None whether or not they are consistent
-    rng = random.Random(0)
-    seen = {"unique": 0, "consistent": 0, "inconsistent": 0}
-    for _ in range(300):
-        n = rng.randint(1, 3)
-        rows = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
-        if rng.random() < 0.5:
-            rhs = _apply(rows, [F(rng.randint(-2, 2)) for _ in range(n)])
-        else:
-            rhs = [F(rng.randint(-2, 2)) for _ in range(n)]
-        x = exact_solve(rows, rhs)
-        if exact_rank(rows) == n:
-            seen["unique"] += 1
-            assert _apply(rows, x) == rhs
-        else:
-            augmented = [r + [b] for r, b in zip(rows, rhs)]
-            seen["consistent" if exact_rank(augmented) == exact_rank(rows) else "inconsistent"] += 1
-            assert x is None
-    assert min(seen.values()) >= 20  # every kind is exercised
+def _reference_vertices(P):
+    # solve every n-subset of facets; keep the points meeting every inequality
+    found = set()
+    for subset in itertools.combinations(P.facets, P.dimension):
+        x = fraction_solve([[F(a) for a in f.normal] for f in subset], [f.offset for f in subset])
+        if x is not None and all(_pairing(f.normal, x) >= f.offset for f in P.facets):
+            found.add(tuple(x))
+    return sorted(found)
 
 
-def test_exact_kernel_spans_the_null_space():
-    rng = random.Random(1)
-    for _ in range(300):
-        m, n = rng.randint(0, 3), rng.randint(1, 3)
-        rows = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(m)]
-        kern = exact_kernel(rows, n)
-        assert len(kern) == n - exact_rank(rows)
-        assert exact_rank(kern) == len(kern)
-        assert all(_apply(rows, vec) == [0] * m for vec in kern)
-    # one vector per free column, with 1 there and 0 at the other free columns
-    assert exact_kernel([[F(1), F(2), F(0)]], 3) == [[-2, 1, 0], [0, 0, 1]]
-    assert exact_kernel([], 2) == [[1, 0], [0, 1]]
+def _reference_bounded(P):
+    # every cofactor ray of n - 1 normals with entries in [-2, 2] has
+    # |d_i| <= (n-1)! 2^(n-1), so a nonzero recession direction lies in this box
+    r = math.factorial(P.dimension - 1) * 2 ** (P.dimension - 1)
+    return not any(
+        any(d) and all(_pairing(f.normal, d) >= 0 for f in P.facets)
+        for d in itertools.product(range(-r, r + 1), repeat=P.dimension)
+    )
+
+
+def test_vertices_and_boundedness_match_the_definitions():
+    # random inequality systems, empty and lower-dimensional ones included
+    rng = random.Random(2)
+    for n in (1, 2, 3):
+        seen = {"bounded": 0, "unbounded": 0, "vertices": 0}
+        for _ in range(40):
+            facets, m = [], rng.randint(1, 3 * n + 1)
+            while len(facets) < m:
+                normal = tuple(rng.randint(-2, 2) for _ in range(n))
+                if any(normal):
+                    facets.append(Facet(normal, F(rng.randint(-6, 6), rng.randint(1, 3))))
+            P = MomentPolytope(n, tuple(facets), (F(0),) * n)
+            vertices, bounded = enumerate_vertices(P), is_bounded(P)
+            assert vertices == _reference_vertices(P)
+            assert bounded == _reference_bounded(P)
+            seen["bounded" if bounded else "unbounded"] += 1
+            seen["vertices"] += bool(vertices)
+        assert min(seen.values()) >= 10  # every kind is exercised in every dimension
+
+
+@pytest.mark.parametrize("c, dtype", [(2**61 - 1, np.int64), (2**61, object)])
+def test_vertex_dtype_follows_overflow_bound(c, dtype, monkeypatch):
+    # on the interval [0, c] the kernel's bound (n+1) n! a^n max|C| is 2c:
+    # just below 2**62 in the first case and equal to it in the second
+    P = make_polytope(1, [((1,), F(0)), ((-1,), F(-c))])
+    kernel, seen = polytope_mod._int_cross, set()
+
+    def recorded(M):
+        seen.add(M.dtype)
+        return kernel(M)
+
+    monkeypatch.setattr(polytope_mod, "_int_cross", recorded)
+    assert enumerate_vertices(P) == _reference_vertices(P) == [(F(0),), (F(c),)]
+    assert seen == {np.dtype(dtype)}
+    assert P.witness == (F(c, 2),)

@@ -94,9 +94,10 @@ def test_analyze_rejects_resolution_below_one_without_a_scan():
 
 
 def test_analyze_consistency_guard(monkeypatch):
-    # force the probe kernel to claim its first entry displaces everything; a
-    # certified critical fiber must then trip the internal consistency check
-    monkeypatch.setattr(report_mod, "_first_probes", lambda V, table: [0] * len(V))
+    # force the probe search to claim every fiber is displaced; a certified
+    # critical fiber must then trip the internal consistency check
+    probe = Probe(0, (F(0),), (1,), None)
+    monkeypatch.setattr(report_mod, "displaceable_by_probe", lambda P, lam, bound: probe)
     with pytest.raises(InternalInconsistency, match="certified critical and displaced"):
         analyze(interval_polytope(), seed=0)
 

@@ -40,11 +40,12 @@ from toric_fiber_lab import (
     zero_series,
 )
 from toric_fiber_lab.novikov import INF
-from toric_fiber_lab.polytope import exact_solve
+import toric_fiber_lab.polytope as polytope_mod
 from toric_fiber_lab.potential import term_values
 from conftest import (
     BENCH_CASES,
     corner_cut_polytope,
+    fraction_solve,
     hexagon_polytope,
     interval_polytope,
     orbifold_interval_polytope,
@@ -133,7 +134,7 @@ def _pair_solutions(P, minimal):
     choices = {}
     for pairs in itertools.product(*(itertools.combinations(s, 2) for s in supports)):
         rows = [[F(a - b) for a, b in zip(normals[i], normals[k])] for i, k in pairs]
-        lam = exact_solve(rows, [P.facets[i].offset - P.facets[k].offset for i, k in pairs])
+        lam = fraction_solve(rows, [P.facets[i].offset - P.facets[k].offset for i, k in pairs])
         if lam is not None:
             choices.setdefault(tuple(lam), []).append(pairs)
     found = {}
@@ -207,13 +208,13 @@ def test_points_only_a_non_minimal_pair_isolates_have_no_leading_root():
 def test_candidates_with_heights_past_int64_use_python_integers(facets, monkeypatch):
     P = make_polytope(2, [(v, F(c)) for v, c in facets])
     dtypes = set()
-    det = solver_mod._int_det
+    kernel = polytope_mod._int_cross
 
     def recorded(M):
         dtypes.add(M.dtype)
-        return det(M)
+        return kernel(M)
 
-    monkeypatch.setattr(solver_mod, "_int_det", recorded)
+    monkeypatch.setattr(polytope_mod, "_int_cross", recorded)
     found = [(c.fiber, c.per_direction_minima) for c in tropical_candidates(P)]
     assert dtypes == {np.dtype(object)}
     assert found and found == _pair_solutions(P, minimal=True)
