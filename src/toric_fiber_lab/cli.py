@@ -86,9 +86,11 @@ def _load_bulk(path: str | None, n_facets: int, truncation=None):
 
 
 def _truncation(args):
-    if getattr(args, "truncation", None) is None:
-        return None
-    return Fraction(args.truncation)
+    text = getattr(args, "truncation", None)
+    try:
+        return None if text is None else Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValidationError(f"cannot parse truncation {text!r}: {exc}") from exc
 
 
 def cmd_validate(args) -> int:

@@ -6,6 +6,12 @@ by every series.  All arithmetic discards exponents >= D, so a series stands
 for an element of the valuation ring known up to q^D.  Exponent bookkeeping is
 exact; coefficients are complex floats.
 
+Storage is an exact integer grid: each exponent e is the key e * den and D is
+top = D * den, den a common denominator, and operands on different grids are
+aligned to the lcm of their dens.  .terms is a (Fraction, complex) view built on
+first read.  Only abs(c) < PRUNE_THRESHOLD prunes a coefficient, so a non-finite
+one is kept and a NaN residual never reads as zero.
+
 A unit a = a_0 + (terms of positive exponent) is inverted in one pass over
 the exponents of its inverse, which lie in the monoid generated by the
 positive exponents of a (see nov_inverse).  Laurent monomials z^v are formed
@@ -16,8 +22,9 @@ from __future__ import annotations
 
 import cmath
 import heapq
-from dataclasses import dataclass
+import math
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import NegativeValuation, NotAUnit, SchemaError, TruncationMismatch
 
@@ -32,43 +39,64 @@ def _frac(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
 class NovikovSeries:
     """Finite sorted term list (exponent, coefficient) truncated at exponent < truncation."""
 
-    terms: tuple[tuple[Fraction, complex], ...]
-    truncation: Fraction
-
-    def __post_init__(self) -> None:
-        if self.truncation <= 0:
+    def __init__(self, terms, truncation: RationalLike) -> None:
+        D, self.terms = _frac(truncation), tuple((_frac(e), c) for e, c in terms)
+        if D <= 0:
             raise ValueError("truncation order must be positive")
+        if any(a >= b for (a, _), (b, _) in zip(self.terms, self.terms[1:])):
+            raise ValueError("exponents must be strictly increasing")
+        self._den = math.lcm(D.denominator, *(e.denominator for e, _ in self.terms))
+        self._items = tuple((e.numerator * (self._den // e.denominator), c) for e, c in self.terms)
+        self._top = D.numerator * (self._den // D.denominator)
+
+    @cached_property
+    def terms(self) -> tuple[tuple[Fraction, complex], ...]:
+        return tuple((Fraction(k, self._den), c) for k, c in self._items)
+
+    @cached_property
+    def truncation(self) -> Fraction:
+        return Fraction(self._top, self._den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, NovikovSeries):
+            return NotImplemented
+        if self._den == other._den:
+            return self._top == other._top and self._items == other._items
+        return self.truncation == other.truncation and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.terms, self.truncation))
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "NovikovSeries") -> "NovikovSeries":
-        _check_truncation(self, other)
-        acc: dict[Fraction, complex] = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, 0j) + c
-        return series(acc.items(), self.truncation)
+        a, b, den, top = _aligned(self, other)
+        acc: dict[int, complex] = dict(a)
+        for k, c in b:
+            acc[k] = acc.get(k, 0j) + c
+        return _on_grid(acc.items(), den, top)
 
     def __sub__(self, other: "NovikovSeries") -> "NovikovSeries":
         return self + (-other)
 
     def __neg__(self) -> "NovikovSeries":
-        return NovikovSeries(tuple((e, -c) for e, c in self.terms), self.truncation)
+        return _on_grid(((k, -c) for k, c in self._items), self._den, self._top)
 
     def __mul__(self, other):
-        if isinstance(other, NovikovSeries):
-            _check_truncation(self, other)
-            acc: dict[Fraction, complex] = {}
-            for ea, ca in self.terms:
-                for eb, cb in other.terms:
-                    e = ea + eb
-                    if e < self.truncation:
-                        acc[e] = acc.get(e, 0j) + ca * cb
-            return series(acc.items(), self.truncation)
-        return series(((e, c * other) for e, c in self.terms), self.truncation)
+        if not isinstance(other, NovikovSeries):
+            return _on_grid(((k, complex(c * other)) for k, c in self._items), self._den, self._top)
+        a, b, den, top = _aligned(self, other)
+        acc: dict[int, complex] = {}
+        for ka, ca in a:
+            for kb, cb in b:
+                k = ka + kb
+                if k >= top:
+                    break
+                acc[k] = acc.get(k, 0j) + ca * cb
+        return _on_grid(acc.items(), den, top)
 
     __rmul__ = __mul__
 
@@ -76,32 +104,34 @@ class NovikovSeries:
 
     def coefficient(self, exponent: RationalLike) -> complex:
         e = _frac(exponent)
-        for ei, ci in self.terms:
-            if ei == e:
-                return ci
-        return 0j
+        k, off_grid = divmod(e.numerator * self._den, e.denominator)
+        return 0j if off_grid else next((c for ki, c in self._items if ki == k), 0j)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._items
 
     def leading(self) -> complex:
         """Coefficient of the smallest stored exponent (0 for the zero series)."""
-        return self.terms[0][1] if self.terms else 0j
+        return self._items[0][1] if self._items else 0j
 
     def shift(self, offset: RationalLike) -> "NovikovSeries":
         """Multiply by q^offset; negative offsets must not push any exponent below 0."""
         d = _frac(offset)
-        return series(((e + d, c) for e, c in self.terms), self.truncation)
+        den = math.lcm(self._den, d.denominator)
+        f, dk = den // self._den, d.numerator * (den // d.denominator)
+        if self._items and self._items[0][0] * f + dk < 0:
+            raise NegativeValuation(f"exponent {val(self) + d} < 0")
+        return _on_grid(((k * f + dk, c) for k, c in self._items), den, self._top * f)
 
     def retruncate(self, truncation: RationalLike) -> "NovikovSeries":
-        return series(self.terms, _frac(truncation))
+        return series(self.terms, truncation)
 
     def evaluate(self, q0: float) -> complex:
         """Numeric specialization at a real 0 < q0 < 1."""
         return sum((c * (q0 ** float(e)) for e, c in self.terms), 0j)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._items:
             return "0"
         parts = []
         for e, c in self.terms:
@@ -110,11 +140,25 @@ class NovikovSeries:
         return " + ".join(parts)
 
 
-def _check_truncation(a: NovikovSeries, b: NovikovSeries) -> None:
-    if a.truncation != b.truncation:
+def _on_grid(pairs, den: int, top: int) -> NovikovSeries:
+    """Canonical series from (key, c) pairs with distinct keys; 0j + c fixes the sign of zero."""
+    s = object.__new__(NovikovSeries)
+    kept = ((k, v) for k, c in pairs if k < top and not abs(v := 0j + c) < PRUNE_THRESHOLD)
+    s._items, s._den, s._top = tuple(sorted(kept)), den, top
+    return s
+
+
+def _aligned(a: NovikovSeries, b: NovikovSeries):
+    """(items of a, items of b, den, top) on the lcm of their grids."""
+    den = math.lcm(a._den, b._den)
+    fa, fb = den // a._den, den // b._den
+    if a._top * fa != b._top * fb:
         raise TruncationMismatch(
             f"series truncated at {a.truncation} and {b.truncation} cannot be combined"
         )
+    if fa == fb == 1:
+        return a._items, b._items, den, a._top
+    return [(k * fa, c) for k, c in a._items], [(k * fb, c) for k, c in b._items], den, a._top * fa
 
 
 def series(pairs, truncation: RationalLike) -> NovikovSeries:
@@ -126,9 +170,20 @@ def series(pairs, truncation: RationalLike) -> NovikovSeries:
         if e < 0:
             raise NegativeValuation(f"exponent {e} < 0")
         acc[e] = acc.get(e, 0j) + complex(c)
-    kept = [(e, c) for e, c in acc.items() if e < d and abs(c) >= PRUNE_THRESHOLD]
-    kept.sort(key=lambda t: t[0])
-    return NovikovSeries(tuple(kept), d)
+    kept = sorted((e, c) for e, c in acc.items() if e < d and not abs(c) < PRUNE_THRESHOLD)
+    return NovikovSeries(kept, d)
+
+
+def _weighted_sum(weights, tv, truncation: Fraction) -> NovikovSeries:
+    """sum_i weights[i] * tv[i] over the nonzero weights, merged term by term in order."""
+    den = math.lcm(truncation.denominator, *(s._den for s in tv))
+    acc: dict[int, complex] = {}
+    for w, s in zip(weights, tv):
+        if w:
+            w, f = float(w), den // s._den
+            for k, c in s._items:
+                acc[k * f] = acc.get(k * f, 0j) + c * w
+    return _on_grid(acc.items(), den, truncation.numerator * (den // truncation.denominator))
 
 
 def zero_series(truncation: RationalLike) -> NovikovSeries:
@@ -149,7 +204,7 @@ def one(truncation: RationalLike) -> NovikovSeries:
 
 def val(s: NovikovSeries) -> Fraction | float:
     """Smallest stored exponent; +inf for the zero series."""
-    return s.terms[0][0] if s.terms else INF
+    return Fraction(s._items[0][0], s._den) if s._items else INF
 
 
 def nov_mul(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:
@@ -163,16 +218,12 @@ def nov_inverse(a: NovikovSeries) -> NovikovSeries:
     inverse b solves a * b = 1 one exponent at a time, in increasing order:
     b_0 = 1/a_0 and b_e = -(1/a_0) * sum_{t in T, t <= e} a_t * b_{e-t}.
     Its exponents are the elements below the truncation of the monoid
-    generated by T, produced in increasing order by a heap.
+    generated by T, produced in increasing order by a heap (of grid keys).
     """
     if val(a) != 0 or abs(a.leading()) <= PRUNE_THRESHOLD:
         raise NotAUnit(f"series with valuation {val(a)} is not invertible")
-    D = a.truncation
-    inv0 = 1.0 / a.leading()
-    tail = a.terms[1:]
-    b: dict[Fraction, complex] = {}
-    heap = [Fraction(0)]
-    queued = {heap[0]}
+    top, inv0, tail = a._top, 1.0 / a.leading(), a._items[1:]
+    b, heap, queued = {}, [0], {0}  # b: grid key -> coefficient of the inverse
     while heap:
         e = heapq.heappop(heap)
         acc = 0j
@@ -183,12 +234,12 @@ def nov_inverse(a: NovikovSeries) -> NovikovSeries:
         b[e] = inv0 if e == 0 else -inv0 * acc
         for t, _ in tail:
             f = e + t
-            if f >= D:
+            if f >= top:
                 break
             if f not in queued:
                 queued.add(f)
                 heapq.heappush(heap, f)
-    return series(b.items(), D)
+    return _on_grid(b.items(), a._den, top)
 
 
 def nov_exp(a: NovikovSeries) -> NovikovSeries:
@@ -197,8 +248,7 @@ def nov_exp(a: NovikovSeries) -> NovikovSeries:
         raise NegativeValuation("exp requires nonnegative valuation")
     a0 = a.coefficient(0)
     tail = a - constant_series(a0, a.truncation)
-    acc = one(a.truncation)
-    power = one(a.truncation)
+    acc = power = one(a.truncation)
     k = 0
     while True:
         k += 1
@@ -253,7 +303,7 @@ def series_to_json(s: NovikovSeries) -> list[dict]:
 def series_from_json(obj, truncation: RationalLike) -> NovikovSeries:
     """Accepts a term list [{"exp","re","im"},...], a bare number, or {"re","im"}.
 
-    Raises SchemaError on anything else, such as a term without "exp".
+    Raises SchemaError on anything else, such as a term without "exp" or a non-finite coefficient.
     """
     if isinstance(obj, (int, float)):
         obj = {"re": obj}
@@ -262,4 +312,7 @@ def series_from_json(obj, truncation: RationalLike) -> NovikovSeries:
         pairs = [(Fraction(str(t["exp"])), complex(t.get("re", 0), t.get("im", 0))) for t in terms]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"not a series: {obj!r}") from exc
+    for t, (_, c) in zip(terms, pairs):
+        if not cmath.isfinite(c):
+            raise SchemaError(f"coefficient of the term {t!r} is not finite")
     return series(pairs, truncation)

@@ -16,12 +16,12 @@ from fractions import Fraction
 from .errors import NotAUnit, ZeroComponent
 from .novikov import (
     NovikovSeries,
+    _weighted_sum,
     constant_series,
     monomial_eval,
     nov_exp,
     nov_inverse,
     one,
-    series,
     series_to_json,
     val,
     zero_series,
@@ -114,14 +114,14 @@ def term_values(W: Potential, z: tuple[NovikovSeries, ...]) -> list[NovikovSerie
         for j, zj in enumerate(z)
     )
     point = tuple(z) + inverses
-    unit = one(W.truncation).terms
+    unit = one(W.truncation)
     out = []
     for t in W.terms:
         split = tuple(max(vj, 0) for vj in t.exponent) + tuple(
             max(-vj, 0) for vj in t.exponent
         )
         v = monomial_eval(point, split)
-        if t.bulk_tail.terms != unit:  # an absent twist leaves the tail exactly 1
+        if t.bulk_tail != unit:  # an absent twist leaves the tail exactly 1
             v = v * t.bulk_tail
         out.append((v * t.multiplier).shift(t.valuation))
     return out
@@ -132,22 +132,14 @@ def value_from_terms(W: Potential, tv: list[NovikovSeries]) -> NovikovSeries:
 
     A running sum, unlike the derivatives: a partial sum that cancels is pruned to exactly 0.
     """
-    acc = zero_series(W.truncation)
-    for v in tv:
-        acc = acc + v
-    return acc
-
-
-def _weighted_sum(W: Potential, tv: list[NovikovSeries], weights) -> NovikovSeries:
-    """sum_i weights[i] * tv[i] over the nonzero weights, in one series() pass."""
-    pairs = [(e, c * float(w)) for w, v in zip(weights, tv) if w for e, c in v.terms]
-    return series(pairs, W.truncation)
+    return sum(tv, zero_series(W.truncation))
 
 
 def gradient_from_terms(W: Potential, tv: list[NovikovSeries]) -> tuple[NovikovSeries, ...]:
     """Component j: sum_i v_ij * tv[i]."""
     return tuple(
-        _weighted_sum(W, tv, [t.exponent[j] for t in W.terms]) for j in range(W.dimension)
+        _weighted_sum([t.exponent[j] for t in W.terms], tv, W.truncation)
+        for j in range(W.dimension)
     )
 
 
@@ -158,7 +150,7 @@ def hessian_from_terms(W: Potential, tv: list[NovikovSeries]) -> list[list[Novik
     for j in range(n):
         for k in range(j, n):
             weights = [t.exponent[j] * t.exponent[k] for t in W.terms]
-            H[j][k] = H[k][j] = _weighted_sum(W, tv, weights)
+            H[j][k] = H[k][j] = _weighted_sum(weights, tv, W.truncation)
     return H
 
 

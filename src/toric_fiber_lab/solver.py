@@ -591,8 +591,7 @@ def _normalized_state(W: Potential, row_vals, z):
     """Term list at z, raw gradient, and normalized frontier min_j (val(g_j) - m_j)."""
     tv = term_values(W, z)
     g = gradient_from_terms(W, tv)
-    fronts = [val(gj) - m if gj.terms else INF for gj, m in zip(g, row_vals)]
-    return tv, g, min(fronts)
+    return tv, g, min(val(gj) - m for gj, m in zip(g, row_vals))
 
 
 def _normalized_hessian(W: Potential, row_vals, tv) -> list[list[NovikovSeries]]:

@@ -1,6 +1,7 @@
 """Command line surface: exit codes, JSON payloads, determinism, seeding."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -171,8 +172,23 @@ def test_critical_rejects_wrong_bulk_length(interval_file, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "doc",
-    [{"beta": [0, 0]}, [[{"re": 1}], 0], [[1, 2], 0], {"alpha": 5}],
-    ids=["no-alpha-key", "term-without-exp", "bare-number-terms", "alpha-not-a-list"],
+    [
+        {"beta": [0, 0]},
+        [[{"re": 1}], 0],
+        [[1, 2], 0],
+        {"alpha": 5},
+        # json.dumps writes NaN and Infinity, and json.load reads them back
+        [[{"exp": "0", "re": math.nan}], 0],
+        [[{"exp": "1/2", "re": 1.0}, {"exp": "1", "im": -math.inf}], 0],
+    ],
+    ids=[
+        "no-alpha-key",
+        "term-without-exp",
+        "bare-number-terms",
+        "alpha-not-a-list",
+        "nan-coefficient",
+        "infinite-coefficient",
+    ],
 )
 @pytest.mark.parametrize("extra", [[], ["--truncation", "2"]], ids=["default", "truncated"])
 def test_critical_rejects_malformed_bulk(interval_file, tmp_path, capsys, doc, extra):
@@ -183,6 +199,16 @@ def test_critical_rejects_malformed_bulk(interval_file, tmp_path, capsys, doc, e
     assert captured.err.startswith("error: ")
     assert captured.out == ""
 
+
+
+@pytest.mark.parametrize("command", ["potential", "critical", "analyze", "render"])
+def test_truncation_with_zero_denominator_is_rejected(interval_file, tmp_path, capsys, command):
+    extra = {"potential": ["--lambda", "1/2"], "render": ["--output", str(tmp_path / "x.svg")]}
+    argv = [command, "--input", interval_file, "--truncation", "1/0"] + extra.get(command, [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "truncation '1/0'" in captured.err
+    assert captured.out == ""
 
 def test_probes_single(interval_file, capsys):
     rc = main(["probes", "--input", interval_file, "--lambda", "1/4", "--json"])

@@ -1,5 +1,7 @@
 """Series ring arithmetic: construction, valuation, inversion, exponential."""
 
+import cmath
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -25,7 +27,7 @@ from toric_fiber_lab import (
     val,
     zero_series,
 )
-from toric_fiber_lab.novikov import INF, monomial_eval
+from toric_fiber_lab.novikov import INF, _weighted_sum, monomial_eval
 from test_properties import MIXED_STEPS, _random_series
 
 F = Fraction
@@ -139,6 +141,16 @@ def test_exp_negative_valuation_guarded():
         nov_exp(bad)
 
 
+def test_raw_series_needs_strictly_increasing_exponents():
+    # the arithmetic reads the raw terms in order, so an unsorted or repeated
+    # exponent would lose terms in a product
+    from toric_fiber_lab import NovikovSeries
+
+    for terms in [((F(1), 1.0), (F(0), 2.0)), ((F(0), 1.0), (F(0), 2.0))]:
+        with pytest.raises(ValueError, match="strictly increasing"):
+            NovikovSeries(terms, F(2))
+
+
 def test_monomial_eval_unit_inverses():
     z = (constant_series(2.0, 3),)
     assert monomial_eval(z, (-1,)).terms == ((F(0), 0.5 + 0j),)
@@ -173,7 +185,174 @@ def test_json_roundtrip():
     assert series_from_json({"re": 0.0, "im": 1.0}, 2).coefficient(0) == 1j
 
 
-@pytest.mark.parametrize("obj", [[{"re": 1}], [1, 2], [{"exp": "x"}], None, {"re": None}])
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [{"re": 1}],
+        [1, 2],
+        [{"exp": "x"}],
+        None,
+        {"re": None},
+        # json.load accepts NaN and Infinity; a non-finite coefficient is malformed too
+        [{"exp": "0", "re": math.nan}],
+        [{"exp": "1/2", "re": 1.0}, {"exp": "1", "im": -math.inf}],
+        math.inf,
+        {"re": 0.0, "im": math.nan},
+    ],
+)
 def test_series_from_json_rejects_malformed_series(obj):
     with pytest.raises(SchemaError):
         series_from_json(obj, 2)
+
+
+def test_non_finite_residual_is_not_zero():
+    # abs(nan) < PRUNE_THRESHOLD is False, so inf - inf stays as a NaN term
+    s = series([(0, complex(math.inf, 1.0)), (F(1, 2), 1.0)], 2)
+    r = s - s
+    assert not r.is_zero()
+    assert [e for e, _ in r.terms] == [F(0)] and cmath.isnan(r.coefficient(0))
+    assert not series([(F(1, 3), math.nan)], 1).is_zero()
+
+
+# -- grid arithmetic against a Fraction-keyed reference --------------------------
+#
+# The reference keys plain dicts by Fraction and runs each operation's loops in
+# the order the integer-grid series layer runs them, so the coefficients must
+# agree bit for bit, signs of zero included.
+
+
+def _ref(pairs, D):
+    acc = {}
+    for e, c in pairs:
+        if e < 0:
+            raise NegativeValuation(f"exponent {e} < 0")
+        acc[e] = acc.get(e, 0j) + complex(c)
+    return sorted((e, c) for e, c in acc.items() if e < D and not abs(c) < 1e-12)
+
+
+def _ref_add(a, b, D):
+    acc = dict(a)
+    for e, c in b:
+        acc[e] = acc.get(e, 0j) + c
+    return _ref(acc.items(), D)
+
+
+def _ref_mul(a, b, D):
+    acc = {}
+    for ea, ca in a:
+        for eb, cb in b:
+            if ea + eb < D:
+                acc[ea + eb] = acc.get(ea + eb, 0j) + ca * cb
+    return _ref(acc.items(), D)
+
+
+def _ref_inverse(a, D):
+    inv0, tail, b = 1.0 / a[0][1], a[1:], {}
+    heap, queued = [F(0)], {F(0)}
+    while heap:
+        e = heapq.heappop(heap)
+        acc = 0j
+        for t, c in tail:
+            if t > e:
+                break
+            acc += c * b.get(e - t, 0j)
+        b[e] = inv0 if e == 0 else -inv0 * acc
+        for t, _ in tail:
+            if e + t < D and e + t not in queued:
+                queued.add(e + t)
+                heapq.heappush(heap, e + t)
+    return _ref(b.items(), D)
+
+
+def _ref_pow(a, k, D):
+    if k < 0:
+        return _ref_pow(_ref_inverse(a, D), -k, D)
+    acc = a if k else [(F(0), 1 + 0j)]
+    for _ in range(k - 1):
+        acc = _ref_mul(acc, a, D)
+    return acc
+
+
+def _bits(terms):
+    """Exponents and coefficient parts with their signs, so -0.0 != 0.0."""
+    return [
+        (e, c.real, c.imag, math.copysign(1, c.real), math.copysign(1, c.imag))
+        for e, c in terms
+    ]
+
+
+def _same(s, ref_terms):
+    assert _bits(s.terms) == _bits(ref_terms)
+
+
+GRID_CASES = [
+    # (truncation, steps of the left operand, steps of the right operand)
+    (F(3), MIXED_STEPS, MIXED_STEPS),
+    (F(2), (F(1, 8),), (F(1, 8),)),
+    (F(3), (F(1, 2),), (F(1, 3),)),  # dens 2 and 3 meet on the grid 1/6
+    (F(5, 2), (F(1, 8),), (F(1, 3),)),
+]
+
+
+@pytest.mark.parametrize("D, left, right", GRID_CASES)
+def test_grid_arithmetic_is_the_fraction_arithmetic(D, left, right):
+    rng = random.Random(7)
+    for _ in range(150):
+        a = _random_series(rng, D, unit=rng.random() < 0.5, steps=left)
+        b = _random_series(rng, D, unit=rng.random() < 0.5, steps=right)
+        if rng.random() < 0.5:  # real and imaginary coefficients put exact zeros in play
+            a = series([(e, c.real) for e, c in a.terms], D)
+            b = series([(e, complex(0.0, c.imag)) for e, c in b.terms], D)
+        ta, tb = list(a.terms), list(b.terms)
+        s = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        _same(a + b, _ref_add(ta, tb, D))
+        _same(a - b, _ref_add(ta, [(e, -c) for e, c in tb], D))
+        _same(a * b, _ref_mul(ta, tb, D))
+        _same(a * s, _ref(((e, c * s) for e, c in ta), D))
+        _same(-1.5 * b, _ref(((e, c * -1.5) for e, c in tb), D))
+        for d in (F(1, 3), F(3, 8), F(-1, 4)) + ((-val(a),) if ta else ()):
+            if ta and ta[0][0] + d < 0:
+                with pytest.raises(NegativeValuation):
+                    a.shift(d)
+            else:
+                _same(a.shift(d), _ref(((e + d, c) for e, c in ta), D))
+        for D2 in (D / 2, D + F(1, 5)):
+            _same(a.retruncate(D2), _ref(ta, D2))
+        weights = (2, 0, -3)
+        ref = _ref([(e, c * float(w)) for w, t in zip(weights, (ta, tb, ta)) if w for e, c in t], D)
+        _same(_weighted_sum(weights, (a, b, a), D), ref)
+
+
+@pytest.mark.parametrize("D, left, right", GRID_CASES)
+def test_grid_inverse_and_powers_are_the_fraction_arithmetic(D, left, right):
+    rng = random.Random(8)
+    for _ in range(60):
+        u = _random_series(rng, D, unit=True, steps=left)
+        w = _random_series(rng, D, unit=True, steps=right)
+        tu, tw = list(u.terms), list(w.terms)
+        _same(nov_inverse(u), _ref_inverse(tu, D))
+        for k in (-2, -1, 2, 3):
+            _same(nov_pow(u, k), _ref_pow(tu, k, D))
+        for v in ((1, -1), (-2, 1), (0, 2)):
+            pu, pw = _ref_pow(tu, v[0], D), _ref_pow(tw, v[1], D)
+            _same(monomial_eval((u, w), v), _ref_mul(pu, pw, D) if v[0] else pw)
+
+
+def test_equal_series_on_different_grids_compare_and_hash_equal():
+    rng = random.Random(9)
+    D = F(3)
+    third = monomial(1.0, F(1, 3), D)
+    for _ in range(50):
+        a = _random_series(rng, D, unit=True, steps=(F(1, 2),))
+        a6 = a + (third - third)  # the zero series on the grid 1/3 moves a to a finer grid
+        assert a6._den % 3 == 0 and a._den % 3 != 0
+        assert a6 == a and hash(a6) == hash(a) and a6.terms == a.terms
+        assert a6 != a * 2.0 and a6 != a.retruncate(F(5, 2))
+
+
+def test_grid_truncation_mismatch_still_raises():
+    a = series([(0, 1.0), (F(1, 2), 2.0)], F(3, 2))
+    b = series([(0, 1.0), (F(1, 4), 2.0)], F(7, 4))
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b * a):
+        with pytest.raises(TruncationMismatch, match="3/2 and 7/4|7/4 and 3/2"):
+            op()

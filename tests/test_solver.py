@@ -18,6 +18,7 @@ from toric_fiber_lab import (
     DegenerateDirection,
     Inconsistent,
     LeadingSystem,
+    NoConvergence,
     Potential,
     PotentialTerm,
     SingularLeadingHessian,
@@ -41,7 +42,7 @@ from toric_fiber_lab import (
 )
 from toric_fiber_lab.novikov import INF
 import toric_fiber_lab.polytope as polytope_mod
-from toric_fiber_lab.potential import term_values
+from toric_fiber_lab.potential import gradient_from_terms, term_values
 from conftest import (
     BENCH_CASES,
     corner_cut_polytope,
@@ -907,6 +908,69 @@ def test_pipeline_certificates_verified_independently():
             assert is_critical(terms, z, W.truncation)
             assert cert.intersection_lower_bound == 2**P.dimension
 
+
+
+def test_a_nan_gradient_is_never_certified():
+    # W = z q^(1/2) + z^-1 q^(1/2) (1 + NaN q^(1/2)): at z = 1 the gradient is
+    # a NaN term at q^1, which would certify the point if it were pruned as zero
+    D = F(3, 2)
+    tail = series([(0, 1.0), (F(1, 2), math.nan)], D)
+    W = Potential(
+        1,
+        (F(1, 2),),
+        (
+            PotentialTerm(0, 1 + 0j, one(D), (1,), F(1, 2)),
+            PotentialTerm(1, 1 + 0j, tail, (-1,), F(1, 2)),
+        ),
+        D,
+    )
+    g = gradient_from_terms(W, term_values(W, (constant_series(1.0, D),)))
+    assert not g[0].is_zero()
+    with pytest.raises(NoConvergence):
+        newton_lift(W, (1.0,))
+    with pytest.raises(Inconsistent):
+        graded_lift(W, (1.0,))
+
+
+# The oracle finds a nonzero gradient at q^122 (residual 6-7 against z
+# coefficients near 2.5e15) for the graded certificates at these fibers: the
+# absolute zero test at truncation 126, ROADMAP item 1, cause 2.
+SIXTEEN_GON_ORACLE_REJECTS = [(F(-8), F(4)), (F(4), F(-8))]
+
+
+@pytest.fixture(scope="module")
+def sixteen_gon_certificates():
+    P = _sixteen_gon()
+    return P, find_critical_fibers(P)
+
+
+def _oracle_accepts(P, cert):
+    W = build_potential(P, cert.fiber)
+    z = [dict_of_series(zj) for zj in cert.z]
+    return is_critical(terms_of_potential(W), z, W.truncation)
+
+
+def test_sixteen_gon_certificates_are_candidates_and_deterministic(sixteen_gon_certificates):
+    P, certs = sixteen_gon_certificates
+    assert certs
+    candidates = {c.fiber for c in tropical_candidates(P)}
+    assert all(c.fiber in candidates for c in certs)
+    assert find_critical_fibers(P) == certs
+
+
+def test_sixteen_gon_certificates_pass_the_oracle(sixteen_gon_certificates):
+    P, certs = sixteen_gon_certificates
+    for cert in certs:
+        if cert.fiber not in SIXTEEN_GON_ORACLE_REJECTS:
+            assert _oracle_accepts(P, cert), cert.fiber
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1, cause 2: absolute zero test at D = 126")
+@pytest.mark.parametrize("fiber", SIXTEEN_GON_ORACLE_REJECTS, ids=lambda f: ",".join(map(str, f)))
+def test_sixteen_gon_high_order_certificates_pass_the_oracle(sixteen_gon_certificates, fiber):
+    P, certs = sixteen_gon_certificates
+    at_fiber = [c for c in certs if c.fiber == fiber]
+    assert at_fiber and all(_oracle_accepts(P, c) for c in at_fiber)
 
 def test_certificates_at_fiber_is_empty_off_the_interior():
     P = interval_polytope()
