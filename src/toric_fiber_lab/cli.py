@@ -30,6 +30,7 @@ from .report import (
     TOOL_VERSION,
     analyze,
     certificate_to_json,
+    json_text,
     probe_to_json,
     report_to_json,
     report_to_text,
@@ -113,8 +114,8 @@ def cmd_potential(args) -> int:
     alpha = _load_bulk(args.bulk, len(P.facets), D)
     W = build_potential(P, lam, alpha, truncation=D)
     if args.json:
-        print(json.dumps({"fiber": [str(x) for x in lam], "truncation": str(W.truncation),
-                          "terms": term_table(W)}, indent=2, sort_keys=True))
+        print(json_text({"fiber": [str(x) for x in lam], "truncation": str(W.truncation),
+                         "terms": term_table(W)}))
         return 0
     print(f"potential at lambda = {format_point(lam)}, truncation q^{W.truncation}")
     print(f"{'facet':>5}  {'exponent':>12}  {'valuation':>9}  multiplier")
@@ -135,7 +136,7 @@ def cmd_critical(args) -> int:
     else:
         certs = find_critical_fibers(P, alpha, D)
     if args.json:
-        print(json.dumps([certificate_to_json(c) for c in certs], indent=2, sort_keys=True))
+        print(json_text([certificate_to_json(c) for c in certs]))
         return 0
     if not certs:
         print("no critical fibers found")
@@ -158,8 +159,7 @@ def cmd_probes(args) -> int:
         lam = _interior_fiber(P, args.fiber)
         probe = displaceable_by_probe(P, lam, args.bound)
         if args.json:
-            print(json.dumps({"fiber": [str(x) for x in lam], "probe": probe_to_json(probe)},
-                             indent=2, sort_keys=True))
+            print(json_text({"fiber": [str(x) for x in lam], "probe": probe_to_json(probe)}))
         elif probe is None:
             print(f"{format_point(lam)}: no probe found (bound {args.bound})")
         else:
@@ -174,7 +174,7 @@ def cmd_probes(args) -> int:
             {"fiber": [str(x) for x in lam], "probe": probe_to_json(p)}
             for lam, p in grid.items()
         ]
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json_text(doc))
         return 0
     hit = sum(1 for p in grid.values() if p is not None)
     print(f"scanned {len(grid)} interior grid points at resolution {args.scan}")
@@ -199,8 +199,7 @@ def cmd_disks(args) -> int:
             }
         )
     if args.json:
-        print(json.dumps({"fiber": [str(x) for x in lam], "classes": rows},
-                         indent=2, sort_keys=True))
+        print(json_text({"fiber": [str(x) for x in lam], "classes": rows}))
         return 0
     print(f"index-2 disk classes at lambda = {format_point(lam)}")
     for r in rows:

@@ -10,10 +10,16 @@ once, with the offsets scaled to integers.  It runs in int64 when a bound on
 every integer it forms is below 2**62 and on Python integers otherwise
 (int_dtype): numpy's int64 arithmetic wraps without a warning.  The solver's
 lower faces and the probe kernel share both.
+
+A polytope stores its vertex list and its boundedness the first time either
+is asked for, so analyze, the probe scan and the SVG outline run the kernel
+at most once per polytope.  The stored values live outside the dataclass
+fields: equality, hash and repr depend on dimension, facets and witness only.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -38,6 +44,16 @@ class MomentPolytope:
     dimension: int
     facets: tuple[Facet, ...]
     witness: tuple[Fraction, ...]  # validated rational interior point
+
+    # computed on first use; cached_property writes the instance __dict__,
+    # which the frozen dataclass's __setattr__ does not guard
+    @functools.cached_property
+    def _vertices(self) -> tuple[tuple[Fraction, ...], ...]:
+        return _solve_vertices(self)
+
+    @functools.cached_property
+    def _bounded(self) -> bool:
+        return _recession_free(self)
 
 
 CHUNK = 2**14  # integer systems solved per vectorized batch
@@ -269,10 +285,15 @@ def primitive_normal(f: Facet) -> tuple[int, ...]:
 
 
 def enumerate_vertices(P: MomentPolytope) -> list[tuple[Fraction, ...]]:
-    """All intersections of n facet hyperplanes satisfying every inequality.
+    """All intersections of n facet hyperplanes satisfying every inequality,
+    sorted, as a new list; P stores them when first asked."""
+    return list(P._vertices)
 
-    With offsets scaled to integers C = L c, cramer_solve gives each n-subset
-    of facets as d L x = N; x is a vertex when <v_g, N> >= d C_g for every g.
+
+def _solve_vertices(P: MomentPolytope) -> tuple[tuple[Fraction, ...], ...]:
+    """The vertex kernel.  With offsets scaled to integers C = L c,
+    cramer_solve gives each n-subset of facets as d L x = N; x is a vertex
+    when <v_g, N> >= d C_g for every g.
     """
     n, a = P.dimension, max(abs(x) for f in P.facets for x in f.normal)
     L = math.lcm(*(f.offset.denominator for f in P.facets))
@@ -287,16 +308,21 @@ def enumerate_vertices(P: MomentPolytope) -> list[tuple[Fraction, ...]]:
         ok = (N @ A.T >= d[:, None] * C).all(axis=1)
         for row, dk in zip(N[ok].tolist(), d[ok].tolist()):
             seen.add(tuple(Fraction(x, dk * L) for x in row))
-    return sorted(seen)
+    return tuple(sorted(seen))
 
 
 def is_bounded(P: MomentPolytope) -> bool:
-    """True iff the recession cone {d : <v_i, d> >= 0 for all i} is {0}.
+    """True iff the recession cone {d : <v_i, d> >= 0 for all i} is {0};
+    P stores the answer when first asked."""
+    return P._bounded
 
-    Every kernel vector c = _int_cross of n - 1 normals is zero when they have
-    rank < n - 1.  Otherwise the cone is {0} exactly when no nonzero c pairs
-    with every normal with one sign: at rank n - 1 some c is orthogonal to
-    every normal, at rank n every extreme ray is some c or -c.
+
+def _recession_free(P: MomentPolytope) -> bool:
+    """The boundedness kernel.  Every kernel vector c = _int_cross of n - 1
+    normals is zero when they have rank < n - 1.  Otherwise the cone is {0}
+    exactly when no nonzero c pairs with every normal with one sign: at rank
+    n - 1 some c is orthogonal to every normal, at rank n every extreme ray
+    is some c or -c.
     """
     n = P.dimension
     # every minor and pairing is at most n! a^n
@@ -315,7 +341,7 @@ def is_bounded(P: MomentPolytope) -> bool:
 
 def bounding_box(P: MomentPolytope) -> tuple[tuple[Fraction, Fraction], ...]:
     """Per-axis (min, max) over the vertex set; requires a bounded polytope."""
-    verts = enumerate_vertices(P)
+    verts = P._vertices
     if not verts:
         raise EmptyInterior("no vertices to bound")
     return tuple(

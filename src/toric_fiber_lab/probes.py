@@ -11,12 +11,13 @@ all from one integer product of normals and directions.  A fiber's facet
 values are scaled by a common denominator L to the integers V_g = L l_g(lam);
 on a grid lam = lo + k h they are V = A + K B^T with A and B computed once
 per scan.  The probe from entry (i, alpha) covers the fiber when
-V_g s_i > V_i W_g for every facet g, with W_g = |s_g| and W_i = 0, and
-_first_probes tests every table entry against a block of fibers in one
-numpy comparison.  It runs in int64 when a bound on max|V| * max|s| is below
-2**62 and on Python integers otherwise, by the polytope kernel's rule
-(polytope.int_dtype).  Fractions (base, exit parameter) are built only for
-the probe that is returned.
+V_g s_i > V_i W_g for every facet g, with W_g = |s_g| and W_i = 0.
+_first_probes tests a block of fibers against every table entry one facet g
+at a time: each step is one (fibers, entries) integer comparison, so no
+(fibers, entries, facets) array is formed.  It runs in int64 when a bound on
+max|V| * max|s| is below 2**62 and on Python integers otherwise, by the
+polytope kernel's rule (polytope.int_dtype).  Fractions (base, exit
+parameter) are built only for the probe that is returned.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .polytope import (
 
 DEFAULT_BOUND = 3  # direction sup-norm bound
 DEFAULT_RESOLUTION = 16  # grid steps per axis in analyze
+MAX_GRID_POINTS = 2**22  # largest (resolution + 1)**dimension a scan accepts
 
 
 @dataclass(frozen=True)
@@ -109,21 +111,26 @@ def _first_probes(V: np.ndarray, table) -> np.ndarray:
     facet i to lam, entry (i, alpha) covers lam exactly when t > 0 and
     l_g(lam) > t|s_g| for every other facet g; scaled, V_g s_i > V_i W_g for
     every g, with W_g = |s_g| and W_i = 0.  These hold only if every V_g > 0,
-    so a fiber off the open polytope is never covered.  Rows are tested in
-    blocks of about 2**16 (row, entry, facet) products.
+    so a fiber off the open polytope is never covered.  Rows are taken in
+    blocks of about 2**14 (row, entry) pairs, small enough for the block's
+    arrays to stay in cache, and each facet g adds one (rows, entries)
+    comparison to the block's coverage.
     """
     facets, _, S = table
     first = np.full(len(V), -1)
     if not facets:
         return first
     entries = np.arange(len(facets))
-    si = S[entries, facets][:, None]
+    si = S[entries, facets]
     W = np.abs(S)
     W[entries, facets] = 0
-    step = max(1, 2**16 // S.size)
+    step = max(1, 2**14 // len(facets))
     for lo in range(0, len(V), step):
         block = V[lo : lo + step]
-        covers = (block[:, None, :] * si > block[:, facets][:, :, None] * W).all(axis=2)
+        Vi = block[:, facets]
+        covers = np.ones(Vi.shape, dtype=bool)
+        for Vg, Wg in zip(block.T, W.T):
+            covers &= Vg[:, None] * si > Vi * Wg
         first[lo : lo + step] = np.where(covers.any(axis=1), covers.argmax(axis=1), -1)
     return first
 
@@ -206,7 +213,8 @@ def probe_scan(
 
     Grid step per axis is (axis width)/resolution; points are exact rationals
     and the scan order is ascending, so results are deterministic.  Each
-    point's verdict is displaceable_by_probe's.
+    point's verdict is displaceable_by_probe's.  Raises ValueError, before
+    building the grid, when it would have more than MAX_GRID_POINTS points.
     """
     if P.dimension > 2:
         raise DimensionUnsupported("grid scans are limited to dimensions 1 and 2")
@@ -214,6 +222,11 @@ def probe_scan(
         raise UnboundedPolytope("grid scan needs a bounded polytope")
     if resolution < 1:
         raise ValueError("resolution must be positive")
+    if (resolution + 1) ** P.dimension > MAX_GRID_POINTS:
+        raise ValueError(
+            f"resolution {resolution} gives {(resolution + 1) ** P.dimension} grid points, "
+            f"more than the {MAX_GRID_POINTS} a scan accepts"
+        )
     table = _direction_table(P, bound)
     box = bounding_box(P)
     steps = [(hi - lo) / resolution for lo, hi in box]

@@ -378,3 +378,22 @@ def test_version():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["potential", "--lambda", "1/3,1/4"],
+        ["critical"],
+        ["probes", "--lambda", "1/3,1/4"],
+        ["probes", "--scan", "8"],
+        ["disks", "--lambda", "1/3,1/4"],
+        ["analyze", "--resolution", "8"],
+    ],
+    ids=["potential", "critical", "probes-lambda", "probes-scan", "disks", "analyze"],
+)
+def test_json_output_is_what_json_writes(corner_cut_file, capsys, argv):
+    # every --json output is json.dumps(doc, indent=2, sort_keys=True) of its own content
+    assert main(argv + ["--input", corner_cut_file, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ import pytest
 
 import toric_fiber_lab.polytope as polytope_mod
 from toric_fiber_lab import (
+    analyze,
     DimensionMismatch,
     EmptyInterior,
     NotInterior,
@@ -24,12 +26,15 @@ from toric_fiber_lab import (
     parse_polytope,
     polytope_to_json,
     primitive_normal,
+    render_svg,
+    report_to_json,
 )
 from toric_fiber_lab.polytope import Facet, MomentPolytope, format_point, interior_values
 from conftest import (
     INTERVAL_JSON,
     corner_cut_polytope,
     fraction_solve,
+    hexagon_polytope,
     orbifold_interval_polytope,
     plane_blowup_polytope,
     weighted_plane_polytope,
@@ -302,3 +307,55 @@ def test_vertex_dtype_follows_overflow_bound(c, dtype, monkeypatch):
     assert enumerate_vertices(P) == _reference_vertices(P) == [(F(0),), (F(c),)]
     assert seen == {np.dtype(dtype)}
     assert P.witness == (F(c, 2),)
+
+
+# -- stored geometry -----------------------------------------------------------
+
+
+def test_enumerate_vertices_returns_a_fresh_list():
+    P = weighted_plane_polytope(3, 5)
+    first = enumerate_vertices(P)
+    expected = list(first)
+    first.append((F(9), F(9)))
+    first[0] = (F(-1), F(-1))
+    assert enumerate_vertices(P) == expected == _reference_vertices(P)
+    assert enumerate_vertices(P) is not enumerate_vertices(P)
+    assert bounding_box(P) == ((F(0), F(3)), (F(0), F(5)))
+
+
+@pytest.mark.parametrize("P", [weighted_plane_polytope(3, 5), plane_blowup_polytope()],
+                         ids=["bounded", "unbounded"])
+def test_stored_geometry_leaves_equality_hash_and_repr_alone(P):
+    computed = MomentPolytope(P.dimension, P.facets, P.witness)
+    blank = MomentPolytope(P.dimension, P.facets, P.witness)  # nothing computed
+    before = repr(computed), hash(computed)
+    enumerate_vertices(computed), is_bounded(computed)
+    assert (repr(computed), hash(computed)) == (repr(blank), hash(blank)) == before
+    assert computed == blank and blank == computed and computed == P
+    assert len({computed, blank}) == 1
+
+
+def test_pickle_round_trip_keeps_the_polytope():
+    P = weighted_plane_polytope(2, 3)
+    assert pickle.loads(pickle.dumps(P)) == P  # nothing computed yet
+    verts, bounded = enumerate_vertices(P), is_bounded(P)
+    back = pickle.loads(pickle.dumps(P))
+    assert back == P and hash(back) == hash(P) and repr(back) == repr(P)
+    assert enumerate_vertices(back) == verts and is_bounded(back) == bounded
+
+
+def test_one_analysis_runs_the_vertex_kernel_at_most_once(monkeypatch):
+    P = parse_polytope(json.dumps(polytope_to_json(hexagon_polytope())))
+    kernel, runs = polytope_mod._solve_vertices, []
+
+    def counted(Q):
+        runs.append(Q)
+        return kernel(Q)
+
+    monkeypatch.setattr(polytope_mod, "_solve_vertices", counted)
+    report = analyze(P, seed=0)
+    report_to_json(report)
+    render_svg(report)
+    assert len(runs) <= 1
+    assert enumerate_vertices(P) == _reference_vertices(P)
+    assert len(runs) <= 1

@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 import toric_fiber_lab.probes as probes_mod
+import toric_fiber_lab.report as report_mod
 from toric_fiber_lab import (
     DimensionMismatch,
     DimensionUnsupported,
     NotTransverse,
     Probe,
     UnboundedPolytope,
+    analyze,
     bounding_box,
     displaceable_by_probe,
     facet_values,
@@ -28,6 +30,7 @@ from toric_fiber_lab import (
     probe_through,
 )
 from toric_fiber_lab.cli import main
+from toric_fiber_lab.probes import MAX_GRID_POINTS
 from conftest import (
     corner_cut_polytope,
     hexagon_polytope,
@@ -296,6 +299,51 @@ def test_scan_rejects_high_dimension():
 def test_scan_rejects_bad_resolution():
     with pytest.raises(ValueError):
         probe_scan(square_polytope(), 0)
+
+
+def _scan_must_not_start(monkeypatch):
+    # the direction table is built before the grid: a scan that gets this far
+    # stops here instead of allocating the grid
+    class Started(Exception):
+        pass
+
+    def refuse(P, bound):
+        raise Started
+
+    monkeypatch.setattr(probes_mod, "_direction_table", refuse)
+    return Started
+
+
+def test_scan_rejects_a_grid_above_the_cap(monkeypatch):
+    started = _scan_must_not_start(monkeypatch)
+    side = math.isqrt(MAX_GRID_POINTS)  # the cap is a square number of points
+    assert side**2 == MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="grid points"):
+        probe_scan(square_polytope(), side)  # (side + 1)**2 points
+    with pytest.raises(ValueError, match="grid points"):
+        probe_scan(interval_polytope(), MAX_GRID_POINTS)
+    with pytest.raises(ValueError, match="grid points"):
+        probe_scan(square_polytope(), 100_000)
+    with pytest.raises(started):  # exactly at the cap the scan goes ahead
+        probe_scan(square_polytope(), side - 1)
+    with pytest.raises(started):
+        probe_scan(interval_polytope(), MAX_GRID_POINTS - 1)
+
+
+def test_analyze_rejects_a_grid_above_the_cap_before_searching(monkeypatch, tmp_path, capsys):
+    _scan_must_not_start(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the critical-fiber search ran")
+
+    monkeypatch.setattr(report_mod, "find_critical_fibers", refuse)
+    with pytest.raises(ValueError, match="grid points"):
+        analyze(square_polytope(), resolution=100_000)
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(polytope_to_json(square_polytope())))
+    assert main(["analyze", "--input", str(path), "--resolution", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert "grid points" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("bound", [0, -1])

@@ -1,6 +1,7 @@
 """End-to-end analysis reports: classification, JSON/text/SVG determinism."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,9 @@ from toric_fiber_lab import (
     report_to_json,
     report_to_text,
 )
+from toric_fiber_lab.report import json_text
 from conftest import (
+    BENCH_CASES,
     corner_cut_polytope,
     cube_polytope,
     hexagon_polytope,
@@ -184,3 +187,60 @@ def test_svg_requires_dimension_two():
     rep = analyze(interval_polytope(), seed=0)
     with pytest.raises(DimensionUnsupported):
         render_svg(rep)
+
+
+# -- the JSON writer against the standard library -------------------------------
+
+
+def _stdlib_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", BENCH_CASES)
+def test_json_text_writes_every_bench_report_as_json_does(name, monkeypatch):
+    # capture the document report_to_json builds, then compare the two writers on it
+    docs = []
+
+    def spy(doc):
+        docs.append(doc)
+        return json_text(doc)
+
+    monkeypatch.setattr(report_mod, "json_text", spy)
+    text = report_to_json(analyze(BENCH_CASES[name](), seed=0))
+    assert [text] == [_stdlib_text(doc) for doc in docs]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        (),
+        {"a": {}, "b": [], "c": [[], {}], "d": [{"e": []}]},
+        [[[]]],
+        (1, (2, ("x",)), []),
+        [True, 1, False, 0, None, 1.0, 0.0],
+        {"true": True, "one": 1, "zero": 0, "false": False},
+        2**100,
+        -7,
+        "",
+        'quote " backslash \\ slash / controls \n\r\t\b\f\x00\x1f\x7f',
+        "non-ASCII: \u00e9 \u03bb \u2028 \U0001f600",
+        {"\u00e9": 1, "e": 2, "E": 3, "": 4, "\n": 5},
+        [0.1, -0.0, 1e300, -2.5e-300, 5e-324, 1e16, 123456789.0],
+        [math.nan, math.inf, -math.inf],
+        {"z": [{"re": math.nan, "im": -math.inf}], "a": {"b": {"c": [1, "2", 3.0]}}},
+    ],
+)
+def test_json_text_matches_json(doc):
+    assert json_text(doc) == _stdlib_text(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{1, 2}, b"bytes", Fraction(1, 2), object(), [1, {"a": {2}}], {1: "int key"},
+     {("a",): "tuple key"}, {None: 0}, {"a": 1, 2: "mixed keys"}],
+)
+def test_json_text_rejects_what_it_cannot_write(doc):
+    with pytest.raises(TypeError):
+        json_text(doc)
