@@ -103,7 +103,7 @@ class NovikovSeries:
     # -- accessors ----------------------------------------------------------
 
     def coefficient(self, exponent: RationalLike) -> complex:
-        e = _frac(exponent)
+        e = exponent if isinstance(exponent, int) else _frac(exponent)  # int: denominator 1
         k, off_grid = divmod(e.numerator * self._den, e.denominator)
         return 0j if off_grid else next((c for ki, c in self._items if ki == k), 0j)
 
@@ -187,11 +187,15 @@ def _weighted_sum(weights, tv, truncation: Fraction) -> NovikovSeries:
 
 
 def zero_series(truncation: RationalLike) -> NovikovSeries:
-    return series((), truncation)
+    return constant_series(0j, truncation)
 
 
 def constant_series(c: complex, truncation: RationalLike) -> NovikovSeries:
-    return series(((Fraction(0), c),), truncation)
+    """series(((0, c),), truncation), built directly on the grid of D's denominator."""
+    D = _frac(truncation)
+    if D <= 0:
+        raise ValueError("truncation order must be positive")
+    return _on_grid(((0, complex(c)),), D.denominator, D.numerator)
 
 
 def monomial(c: complex, exponent: RationalLike, truncation: RationalLike) -> NovikovSeries:

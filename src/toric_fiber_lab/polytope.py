@@ -13,8 +13,9 @@ lower faces and the probe kernel share both.
 
 A polytope stores its vertex list and its boundedness the first time either
 is asked for, so analyze, the probe scan and the SVG outline run the kernel
-at most once per polytope.  The stored values live outside the dataclass
-fields: equality, hash and repr depend on dimension, facets and witness only.
+at most once per polytope, and make_polytope keeps those its witness search
+computed.  The stored values live outside the dataclass fields: equality,
+hash and repr depend on dimension, facets and witness only.
 """
 
 from __future__ import annotations
@@ -171,7 +172,9 @@ def make_polytope(
         if not is_interior(pre, w):
             raise EmptyInterior("supplied interior witness is not interior")
         return MomentPolytope(dimension, tuple(built), w)
-    return MomentPolytope(dimension, tuple(built), _find_witness(pre))
+    P = MomentPolytope(dimension, tuple(built), _find_witness(pre))
+    P.__dict__.update(_vertices=pre._vertices, _bounded=pre._bounded)
+    return P
 
 
 def _find_witness(P: MomentPolytope) -> tuple[Fraction, ...]:

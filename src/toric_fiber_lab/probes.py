@@ -98,6 +98,14 @@ def _direction_table(P: MomentPolytope, bound: int):
     return facets.tolist(), [alphas[c] for c in cols], S[:, cols].T
 
 
+def _stored_table(P: MomentPolytope, bound: int):
+    """_direction_table(P, bound), kept on P like its vertices: one per bound."""
+    tables = P.__dict__.setdefault("_direction_tables", {})
+    if bound not in tables:
+        tables[bound] = _direction_table(P, bound)
+    return tables[bound]
+
+
 def _value_dtype(vmax: int, table):
     """The kernel's dtype for facet values |V_g| <= vmax: its products are at
     most vmax * max|s|."""
@@ -202,8 +210,7 @@ def probe_through(
 def displaceable_by_probe(P: MomentPolytope, lam, bound: int = DEFAULT_BOUND) -> Probe | None:
     """First probe covering lam, scanning facets with primitive normal in
     order, then directions."""
-    table = _direction_table(P, bound)
-    return _probe_at(P, lam, table)
+    return _probe_at(P, lam, _stored_table(P, bound))
 
 
 def probe_scan(
@@ -227,7 +234,7 @@ def probe_scan(
             f"resolution {resolution} gives {(resolution + 1) ** P.dimension} grid points, "
             f"more than the {MAX_GRID_POINTS} a scan accepts"
         )
-    table = _direction_table(P, bound)
+    table = _stored_table(P, bound)
     box = bounding_box(P)
     steps = [(hi - lo) / resolution for lo, hi in box]
     axes = [[lo + k * h for k in range(resolution + 1)] for (lo, _), h in zip(box, steps)]

@@ -388,26 +388,33 @@ def _mixed_cells(supports, lifting):
     return [(pairs, d, s) for pairs, d, _, s in faces]
 
 
-def _path_field(E, R, c, theta, w, tau, pw, k):
-    """H, dH/dw and dH/dtau of the cell homotopies, one row per path.
+def _tau_part(c, theta, tau, pw, k):
+    """The tau-only factors (rot tau^pw, rot, X) of the cell homotopies, one row per path.
 
-    Path p tracks H_j(w, tau) = sum_a c_a exp(i theta_a (1 - tau^k_p))
-    tau^pw[p, a] exp(<a, w>) over the terms a of row j; E holds the term
-    exponents, R[a, j] = 1 for a term of row j, and RE[a] = R[a] (x) E[a].
+    Path p tracks H_j = sum_a rot_a tau^pw[p, a] exp(<a, w>) over the terms a
+    of row j, rot_a = c_a exp(i theta_a (1 - tau^k_p)), and dH/dtau is
+    (rot exp(<a, w>) X) @ R with X = d(tau^pw)/dtau - i (d tau^k/dtau) theta tau^pw.
     """
-    P, T = pw.shape
-    n = E.shape[1]
-    mono = np.exp(w @ E.T)
     tk = tau**k
     rot = c * np.exp(1j * np.outer(1.0 - tk, theta))
     tp = tau[:, None] ** pw
-    terms = rot * tp * mono
-    RE = (R[:, :, None] * E[:, None, :]).reshape(T, n * n)
-    J = (terms @ RE).reshape(P, n, n)
     dtp = np.where(pw > 0, pw * tau[:, None] ** np.maximum(pw - 1.0, 0.0), 0.0)
     dk = (k * tau ** np.maximum(k - 1.0, 0.0))[:, None]
-    Ht = (rot * mono * (dtp - 1j * dk * theta * tp)) @ R
-    return terms @ R, J, Ht
+    return rot * tp, rot, dtp - 1j * dk * theta * tp
+
+
+def _jacobian_pattern(E, R):
+    """RE[a] = R[a] (x) E[a] for term exponents E and R[a, j] = 1 on a term of row j."""
+    return (R[:, :, None] * E[:, None, :]).reshape(len(E), -1)
+
+
+def _path_field(E, R, RE, w, part, dtau: bool):
+    """(dH/dw, dH/dtau if dtau else H) at the points w from their _tau_part."""
+    rtp, rot, X = part
+    mono = np.exp(w @ E.T)
+    terms = rtp * mono
+    J = (terms @ RE).reshape(len(w), E.shape[1], E.shape[1])
+    return J, ((rot * mono * X) @ R if dtau else terms @ R)
 
 
 def _solve_paths(J: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -434,15 +441,21 @@ def _track(E, R, c, theta, w, pw, k) -> np.ndarray:
     within PATH_END_GAP of 1.  A path whose step falls below PATH_MIN_STEP
     (a diverging path overflows and stalls there) is dropped (nan), and so
     is every path still running after PATH_MAX_ROUNDS rounds.
+
+    The tau-only factors (_tau_part) are formed once per distinct tau of a
+    round (t0; t0 + h/2 for RK4 stages 2 and 3; t1 for stage 4 and the
+    correctors), RE once per track.  Products keep the one-call order,
+    (rot tau^pw) mono and ((rot mono) X) @ R: a last-bit change moves reports.
     """
+    RE = _jacobian_pattern(E, R)
     P = len(w)
     w = w.copy()
     tau = np.zeros(P)
     step = np.full(P, PATH_MAX_STEP / 8)
     live = np.ones(P, dtype=bool)
 
-    def velocity(idx, wi, ti):
-        _, J, Ht = _path_field(E, R, c, theta, wi, ti, pw[idx], k[idx])
+    def velocity(wi, part):
+        J, Ht = _path_field(E, R, RE, wi, part, True)
         return -_solve_paths(J, Ht)
 
     for _ in range(PATH_MAX_ROUNDS):
@@ -453,13 +466,15 @@ def _track(E, R, c, theta, w, pw, k) -> np.ndarray:
         h = np.minimum(step[idx], 1.0 - t0)
         t1 = np.where(h >= 1.0 - t0, 1.0, t0 + h)
         hh = (h / 2)[:, None]
-        k1 = velocity(idx, w0, t0)
-        k2 = velocity(idx, w0 + hh * k1, t0 + h / 2)
-        k3 = velocity(idx, w0 + hh * k2, t0 + h / 2)
-        k4 = velocity(idx, w0 + h[:, None] * k3, t1)
+        pwi, ki = pw[idx], k[idx]
+        at0, mid, at1 = (_tau_part(c, theta, t, pwi, ki) for t in (t0, t0 + h / 2, t1))
+        k1 = velocity(w0, at0)
+        k2 = velocity(w0 + hh * k1, mid)
+        k3 = velocity(w0 + hh * k2, mid)
+        k4 = velocity(w0 + h[:, None] * k3, at1)
         wi = w0 + (h / 6)[:, None] * (k1 + 2 * k2 + 2 * k3 + k4)
         for _ in range(3):
-            H, J, _ = _path_field(E, R, c, theta, wi, t1, pw[idx], k[idx])
+            J, H = _path_field(E, R, RE, wi, at1, False)
             dw = -_solve_paths(J, H)
             wi = wi + dw
         size = np.max(np.abs(dw), axis=1)
@@ -514,7 +529,8 @@ def _homotopy_roots(sys: LeadingSystem) -> list[tuple[complex, ...]]:
     torus roots (Bernstein 1975), so each isolated root ends one path.  With
     t = tau^k, k >= 1 chosen per cell so that every nonzero power of tau is
     at least 1, all paths are tracked together in log y (_track).  Each end
-    point then takes POLISH_STEPS Newton steps on the target system.  It is
+    point then takes POLISH_STEPS Newton steps on the target system, with
+    its tau = 1 factors formed once and _track's order of products.  It is
     kept when the last step moved it by less than ROOT_DEDUP_TOL (a path
     escaping to infinity keeps moving), every row passes the relative
     residual test of ROOT_RESIDUAL_TOL, and no kept root lies within
@@ -549,8 +565,10 @@ def _homotopy_roots(sys: LeadingSystem) -> list[tuple[complex, ...]]:
         w = _track(E, R, c, theta, np.array(starts), np.array(powers), np.array(ks))
         w = w[np.all(np.isfinite(w), axis=1)]
         one = np.ones(len(w))
+        target = _tau_part(c, theta, one, np.zeros(w.shape[:1] + c.shape), one)
+        RE = _jacobian_pattern(E, R)
         for _ in range(POLISH_STEPS):
-            H, J, _ = _path_field(E, R, c, theta, w, one, np.zeros(w.shape[:1] + c.shape), one)
+            J, H = _path_field(E, R, RE, w, target, False)
             dw = -_solve_paths(J, H)
             w = w + dw
         settled = np.max(np.abs(dw), axis=1) < ROOT_DEDUP_TOL
@@ -572,11 +590,13 @@ def _homotopy_roots(sys: LeadingSystem) -> list[tuple[complex, ...]]:
 
 def _newton_startable(H0: np.ndarray) -> bool:
     """Plain Newton needs nonvanishing diagonal and moderate conditioning."""
-    for j in range(H0.shape[0]):
-        scale = max(1.0, float(np.max(np.abs(H0[j]))))
-        if abs(H0[j, j]) <= DIAG_TOL * scale:
-            return False
-    return _well_conditioned(H0)
+    return _diagonal_clear(H0) and _well_conditioned(H0)
+
+
+def _diagonal_clear(H0: np.ndarray) -> bool:
+    """No diagonal entry is within DIAG_TOL of zero, relative to its row (at least 1)."""
+    return not any(abs(H0[j, j]) <= DIAG_TOL * max(1.0, float(np.max(np.abs(H0[j]))))
+                   for j in range(H0.shape[0]))
 
 
 def _well_conditioned(H0: np.ndarray) -> bool:
@@ -715,7 +735,7 @@ def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     row_vals, z, tv, g, front, _, H0 = _lift_start(W, zeta)
     if not _well_conditioned(H0):
         raise Inconsistent("H0 is singular at this root")
-    startable = _newton_startable(H0)
+    startable = _diagonal_clear(H0)  # _newton_startable, with the condition number known
     history = [front]
     levels = 0
     while not all(gj.is_zero() for gj in g):

@@ -4,8 +4,10 @@ import cmath
 import heapq
 import math
 import random
+import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from toric_fiber_lab import (
@@ -27,6 +29,7 @@ from toric_fiber_lab import (
     val,
     zero_series,
 )
+import toric_fiber_lab.novikov as novikov_mod
 from toric_fiber_lab.novikov import INF, _weighted_sum, monomial_eval
 from test_properties import MIXED_STEPS, _random_series
 
@@ -356,3 +359,43 @@ def test_grid_truncation_mismatch_still_raises():
     for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b * a):
         with pytest.raises(TruncationMismatch, match="3/2 and 7/4|7/4 and 3/2"):
             op()
+
+
+# -- constant series on the grid ---------------------------------------------------
+
+
+def _grid_bytes(s):
+    """The stored grid of s, with every coefficient as its exact float bytes."""
+    assert all(type(c) is complex for _, c in s._items)
+    return s._den, s._top, [(k, struct.pack("dd", c.real, c.imag)) for k, c in s._items]
+
+
+@pytest.mark.parametrize("c", [1, -0.0 - 0.0j, 1e-13, complex("nan+nanj"), np.complex128(0.5 - 2j)],
+                         ids=["one", "negative-zero", "pruned", "nan", "numpy"])
+@pytest.mark.parametrize("D", [Fraction(7, 3), 5, "7/2"], ids=["Fraction", "int", "str"])
+def test_grid_constructors_match_the_canonical_constructor(c, D):
+    assert _grid_bytes(constant_series(c, D)) == _grid_bytes(series(((Fraction(0), c),), D))
+    assert _grid_bytes(zero_series(D)) == _grid_bytes(series((), D))
+    assert _grid_bytes(one(D)) == _grid_bytes(series(((0, 1.0),), D))
+    assert constant_series(c, D).terms == series(((0, c),), D).terms or c != c
+
+
+@pytest.mark.parametrize("D", [0, Fraction(-1, 2), "-3"])
+def test_grid_constructors_reject_a_nonpositive_truncation(D):
+    for build in (lambda: constant_series(1.0, D), lambda: zero_series(D), lambda: one(D)):
+        with pytest.raises(ValueError, match="truncation order must be positive"):
+            build()
+    with pytest.raises(ValueError):
+        series(((0, 1.0),), D)
+
+
+def test_integer_coefficient_lookup_builds_no_fraction(monkeypatch):
+    s = series(((0, 2.0), (Fraction(1, 3), 3.0), (1, 5.0), (Fraction(5, 2), 7.0)), 4)
+    expected = [s.coefficient(Fraction(e)) for e in range(4)]
+    assert expected == [2.0, 5.0, 0j, 0j]
+
+    def refuse(x):
+        raise AssertionError("an int exponent needs no Fraction")
+
+    monkeypatch.setattr(novikov_mod, "_frac", refuse)
+    assert [s.coefficient(e) for e in range(4)] == expected

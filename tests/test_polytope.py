@@ -304,6 +304,8 @@ def test_vertex_dtype_follows_overflow_bound(c, dtype, monkeypatch):
         return kernel(M)
 
     monkeypatch.setattr(polytope_mod, "_int_cross", recorded)
+    # make_polytope already stored the vertices, so run the kernel itself
+    polytope_mod._solve_vertices(P)
     assert enumerate_vertices(P) == _reference_vertices(P) == [(F(0),), (F(c),)]
     assert seen == {np.dtype(dtype)}
     assert P.witness == (F(c, 2),)
@@ -342,6 +344,37 @@ def test_pickle_round_trip_keeps_the_polytope():
     back = pickle.loads(pickle.dumps(P))
     assert back == P and hash(back) == hash(P) and repr(back) == repr(P)
     assert enumerate_vertices(back) == verts and is_bounded(back) == bounded
+
+
+def test_parse_and_analysis_run_each_geometry_kernel_once(monkeypatch):
+    # make_polytope hands the vertices and boundedness its witness search
+    # computed to the polytope it returns
+    doc = polytope_to_json(hexagon_polytope())
+    del doc["interior_witness"]  # so that parsing searches for one
+    text = json.dumps(doc)
+    runs = {"_solve_vertices": 0, "_recession_free": 0}
+    for name in runs:
+
+        def counted(Q, kernel=getattr(polytope_mod, name), name=name):
+            runs[name] += 1
+            return kernel(Q)
+
+        monkeypatch.setattr(polytope_mod, name, counted)
+    report = analyze(parse_polytope(text), seed=0)
+    report_to_json(report)
+    render_svg(report)
+    assert runs == {"_solve_vertices": 1, "_recession_free": 1}
+
+
+@pytest.mark.parametrize("make", [hexagon_polytope, plane_blowup_polytope],
+                         ids=["bounded", "unbounded"])
+def test_handed_over_geometry_matches_a_fresh_computation(make):
+    P = make()
+    assert {"_vertices", "_bounded"} <= P.__dict__.keys()
+    blank = MomentPolytope(P.dimension, P.facets, (Fraction(0),) * P.dimension)
+    assert P.witness == polytope_mod._find_witness(blank)  # the witness is not overwritten
+    assert P._vertices == polytope_mod._solve_vertices(P)
+    assert P._bounded == polytope_mod._recession_free(P)
 
 
 def test_one_analysis_runs_the_vertex_kernel_at_most_once(monkeypatch):

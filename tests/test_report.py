@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import toric_fiber_lab.probes as probes_mod
 import toric_fiber_lab.report as report_mod
 from toric_fiber_lab import (
     BULK_CAVEAT,
@@ -103,6 +104,25 @@ def test_analyze_consistency_guard(monkeypatch):
     monkeypatch.setattr(report_mod, "displaceable_by_probe", lambda P, lam, bound: probe)
     with pytest.raises(InternalInconsistency, match="certified critical and displaced"):
         analyze(interval_polytope(), seed=0)
+
+
+def test_analysis_builds_one_direction_table(monkeypatch):
+    # corner cut 1/2 certifies two fibers; the scan and the check at each of
+    # them share the table of (polytope, bound)
+    built = []
+    table = probes_mod._direction_table
+
+    def counted(P, bound):
+        built.append(bound)
+        return table(P, bound)
+
+    monkeypatch.setattr(probes_mod, "_direction_table", counted)
+    P = corner_cut_polytope(F(1, 2))
+    report = analyze(P, seed=0)
+    assert len({c.fiber for c in report.certificates}) == 2
+    assert built == [3]
+    analyze(P, seed=0, bound=2)
+    assert built == [3, 2]
 
 
 def test_report_json_roundtrip():

@@ -583,6 +583,91 @@ def test_homotopy_finds_every_root_of_a_generic_system(support, n, volume):
     assert all(_satisfies(sys, z) for z in roots)
 
 
+def _one_call_path_field(E, R, c, theta, w, tau, pw, k):
+    """The homotopy field in one call, every factor formed at every evaluation:
+    the reference that the split into _tau_part and _path_field must match bit
+    for bit."""
+    P, T = pw.shape
+    n = E.shape[1]
+    mono = np.exp(w @ E.T)
+    tk = tau**k
+    rot = c * np.exp(1j * np.outer(1.0 - tk, theta))
+    tp = tau[:, None] ** pw
+    terms = rot * tp * mono
+    RE = (R[:, :, None] * E[:, None, :]).reshape(T, n * n)
+    J = (terms @ RE).reshape(P, n, n)
+    dtp = np.where(pw > 0, pw * tau[:, None] ** np.maximum(pw - 1.0, 0.0), 0.0)
+    dk = (k * tau ** np.maximum(k - 1.0, 0.0))[:, None]
+    Ht = (rot * mono * (dtp - 1j * dk * theta * tp)) @ R
+    return terms @ R, J, Ht
+
+
+def _hexagon_centre_system():
+    return leading_system(build_potential(hexagon_polytope(), (F(0), F(0))))
+
+
+def _cross_polytope_system():
+    return _generic_system([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], 3)
+
+
+def _track_arguments(sys, monkeypatch):
+    """The (E, R, c, theta, w, pw, k) that _homotopy_roots hands to _track."""
+    seen = []
+    track = solver_mod._track
+
+    def recorded(*args):
+        seen.append(args)
+        return track(*args)
+
+    monkeypatch.setattr(solver_mod, "_track", recorded)
+    solver_mod._homotopy_roots(sys)
+    return seen[0]
+
+
+@pytest.mark.parametrize("make", [_hexagon_centre_system, _cross_polytope_system],
+                         ids=["hexagon-centre", "cross-polytope"])
+@pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("target", [False, True], ids=["tracked", "polish"])
+def test_split_path_field_is_the_one_call_formula_bit_for_bit(make, t, target, monkeypatch):
+    E, R, c, theta, w, pw, k = _track_arguments(make(), monkeypatch)
+    w = w + 0.25 - 0.5j  # off the start points, so no factor is exactly 1
+    if target:  # the polish's powers: the target system at every tau
+        pw, k = np.zeros_like(pw), np.ones_like(k)
+    tau = np.full(len(w), t)
+    H, J, Ht = _one_call_path_field(E, R, c, theta, w, tau, pw, k)
+    part = solver_mod._tau_part(c, theta, tau, pw, k)
+    RE = solver_mod._jacobian_pattern(E, R)
+    J_pred, Ht_split = solver_mod._path_field(E, R, RE, w, part, True)
+    J_corr, H_split = solver_mod._path_field(E, R, RE, w, part, False)
+    # tobytes: a sign of zero or a last bit that differs counts
+    assert J_pred.tobytes() == J_corr.tobytes() == J.tobytes()
+    assert Ht_split.tobytes() == Ht.tobytes()
+    assert H_split.tobytes() == H.tobytes()
+
+
+def test_hexagon_centre_forms_three_tau_parts_per_round(monkeypatch):
+    # one round: RK4 stages at t0, t0 + h/2 (twice) and t1, then three
+    # correctors at t1; the polish then takes POLISH_STEPS steps at tau = 1
+    calls = {"tau": 0, True: 0, False: 0}
+    tau_part, path_field = solver_mod._tau_part, solver_mod._path_field
+
+    def counted_tau(*args):
+        calls["tau"] += 1
+        return tau_part(*args)
+
+    def counted_field(E, R, RE, w, part, dtau):
+        calls[dtau] += 1
+        return path_field(E, R, RE, w, part, dtau)
+
+    monkeypatch.setattr(solver_mod, "_tau_part", counted_tau)
+    monkeypatch.setattr(solver_mod, "_path_field", counted_field)
+    assert len(solver_mod._homotopy_roots(_hexagon_centre_system())) == 18
+    rounds, rest = divmod(calls[True], 4)
+    assert rest == 0 and rounds > 0
+    assert calls[False] == 3 * rounds + solver_mod.POLISH_STEPS
+    assert calls["tau"] == 3 * rounds + 1
+
+
 # -- newton lifting --------------------------------------------------------------
 
 
@@ -707,6 +792,23 @@ def test_series_solve_matches_the_system():
 
 
 # -- graded lifting ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make, lam, zeta, startable",
+    [
+        (lambda: corner_cut_polytope(F(1, 2)), (F(1, 2), F(1, 2)), (-1.0 + 0j, -1.0 + 0j), False),
+        (interval_polytope, (F(1, 2),), (1.0 + 0j,), True),
+    ],
+    ids=["zero-diagonal", "clear-diagonal"],
+)
+def test_graded_lift_takes_one_condition_number(make, lam, zeta, startable, monkeypatch):
+    conds = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda A: conds.append(A) or cond(A))
+    cert = graded_lift(build_potential(make(), lam), zeta)
+    assert cert.method == "graded" and len(conds) == 1
+    assert cert.leading_jacobian_nondegenerate is startable
 
 
 def test_lifts_evaluate_each_point_once(monkeypatch):
