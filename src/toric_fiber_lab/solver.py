@@ -404,14 +404,32 @@ def _tau_part(c, theta, tau, pw, k):
 
 
 def _jacobian_pattern(E, R):
-    """RE[a] = R[a] (x) E[a] for term exponents E and R[a, j] = 1 on a term of row j."""
-    return (R[:, :, None] * E[:, None, :]).reshape(len(E), -1)
+    """Complex RE[a] = R[a] (x) E[a] for term exponents E and R[a, j] = 1 on a term of row j."""
+    return (R[:, :, None] * E[:, None, :]).reshape(len(E), -1).astype(complex)
+
+
+def _exponents(w, E):
+    """w @ E.T for complex w, real E, as two real products with the complex GEMM's bytes.
+
+    After a complex GEMM, some OpenBLAS kernels (SkylakeX) slow scalar libm code, such as
+    the complex exp's cexp loop, several times over until the next vectorized op; a real
+    GEMM does not.  The parts are written in place: a + 1j*b makes b = inf nan + inf j.
+    """
+    out = np.empty((len(w), len(E)), dtype=complex)
+    out.real = w.real @ E.T
+    out.imag = w.imag @ E.T
+    return out
 
 
 def _path_field(E, R, RE, w, part, dtau: bool):
-    """(dH/dw, dH/dtau if dtau else H) at the points w from their _tau_part."""
+    """(dH/dw, dH/dtau if dtau else H) at the points w from their _tau_part.
+
+    The exponent product is real (_exponents).  The products with RE and R
+    stay complex: split, their sums over all terms change last bits, and
+    the solve or vectorized op after each ends the slow libm state.
+    """
     rtp, rot, X = part
-    mono = np.exp(w @ E.T)
+    mono = np.exp(_exponents(w, E))
     terms = rtp * mono
     J = (terms @ RE).reshape(len(w), E.shape[1], E.shape[1])
     return J, ((rot * mono * X) @ R if dtau else terms @ R)
@@ -535,6 +553,7 @@ def _homotopy_roots(sys: LeadingSystem) -> list[tuple[complex, ...]]:
     escaping to infinity keeps moving), every row passes the relative
     residual test of ROOT_RESIDUAL_TOL, and no kept root lies within
     ROOT_DEDUP_TOL (paths meeting at a multiple root end together).
+    Exponent products, the residual's too, are real (see _path_field).
     """
     n = sys.dimension
     supports, coeffs = _row_supports(sys)
@@ -572,7 +591,7 @@ def _homotopy_roots(sys: LeadingSystem) -> list[tuple[complex, ...]]:
             dw = -_solve_paths(J, H)
             w = w + dw
         settled = np.max(np.abs(dw), axis=1) < ROOT_DEDUP_TOL
-        terms = c * np.exp(w[settled] @ E.T)
+        terms = c * np.exp(_exponents(w[settled], E))
     roots: list[np.ndarray] = []
     for zeta, row_terms in zip(np.exp(w[settled]), terms):
         resid = np.abs(row_terms @ R)

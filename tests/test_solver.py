@@ -668,6 +668,61 @@ def test_hexagon_centre_forms_three_tau_parts_per_round(monkeypatch):
     assert calls["tau"] == 3 * rounds + 1
 
 
+def _twelve_line_centre_system():
+    return leading_system(build_potential(_twelve_line_polytope(), (F(0), F(0))))
+
+
+@pytest.mark.parametrize("make", [_hexagon_centre_system, _twelve_line_centre_system,
+                                  _cross_polytope_system],
+                         ids=["hexagon-centre", "12-line-centre", "cross-polytope"])
+def test_real_exponent_product_is_the_complex_matmul_bit_for_bit(make, monkeypatch):
+    # every w the field sees while tracking and polishing, down to the
+    # 12-line centre's rounds with a single live path, and the settled roots
+    seen = []
+    exponents = solver_mod._exponents
+
+    def recorded(w, E):
+        out = exponents(w, E)
+        seen.append((w.copy(), E, out))
+        return out
+
+    monkeypatch.setattr(solver_mod, "_exponents", recorded)
+    solver_mod._homotopy_roots(make())
+    assert seen
+    for w, E, out in seen:
+        assert out.tobytes() == (w @ E.T).tobytes()
+
+
+class _MatmulDtypes(np.ndarray):
+    """An array that records the operand dtypes of each matmul it enters."""
+
+    seen: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.seen.append(tuple(np.asarray(x).dtype for x in inputs))
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+def test_exponent_product_passes_only_real_operands_to_matmul(monkeypatch):
+    E, _, _, _, w, _, _ = _track_arguments(_hexagon_centre_system(), monkeypatch)
+    monkeypatch.setattr(_MatmulDtypes, "seen", [])
+    w = w.view(_MatmulDtypes)
+    _ = w @ E.T  # the complex product the helper replaces: the recorder sees it
+    assert _MatmulDtypes.seen == [(np.dtype(complex), np.dtype(float))]
+    _MatmulDtypes.seen.clear()
+    solver_mod._exponents(w, E)
+    assert _MatmulDtypes.seen == [(np.dtype(float), np.dtype(float))] * 2
+
+
+def test_exponent_product_keeps_an_infinite_part_in_its_own_part():
+    # 1j * inf is nan + inf j, so the parts must not be joined as a + 1j * b
+    w = np.array([[complex(1.0, np.inf), 2.0]])
+    out = solver_mod._exponents(w, np.array([[1.0, 1.0], [1.0, 2.0]]))
+    assert out.real.tolist() == [[3.0, 5.0]]
+    assert out.imag.tolist() == [[np.inf, np.inf]]
+
+
 # -- newton lifting --------------------------------------------------------------
 
 
