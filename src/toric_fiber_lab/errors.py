@@ -66,7 +66,7 @@ class NotTransverse(ValidationError):
 
 
 class UnboundedPolytope(ValidationError):
-    """Grid scan requested on an unbounded polytope."""
+    """Grid scan or SVG rendering requested on an unbounded polytope."""
 
 
 class DimensionUnsupported(ValidationError):

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInterior, NotInterior, SchemaError
+from .errors import DimensionMismatch, EmptyInterior, NotInterior, SchemaError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,10 @@ class MomentPolytope:
 
 
 CHUNK = 2**14  # integer systems solved per vectorized batch
+# Most minors a geometry kernel may form, C(facets, k) 2^(n+1): about 0.5 s.  Parsing
+# runs both kernels, on a half-space plus 2n witness-box facets too, about 8x more per
+# dimension (n = 10: 7.2e8, 24 s); the corner-cut 7-cube needs C(15, 7) 2^8 = 1.6e6.
+MAX_KERNEL_MINORS = 2**24
 
 
 # -- exact linear algebra ------------------------------------------------------
@@ -120,8 +124,12 @@ def cramer_solve(M: np.ndarray, rhs: np.ndarray):
     return live, -sign * w[:, -1], sign[:, None] * w[:, :-1]
 
 
-def _subsets(count: int, k: int):
-    """The k-subsets of range(count), in order, as arrays of CHUNK rows at most."""
+def _subsets(count: int, k: int, n: int):
+    """The k-subsets of range(count), in order, as arrays of CHUNK rows at most;
+    ValidationError first when C(count, k) 2^(n+1) exceeds MAX_KERNEL_MINORS."""
+    if (work := math.comb(count, k) * 2 ** (n + 1)) > MAX_KERNEL_MINORS:
+        raise ValidationError(f"dimension {n}, {count} inequalities (any witness-search box "
+                              f"included): {work} minors, more than {MAX_KERNEL_MINORS}")
     combos = itertools.combinations(range(count), k)
     while block := list(itertools.islice(combos, CHUNK)):
         yield np.array(block, dtype=np.intp).reshape(len(block), k)
@@ -306,7 +314,7 @@ def _solve_vertices(P: MomentPolytope) -> tuple[tuple[Fraction, ...], ...]:
     A = np.array([f.normal for f in P.facets], dtype=dtype)
     C = np.array(C, dtype=dtype)
     seen: set[tuple[Fraction, ...]] = set()
-    for S in _subsets(len(A), n):
+    for S in _subsets(len(A), n, n):
         _, d, N = cramer_solve(A[S], C[S])
         ok = (N @ A.T >= d[:, None] * C).all(axis=1)
         for row, dk in zip(N[ok].tolist(), d[ok].tolist()):
@@ -332,7 +340,7 @@ def _recession_free(P: MomentPolytope) -> bool:
     dtype = int_dtype(math.factorial(n) * max(abs(x) for f in P.facets for x in f.normal) ** n)
     A = np.array([f.normal for f in P.facets], dtype=dtype)
     spans = False
-    for S in _subsets(len(A), n - 1):
+    for S in _subsets(len(A), n - 1, n):
         c = _int_cross(A[S])
         pairs = c @ A.T
         live = (c != 0).any(axis=1)

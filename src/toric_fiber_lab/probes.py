@@ -198,8 +198,11 @@ def probe_through(
     how the facet is presented.  Only a facet with primitive normal yields a
     displacing probe: near a facet with label m > 1 (the normal -2 of P(1,2))
     the reduced disk has a Z_m cone point that Hamiltonian isotopies fix, so
-    displaceable_by_probe skips such facets.
+    displaceable_by_probe skips such facets.  A facet index outside
+    range(len(P.facets)) raises ValueError.
     """
+    if not 0 <= facet_index < len(P.facets):
+        raise ValueError(f"facet index {facet_index} is out of range for {len(P.facets)} facets")
     f = P.facets[facet_index]
     if not integrally_transverse(f, alpha):
         raise NotTransverse(f"direction {alpha} is not transverse to facet {facet_index}")

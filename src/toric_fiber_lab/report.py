@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .errors import DimensionUnsupported, InternalInconsistency
+from .errors import DimensionUnsupported, InternalInconsistency, UnboundedPolytope
 from .novikov import series_to_json
 from .polytope import (
     MomentPolytope,
@@ -273,8 +273,9 @@ def render_svg(report: AnalysisReport) -> str:
     P = report.polytope
     if P.dimension != 2:
         raise DimensionUnsupported("SVG rendering requires a 2-dimensional polytope")
-    box = bounding_box(P)
-    (xmin, xmax), (ymin, ymax) = box
+    if not is_bounded(P):
+        raise UnboundedPolytope("SVG rendering needs a bounded polytope; this one is unbounded")
+    (xmin, xmax), (ymin, ymax) = bounding_box(P)
     wx, wy = float(xmax - xmin), float(ymax - ymin)
     avail = SVG_SIZE * (1 - 2 * SVG_MARGIN)
     scale = min(avail / wx, avail / wy)

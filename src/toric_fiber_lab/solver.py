@@ -4,13 +4,14 @@ Pipeline: enumerate the fibers where every gradient direction has its
 minimal term valuation attained at least twice and one minimal pair per
 direction isolates the fiber (tropical candidates: the lower faces of the
 facet lifting, found by the integer kernel that also finds the homotopy's
-mixed cells; any other tie point has leading supports of mixed volume 0 and
-so no isolated leading root), solve the
-complex leading-coefficient system (in closed form when it reduces exactly to
-binomials, otherwise by a polyhedral homotopy with one path per unit of mixed
-volume; nothing on either route is random), then lift each leading root
-to a series solution of grad W = 0 by series Newton iteration or, when the
-leading matrix H0 has a zero diagonal entry or Newton stalls, by cancelling
+mixed cells, each fiber and its minimal facets read off its face; any other
+tie point has leading supports of mixed volume 0 and so no isolated leading
+root).  Per candidate, certificates_at_fiber, gated by the potential alone,
+solves the complex leading-coefficient system (in closed form when it reduces
+exactly to binomials, otherwise by a polyhedral homotopy with one path per
+unit of mixed volume; nothing on either route is random), then lifts each
+leading root to a series solution of grad W = 0 by series Newton iteration
+or, when H0 has a zero diagonal entry or Newton stalls, by cancelling
 residual levels one valuation at a time, which needs only H0 invertible.
 
 Both lifts work in b with z = e^b: row j of the b-Hessian, divided by
@@ -34,6 +35,7 @@ from .errors import (
     DegenerateDirection,
     Inconsistent,
     NoConvergence,
+    NotInterior,
     SingularLeadingHessian,
     ToricFiberError,
 )
@@ -49,7 +51,6 @@ from .polytope import (
     MomentPolytope,
     cramer_solve,
     exact_rref,
-    facet_values,
     int_dtype,
 )
 from .potential import (
@@ -108,49 +109,17 @@ class CriticalCertificate:
 # -- tropical candidate enumeration ------------------------------------------
 
 
-def _direction_minima(entries, n: int):
-    """(least value per direction, indices attaining it per direction).
-
-    Direction j ranges over the entries (index, exponent, value) with
-    exponent[j] != 0; raises DegenerateDirection when there are none.
-    """
-    mins, argmins = [], []
-    for j in range(n):
-        support = [(i, v) for i, e, v in entries if e[j] != 0]
-        if not support:
-            raise DegenerateDirection(f"no term involves direction {j}")
-        m = min(v for _, v in support)
-        mins.append(m)
-        argmins.append(tuple(i for i, v in support if v == m))
-    return tuple(mins), tuple(argmins)
-
-
-def _candidate_minima(P: MomentPolytope, lam) -> tuple[tuple[int, ...], ...] | None:
-    """Per direction, the facets of minimal value among those with v_ij != 0.
-
-    Returns None unless lam is interior (every facet value positive) and
-    every direction attains its minimum at least twice.
-    """
-    values = facet_values(P, lam)
-    if any(v <= 0 for v in values):
-        return None
-    entries = [(i, f.normal, v) for i, (f, v) in enumerate(zip(P.facets, values))]
-    try:
-        _, minima = _direction_minima(entries, P.dimension)
-    except DegenerateDirection:
-        return None
-    return minima if all(len(S) >= 2 for S in minima) else None
-
-
 def tropical_candidates(P: MomentPolytope) -> list[TropicalCandidate]:
     """Isolated fibers where leading-order cancellation is possible in every direction.
 
-    Row j lifts each facet i with v_ij != 0 to (v_i, -L c_i), L the lcm of
-    the offset denominators.  A lower face of the lifted rows with inner
-    normal (alpha, 1) picks one facet pair per direction that is minimal at
-    lam = alpha / L, so the candidates are the fibers isolated by a lower
-    face (_lower_faces, ties included); each distinct fiber is tested once.
-    Twists never move valuations, so the candidates depend on P alone.
+    Row j lifts each facet i with v_ij != 0 to (v_i, h_i), h = -L c with L
+    the lcm of the offset denominators.  A lower face (_lower_faces, ties
+    included) with pairs (a_j, b_j), d = |det| and N = d L lam picks one facet
+    pair per direction that is minimal at lam: d L l_i(lam) = <v_i, N> + d h_i,
+    so row j's minimal facets are those at height s = 0.  The first face of
+    each lam gives its candidate if lam is interior, that is if every
+    <v_{a_j}, N> + d h_{a_j} > 0 (every facet lies in some row).  Twists never
+    move valuations, so the candidates depend on P alone.
 
     These are exactly the tie points whose leading supports have positive
     mixed volume.  At a tie point lam that no choice of one minimal pair per
@@ -164,25 +133,40 @@ def tropical_candidates(P: MomentPolytope) -> list[TropicalCandidate]:
     for every twist.  A pair choice that is not minimal at its solution is
     no lower face, so points only such choices isolate are never tested.
     """
-    n = P.dimension
-    rows = [[f for f in P.facets if f.normal[j] != 0] for j in range(n)]
+    rows = [[i for i, f in enumerate(P.facets) if f.normal[j] != 0] for j in range(P.dimension)]
     L = math.lcm(*(f.offset.denominator for f in P.facets))
-    faces = _lower_faces(
-        [[f.normal for f in row] for row in rows],
-        [[int(-L * f.offset) for f in row] for row in rows],
-    )
-    found = {tuple(Fraction(int(x), d * L) for x in N) for _, d, N, _ in faces}
-    minima = ((lam, _candidate_minima(P, lam)) for lam in sorted(found))
-    return [TropicalCandidate(lam, m) for lam, m in minima if m is not None]
+    h = [int(-L * f.offset) for f in P.facets]
+    v = [f.normal for f in P.facets]
+    faces = _lower_faces([[v[i] for i in r] for r in rows], [[h[i] for i in r] for r in rows])
+    found = {}
+    for pairs, d, N, s in faces:
+        lam = tuple(Fraction(int(x), d * L) for x in N)
+        least = (r[a] for r, (a, _) in zip(rows, pairs))
+        if lam not in found and all(
+            sum(int(x) * c for x, c in zip(N, v[i])) + d * h[i] > 0 for i in least
+        ):
+            found[lam] = tuple(tuple(i for i, x in zip(r, sj) if x == 0) for r, sj in zip(rows, s))
+    return [TropicalCandidate(lam, m) for lam, m in sorted(found.items())]
 
 
 # -- leading system -----------------------------------------------------------
 
 
 def _row_data(W: Potential):
-    """Per direction: min term valuation, and the positions in W.terms attaining it."""
-    entries = [(i, t.exponent, t.valuation) for i, t in enumerate(W.terms)]
-    return _direction_minima(entries, W.dimension)
+    """Per direction: min term valuation, and the positions in W.terms attaining it.
+
+    Direction j ranges over the terms with exponent[j] != 0; raises
+    DegenerateDirection when there are none.
+    """
+    mins, argmins = [], []
+    for j in range(W.dimension):
+        support = [(i, t.valuation) for i, t in enumerate(W.terms) if t.exponent[j] != 0]
+        if not support:
+            raise DegenerateDirection(f"no term involves direction {j}")
+        m = min(v for _, v in support)
+        mins.append(m)
+        argmins.append(tuple(i for i, v in support if v == m))
+    return tuple(mins), tuple(argmins)
 
 
 def leading_system(W: Potential) -> LeadingSystem:
@@ -781,14 +765,34 @@ def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
 # -- pipeline -----------------------------------------------------------------
 
 
-def _lift_candidate(P, lam, alpha, truncation):
+def find_critical_fibers(
+    P: MomentPolytope, alpha=None, truncation=None, seed: int = 0
+) -> list[CriticalCertificate]:
+    """All certified critical fibers: certificates_at_fiber over the candidates.
+
+    One certificate per lifted leading root, ordered by fiber, then by root.
+    The seed is accepted for the reports' config and changes no output: no
+    step is random.
+    """
+    fibers = [cand.fiber for cand in tropical_candidates(P)]
+    return [cert for lam in fibers for cert in certificates_at_fiber(P, lam, alpha, truncation)]
+
+
+def certificates_at_fiber(
+    P: MomentPolytope, lam, alpha=None, truncation=None
+) -> list[CriticalCertificate]:
     """Certificates for the leading roots at lam that a lift carries to grad W = 0.
 
+    [] on build_potential's NotInterior and leading_system's DegenerateDirection.
     Each lift returns only once the gradient at its last point is zero.
     """
-    W = build_potential(P, lam, alpha, truncation)
+    try:
+        W = build_potential(P, lam, alpha, truncation)
+        sys = leading_system(W)
+    except (NotInterior, DegenerateDirection):
+        return []
     certs = []
-    for zeta in solve_leading(leading_system(W)):
+    for zeta in solve_leading(sys):
         try:
             certs.append(newton_lift(W, zeta))
         except (SingularLeadingHessian, NoConvergence):
@@ -797,28 +801,3 @@ def _lift_candidate(P, lam, alpha, truncation):
             except Inconsistent:
                 pass
     return certs
-
-
-def find_critical_fibers(
-    P: MomentPolytope, alpha=None, truncation=None, seed: int = 0
-) -> list[CriticalCertificate]:
-    """All certified critical fibers: candidates -> leading roots -> lifts.
-
-    One certificate per lifted leading root, ordered by fiber, then by root.
-    The seed is accepted for the reports' config and changes no output: no
-    step is random.
-    """
-    certs = []
-    for cand in tropical_candidates(P):
-        certs.extend(_lift_candidate(P, cand.fiber, alpha, truncation))
-    return certs
-
-
-def certificates_at_fiber(
-    P: MomentPolytope, lam, alpha=None, truncation=None
-) -> list[CriticalCertificate]:
-    """Run the lifting pipeline at one user-supplied fiber only."""
-    lam = tuple(Fraction(x) for x in lam)
-    if _candidate_minima(P, lam) is None:
-        return []
-    return _lift_candidate(P, lam, alpha, truncation)

@@ -44,6 +44,16 @@ def plane_blowup_polytope():
     return make_polytope(2, [((1, 0), F(0)), ((0, 1), F(0)), ((1, 1), F(1))])
 
 
+def quadrant_polytope():
+    # {x >= 0, y >= 0}: one vertex, so no box around the vertices
+    return make_polytope(2, [((1, 0), F(0)), ((0, 1), F(0))])
+
+
+def strip_polytope():
+    # {0 <= x <= 1}: no vertex at all
+    return make_polytope(2, [((1, 0), F(0)), ((-1, 0), F(-1))])
+
+
 def weighted_plane_polytope(n1: int, n2: int):
     return make_polytope(
         2, [((1, 0), F(0)), ((0, 1), F(0)), ((-n2, -n1), F(-n1 * n2))]
@@ -137,6 +147,34 @@ INTERVAL_JSON = (
     '{"dimension": 1, "facets": ['
     '{"normal": [1], "offset": "0"}, {"normal": [-1], "offset": "-1"}]}'
 )
+
+# malformed input documents, with the start of the message each is rejected with
+MALFORMED_DOCUMENTS = {
+    "bool-offset": ('{"dimension": 1, "facets": [[[1], true], [[-1], -1]]}',
+                    "not a rational: True"),
+    "float-offset": ('{"dimension": 1, "facets": [[[1], 0.5], [[-1], -1]]}',
+                     "not a rational: 0.5"),
+    "string-dimension": ('{"dimension": "1", "facets": [[[1], 0], [[-1], -1]]}',
+                         "dimension must be a positive integer"),
+    "bool-dimension": ('{"dimension": true, "facets": [[[1], 0], [[-1], -1]]}',
+                       "dimension must be a positive integer"),
+    "facets-not-a-list": ('{"dimension": 1, "facets": {"normal": [1], "offset": 0}}',
+                          "facets must be a nonempty list"),
+    "facet-without-offset": ('{"dimension": 1, "facets": [{"normal": [1]}, [[-1], -1]]}',
+                             "facet missing key 'offset'"),
+    "facet-of-three": ('{"dimension": 1, "facets": [[[1], 0, 0], [[-1], -1]]}',
+                       "facet entry [[1], 0, 0] not understood"),
+    "float-normal": ('{"dimension": 1, "facets": [[[1.0], 0], [[-1], -1]]}',
+                     "facet normal [1.0] must be a list of integers"),
+    "bool-normal": ('{"dimension": 1, "facets": [[[true], 0], [[-1], -1]]}',
+                    "facet normal [True] must be a list of integers"),
+    "witness-not-a-list": ('{"dimension": 1, "facets": [[[1], 0], [[-1], -1]], '
+                           '"interior_witness": "1/2"}',
+                           "interior_witness must be a list of rationals"),
+    "witness-wrong-length": ('{"dimension": 1, "facets": [[[1], 0], [[-1], -1]], '
+                             '"interior_witness": ["1/2", "1/2"]}',
+                             "interior witness has the wrong length"),
+}
 
 WEIGHTED_35_JSON = (
     '{"dimension": 2, "facets": ['

@@ -6,14 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from toric_fiber_lab import polytope_to_json
+import toric_fiber_lab.cli as cli_mod
+from toric_fiber_lab import InternalInconsistency, polytope_to_json
 from toric_fiber_lab.cli import main
 from conftest import (
     INTERVAL_JSON,
+    MALFORMED_DOCUMENTS,
     WEIGHTED_35_JSON,
     corner_cut_polytope,
     cube_polytope,
+    plane_blowup_polytope,
+    quadrant_polytope,
     square_polytope,
+    strip_polytope,
 )
 
 
@@ -63,6 +68,16 @@ def test_validate_malformed_document(tmp_path, capsys):
     p.write_text('{"dimension": 1, "facets": [{"normal": [0], "offset": "0"}]}')
     assert main(["validate", "--input", str(p)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_DOCUMENTS.values(),
+                         ids=list(MALFORMED_DOCUMENTS))
+def test_validate_names_what_is_malformed(tmp_path, capsys, text, message):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    assert main(["validate", "--input", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}") and captured.out == ""
 
 
 def test_potential_table(interval_file, capsys):
@@ -123,6 +138,23 @@ def test_wrong_length_fiber_names_point_and_dimension(interval_file, capsys, com
         "error: point (1, 2) has length 2, but the polytope has dimension 1\n"
     )
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("fiber", ["1/0", "x"])
+def test_critical_rejects_an_unparsable_fiber(interval_file, capsys, fiber):
+    assert main(["critical", "--input", interval_file, "--lambda", fiber]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot parse fiber {fiber!r}")
+
+
+def test_internal_inconsistency_exits_3(interval_file, capsys, monkeypatch):
+    def inconsistent(*args, **kwargs):
+        raise InternalInconsistency("fiber (1/2) is certified critical and displaced by a probe")
+
+    monkeypatch.setattr(cli_mod, "analyze", inconsistent)
+    assert main(["analyze", "--input", interval_file]) == 3
+    assert capsys.readouterr().err == (
+        "internal inconsistency: fiber (1/2) is certified critical and displaced by a probe\n"
+    )
 
 
 def test_critical_reports_empty(interval_file, capsys):
@@ -352,6 +384,20 @@ def test_render(square_file, tmp_path, capsys):
     assert rc == 0
     text = out_path.read_text()
     assert text.startswith("<svg ") and text.rstrip().endswith("</svg>")
+
+
+@pytest.mark.parametrize("make", [quadrant_polytope, plane_blowup_polytope, strip_polytope],
+                         ids=["quadrant", "plane_blowup", "strip"])
+@pytest.mark.parametrize("command", ["render", "analyze"])
+def test_svg_of_an_unbounded_polygon_is_rejected(tmp_path, capsys, make, command):
+    src, svg = tmp_path / "p.json", tmp_path / "p.svg"
+    src.write_text(json.dumps(polytope_to_json(make())))
+    flag = "--output" if command == "render" else "--svg"
+    assert main([command, "--input", str(src), flag, str(svg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: SVG rendering needs a bounded polytope; this one is unbounded\n"
+    )
+    assert not svg.exists()
 
 
 def test_render_byte_stable(square_file, tmp_path, capsys):

@@ -5,6 +5,8 @@ import json
 import math
 import pickle
 import random
+import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,7 @@ from toric_fiber_lab import (
     EmptyInterior,
     NotInterior,
     SchemaError,
+    ValidationError,
     bounding_box,
     enumerate_vertices,
     facet_values,
@@ -32,6 +35,7 @@ from toric_fiber_lab import (
 from toric_fiber_lab.polytope import Facet, MomentPolytope, format_point, interior_values
 from conftest import (
     INTERVAL_JSON,
+    MALFORMED_DOCUMENTS,
     corner_cut_polytope,
     fraction_solve,
     hexagon_polytope,
@@ -75,6 +79,37 @@ def test_parse_rejects_malformed_documents():
             parse_polytope(text)
     with pytest.raises(SchemaError):
         parse_polytope('{"dimension": 1, "facets": [[[1], "x/y"], [[-1], -1]]}')
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_DOCUMENTS.values(),
+                         ids=list(MALFORMED_DOCUMENTS))
+def test_parse_names_what_is_malformed(text, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        parse_polytope(text)
+
+
+def test_make_polytope_rejects_a_fractional_normal():
+    with pytest.raises(SchemaError, match=re.escape("normal [1.5, 0] must be integral")):
+        make_polytope(2, [([1.5, 0], F(0)), ([0, 1], F(0))])
+
+
+def _half_space(n):
+    # one facet x_1 >= 0: the witness search cuts it with 2n box facets
+    return json.dumps({"dimension": n, "facets": [[[1] + [0] * (n - 1), 0]]})
+
+
+def test_parse_rejects_kernel_work_past_the_bound():
+    # the vertex kernel would form C(21, 10) 2^11 = 7.2e8 minors (about 24 s)
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="722362368 minors, more than"):
+        parse_polytope(_half_space(10))
+    assert time.perf_counter() - start < 1
+
+
+def test_parse_keeps_the_largest_kernel_work_below_the_bound():
+    # C(17, 8) 2^9 = 1.2e7 minors, below polytope.MAX_KERNEL_MINORS
+    P = parse_polytope(_half_space(8))
+    assert not is_bounded(P) and P.witness[0] > 0
 
 
 def test_make_polytope_rejects_empty_facet_list():

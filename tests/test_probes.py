@@ -162,6 +162,14 @@ def test_probe_rejects_direction_of_wrong_length(alpha):
         integrally_transverse(P.facets[0], alpha)
 
 
+@pytest.mark.parametrize("index", [-1, 4, 5])
+def test_probe_rejects_a_facet_index_out_of_range(index):
+    # -1 would wrap to the last facet, 4 would raise a bare IndexError
+    P = square_polytope()
+    with pytest.raises(ValueError, match=f"facet index {index} is out of range for 4 facets"):
+        probe_through(P, (F(0), F(0)), index, (0, -1))
+
+
 def test_probe_rejects_non_transverse_direction():
     P = square_polytope()
     with pytest.raises(NotTransverse):

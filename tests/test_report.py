@@ -14,6 +14,7 @@ from toric_fiber_lab import (
     DimensionUnsupported,
     InternalInconsistency,
     Probe,
+    UnboundedPolytope,
     analyze,
     certificate_to_json,
     make_polytope,
@@ -31,7 +32,9 @@ from conftest import (
     interval_polytope,
     orbifold_interval_polytope,
     plane_blowup_polytope,
+    quadrant_polytope,
     square_polytope,
+    strip_polytope,
     weighted_plane_polytope,
 )
 
@@ -206,6 +209,16 @@ def test_svg_contents():
 def test_svg_requires_dimension_two():
     rep = analyze(interval_polytope(), seed=0)
     with pytest.raises(DimensionUnsupported):
+        render_svg(rep)
+
+
+@pytest.mark.parametrize("make", [quadrant_polytope, plane_blowup_polytope, strip_polytope],
+                         ids=["quadrant", "plane_blowup", "strip"])
+def test_svg_requires_a_bounded_polytope(make):
+    # no box holds an unbounded polygon: the quadrant's box is one point,
+    # the blow-up's outline a segment, and the strip has no vertex at all
+    rep = analyze(make(), seed=0)
+    with pytest.raises(UnboundedPolytope, match="unbounded"):
         render_svg(rep)
 
 

@@ -173,6 +173,63 @@ def test_candidates_are_the_tie_points_of_minimal_pair_choices(make):
     assert found == _pair_solutions(P, minimal=True)
 
 
+def _lower_face_points(P):
+    """Candidates by re-evaluating each lower-face point with facet_values.
+
+    Keeps each interior point where every direction's least facet value is
+    attained at least twice, with the per-direction minimal facets.
+    """
+    rows = [[i for i, f in enumerate(P.facets) if f.normal[j] != 0] for j in range(P.dimension)]
+    L = math.lcm(*(f.offset.denominator for f in P.facets))
+    faces = solver_mod._lower_faces(
+        [[P.facets[i].normal for i in row] for row in rows],
+        [[int(-L * P.facets[i].offset) for i in row] for row in rows],
+    )
+    found = {}
+    for _, d, N, _ in faces:
+        lam = tuple(F(int(x), d * L) for x in N)
+        values = facet_values(P, lam)
+        if any(v <= 0 for v in values):
+            continue
+        least = [min(values[i] for i in row) for row in rows]
+        minima = tuple(tuple(i for i in row if values[i] == m) for row, m in zip(rows, least))
+        if all(len(S) >= 2 for S in minima):
+            found[lam] = minima
+    return sorted(found.items())
+
+
+@pytest.mark.parametrize(
+    "make",
+    list(BENCH_CASES.values())
+    + [lambda: _twelve_line_polytope(), lambda: _twelve_line_polytope(F(-23, 8)), _sixteen_gon],
+    ids=list(BENCH_CASES) + ["12-line", "twisted-hexagon", "16-gon"],
+)
+def test_candidates_read_off_their_faces_match_facet_values(make):
+    P = make()
+    found = [(c.fiber, c.per_direction_minima) for c in tropical_candidates(P)]
+    assert found and found == _lower_face_points(P)
+
+
+def test_candidates_read_off_their_faces_match_facet_values_on_random_polytopes():
+    rng = random.Random(3)
+    kinds = {(n, bounded): 0 for n in (1, 2, 3) for bounded in (True, False)}
+    with_candidates = set()
+    while min(kinds.values()) < 4:
+        n = rng.randint(1, 3)
+        facets = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(n, n + 4))]
+        try:
+            P = make_polytope(n, [(v, F(-rng.randint(0, 8), rng.randint(1, 3)))
+                                  for v in facets if any(v)])
+        except ToricFiberError:
+            continue
+        kinds[n, is_bounded(P)] += 1
+        found = [(c.fiber, c.per_direction_minima) for c in tropical_candidates(P)]
+        assert found == _lower_face_points(P)
+        if found:
+            with_candidates.add(is_bounded(P))
+    assert with_candidates == {True, False}
+
+
 def test_points_only_a_non_minimal_pair_isolates_have_no_leading_root():
     rng = random.Random(0)
     tested, extra = 0, 0
@@ -408,7 +465,7 @@ def test_only_isolated_tie_points_are_candidates(make):
     P = make()
     assert [c.fiber for c in tropical_candidates(P)] == [(F(0), F(0))]
     for lam in FAMILY_POINTS:
-        assert solver_mod._candidate_minima(P, lam) is not None
+        leading_system(build_potential(P, lam))  # interior, and every direction ties
         assert certificates_at_fiber(P, lam) == []
 
 
@@ -508,10 +565,11 @@ def test_hexagon_centre_root_count_is_the_mixed_volume():
     assert len(solve_leading(centre)) == 18
 
 
-def _twelve_line_polytope():
+def _twelve_line_polytope(extra=F(-3)):
+    # extra = -23/8 gives the twisted hexagon (delta = 7/8)
     normals = [(2, 1), (1, 2), (-1, 1), (-2, -1), (-1, -2), (1, -1)]
-    normals += [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1)]
-    return make_polytope(2, [(v, F(-3)) for v in normals])
+    more = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1)]
+    return make_polytope(2, [(v, F(-3)) for v in normals] + [(v, extra) for v in more])
 
 
 def test_hexagon_centre_tracks_one_path_per_unit_of_mixed_volume(monkeypatch):
