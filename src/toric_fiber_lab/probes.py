@@ -7,17 +7,17 @@ first half of a probe are displaceable.  All arithmetic here is exact.
 
 One block kernel tests coverage.  A direction table pairs each (facet i,
 direction alpha) once, with the slopes s_g = <v_g, alpha> of every facet,
-all from one integer product of normals and directions.  A fiber's facet
-values are scaled by a common denominator L to the integers V_g = L l_g(lam);
-on a grid lam = lo + k h they are V = A + K B^T with A and B computed once
-per scan.  The probe from entry (i, alpha) covers the fiber when
-V_g s_i > V_i W_g for every facet g, with W_g = |s_g| and W_i = 0.
-_first_probes tests a block of fibers against every table entry one facet g
-at a time: each step is one (fibers, entries) integer comparison, so no
-(fibers, entries, facets) array is formed.  It runs in int64 when a bound on
-max|V| * max|s| is below 2**62 and on Python integers otherwise, by the
-polytope kernel's rule (polytope.int_dtype).  Fractions (base, exit
-parameter) are built only for the probe that is returned.
+all from one integer product of normals and directions.  A fiber is held as
+integer numerators Lam over a common denominator Q, its facet values as the
+integers V_g = L l_g(lam) for a common denominator L; on a grid
+lam = lo + k h both are affine in k.  The probe from entry (i, alpha) covers
+the fiber when V_g s_i > V_i W_g for every facet g, with W_g = |s_g| and
+W_i = 0.  _first_probes tests a block of fibers against every table entry one
+facet g at a time, so no (fibers, entries, facets) array is formed.  _probes
+forms the covered fibers' bases and exits as integer numerators in the same
+arrays and builds one Probe, with its Fractions, per distinct probe.  All of
+it runs in int64 when a bound on every product formed is below 2**62 and on
+Python integers otherwise, by the polytope kernel's rule (polytope.int_dtype).
 """
 
 from __future__ import annotations
@@ -52,6 +52,12 @@ class Probe:
     direction: tuple[int, ...]
     exit_parameter: Fraction | None  # None encodes an unbounded probe
 
+    @functools.cached_property
+    def strings(self) -> tuple[tuple[str, ...], str]:
+        """Base and exit parameter ("inf" if unbounded) as strings, formed once."""
+        exit_parameter = "inf" if self.exit_parameter is None else str(self.exit_parameter)
+        return tuple(map(str, self.base)), exit_parameter
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -85,17 +91,20 @@ def _direction_table(P: MomentPolytope, bound: int):
     """Every facet with primitive normal, in order, with each direction of
     sup-norm <= bound pairing to 1 with it, in lexicographic order.  A normal
     with gcd m pairs to multiples of m only, so s_i = 1 picks out both.
-
-    Returns (facets, directions, slopes), one entry per position, with the
-    slopes as an (entries, facets) array.
-    """
+    Returns _table's (facets, directions, slopes, C), one entry per position."""
     if bound < 1:
         raise ValueError("bound must be positive")
     box = itertools.product(range(-bound, bound + 1), repeat=P.dimension)
     alphas = [a for a in box if any(a)]
     S = _slopes(P, alphas)
     facets, cols = np.nonzero(S == 1)  # row-major: facet order, then direction order
-    return facets.tolist(), [alphas[c] for c in cols], S[:, cols].T
+    return _table(facets.tolist(), [alphas[c] for c in cols], S[:, cols].T)
+
+
+def _table(facets: list[int], alphas: list[tuple[int, ...]], S: np.ndarray):
+    """(facets, directions, slopes as (entries, facets), C), with C_e the lcm
+    of entry e's -s_g < 0 (1 if none): its exit candidates' denominator."""
+    return facets, alphas, S, [math.lcm(*(-s for s in row if s < 0)) for row in S.tolist()]
 
 
 def _stored_table(P: MomentPolytope, bound: int):
@@ -106,10 +115,19 @@ def _stored_table(P: MomentPolytope, bound: int):
     return tables[bound]
 
 
-def _value_dtype(vmax: int, table):
-    """The kernel's dtype for facet values |V_g| <= vmax: its products are at
-    most vmax * max|s|."""
-    return int_dtype(vmax * int(np.abs(table[2]).max(initial=1)))
+def _row_dtype(lmax: int, Q: int, vmax: int, L: int, table):
+    """The dtype for fibers Lam/Q, |Lam_j| <= lmax, with facet values V/L,
+    |V_g| <= vmax.  The products formed, V_g s_i and V_i |s_g| (kernel),
+    Lam_j L s_i and V_i alpha_j Q (bases), V_g s_i C_e/(-s_g) and V_i C_e
+    (exits), are at most vmax smax cmax, lmax L smax or vmax amax Q; every
+    integer formed is one, a factor of one, or a sum of two.  lam can be huge
+    while V is small (a polytope far from the origin): vmax alone is no bound.
+    """
+    _, alphas, S, C = table
+    smax = int(np.abs(S).max(initial=1))
+    amax = max(map(abs, itertools.chain(*alphas)), default=1)
+    lmax, vmax = max(lmax, 1), max(vmax, 1)
+    return int_dtype(max(vmax * smax * max(C, default=1), lmax * L * smax, vmax * amax * Q))
 
 
 def _first_probes(V: np.ndarray, table) -> np.ndarray:
@@ -124,7 +142,7 @@ def _first_probes(V: np.ndarray, table) -> np.ndarray:
     arrays to stay in cache, and each facet g adds one (rows, entries)
     comparison to the block's coverage.
     """
-    facets, _, S = table
+    facets, _, S, _ = table
     first = np.full(len(V), -1)
     if not facets:
         return first
@@ -143,46 +161,55 @@ def _first_probes(V: np.ndarray, table) -> np.ndarray:
     return first
 
 
-def _probes(lams, V: np.ndarray, scale: int, table) -> list[Probe | None]:
-    """The probe of the first table entry covering each lam, or None.
+def _probes(Lam: np.ndarray, Q: int, V: np.ndarray, L: int, table) -> list[Probe | None]:
+    """The probe of the first table entry covering each fiber Lam/Q, whose
+    facet values are V/L, or None.
 
-    With d = L s_i, t = V_i/d; the base is lam - t alpha, the exit the least
-    (V_g s_i - V_i s_g)/(-s_g d) over s_g < 0, found by cross-multiplying.
-    Equal (numerator, denominator) pairs share one Fraction.
+    With entry e = (i, alpha), d = L s_i and t = V_i/d, the base lam - t alpha
+    is Lam d - V_i alpha Q over Q d, and the exit the least
+    (V_g s_i - V_i s_g)/(-s_g d) over s_g < 0, over C_e d: V_i C_e plus the
+    least V_g s_i C_e/(-s_g).  Rows with equal (e, base, exit) numerators
+    share one Probe.
     """
-    facets, alphas, S = table
-    slopes = S.tolist()
+    facets, alphas, S, C = table
+    out: list[Probe | None] = [None] * len(V)
+    first = _first_probes(V, table)
+    rows = np.flatnonzero(first >= 0)
+    if not len(rows):
+        return out
+    E, at, V = first[rows], np.arange(len(rows)), V[rows]
+    S, i = S[E].astype(V.dtype), np.array(facets)[E]
+    Vi, si, Ce = V[at, i], S[at, i], np.array(C, dtype=V.dtype)[E]
+    d = L * si
+    base = Lam[rows] * d[:, None] - Vi[:, None] * (np.array(alphas, dtype=V.dtype)[E] * Q)
+    least = np.full(len(rows), -1, dtype=V.dtype)  # -1: no s_g < 0 yet
+    for Vg, sg in zip(V.T, S.T):
+        neg = sg < 0
+        cand = Vg * (si * Ce // np.where(neg, -sg, 1))
+        least = np.where(neg & ((least < 0) | (cand < least)), cand, least)
+    exits = np.where(least < 0, -1, least + Vi * Ce)
+    shared: dict[tuple[int, ...], Probe] = {}
     fraction = functools.cache(Fraction)
-    out: list[Probe | None] = []
-    for lam, row, e in zip(lams, V.tolist(), _first_probes(V, table).tolist()):
-        if e < 0:
-            out.append(None)
-            continue
-        i, alpha, s = facets[e], alphas[e], slopes[e]
-        vi, si = row[i], s[i]
-        d = scale * si
-        base = tuple(
-            fraction(x.numerator * d - vi * a * x.denominator, x.denominator * d)
-            for x, a in zip(lam, alpha)
-        )
-        least = None
-        for v, sg in zip(row, s):
-            if sg < 0:
-                num, den = v * si - vi * sg, -sg * d
-                if least is None or num * least[1] < least[0] * den:
-                    least = num, den
-        out.append(Probe(i, base, alpha, None if least is None else fraction(*least)))
+    keys = zip(E.tolist(), d.tolist(), exits.tolist(), *base.T.tolist())
+    for r, key in zip(rows.tolist(), keys):
+        probe = shared.get(key)
+        if probe is None:
+            e, de, x, *b = key  # de = L s_i, the entry's d
+            exit_parameter = None if x < 0 else fraction(x, C[e] * de)
+            base_point = tuple(fraction(n, Q * de) for n in b)
+            probe = shared[key] = Probe(facets[e], base_point, alphas[e], exit_parameter)
+        out[r] = probe
     return out
 
 
 def _probe_at(P: MomentPolytope, lam, table) -> Probe | None:
-    """_probes for one fiber, its facet values scaled to integers V = L l(lam)."""
-    lam = tuple(Fraction(x) for x in lam)
-    values = facet_values(P, lam)
-    scale = math.lcm(*(v.denominator for v in values))
-    row = [int(v * scale) for v in values]
-    V = np.array([row], dtype=_value_dtype(max(map(abs, row)), table))
-    return _probes([lam], V, scale, table)[0]
+    """_probes for one fiber: Q is the lcm of lam's denominators, L that of
+    its facet values'."""
+    values, lam = facet_values(P, lam), [Fraction(x) for x in lam]
+    Q, L = (math.lcm(*(x.denominator for x in xs)) for xs in (lam, values))
+    Lam, V = [int(x * Q) for x in lam], [int(v * L) for v in values]
+    dtype = _row_dtype(max(map(abs, Lam)), Q, max(map(abs, V)), L, table)
+    return _probes(np.array([Lam], dtype=dtype), Q, np.array([V], dtype=dtype), L, table)[0]
 
 
 def probe_through(
@@ -206,8 +233,7 @@ def probe_through(
     f = P.facets[facet_index]
     if not integrally_transverse(f, alpha):
         raise NotTransverse(f"direction {alpha} is not transverse to facet {facet_index}")
-    table = [facet_index], [tuple(alpha)], _slopes(P, [alpha]).T
-    return _probe_at(P, lam, table)
+    return _probe_at(P, lam, _table([facet_index], [tuple(alpha)], _slopes(P, [alpha]).T))
 
 
 def displaceable_by_probe(P: MomentPolytope, lam, bound: int = DEFAULT_BOUND) -> Probe | None:
@@ -239,19 +265,24 @@ def probe_scan(
         )
     table = _stored_table(P, bound)
     box = bounding_box(P)
-    steps = [(hi - lo) / resolution for lo, hi in box]
-    axes = [[lo + k * h for k in range(resolution + 1)] for (lo, _), h in zip(box, steps)]
-    # l_g(lo + k h) = l_g(lo) + sum_j k_j v_gj h_j, scaled to integers by L
-    origin = facet_values(P, [lo for lo, _ in box])
+    lo = [a for a, _ in box]
+    steps = [(b - a) / resolution for a, b in box]
+    # lam = lo + k h scaled to integers by Q, and l_g(lam) = l_g(lo) + sum_j k_j v_gj h_j by L
+    Q = math.lcm(*(x.denominator for x in lo + steps))
+    origin = facet_values(P, lo)
     rates = [[v * h for v, h in zip(f.normal, steps)] for f in P.facets]
-    scale = math.lcm(*(x.denominator for x in itertools.chain(origin, *rates)))
-    A = [int(x * scale) for x in origin]
-    B = [[int(x * scale) for x in row] for row in rates]
-    # every V_g, and every partial sum of it, is at most |A_g| + R sum_j |B_gj|
+    L = math.lcm(*(x.denominator for x in itertools.chain(origin, *rates)))
+    lo_Q, h_Q = [int(a * Q) for a in lo], [int(h * Q) for h in steps]
+    A = [int(x * L) for x in origin]
+    B = [[int(x * L) for x in row] for row in rates]
+    # |Lam_j| <= |lo_j Q| + R |h_j Q|; V_g and its partial sums <= |A_g| + R sum_j |B_gj|
+    lmax = max(abs(a) + resolution * abs(h) for a, h in zip(lo_Q, h_Q))
     vmax = max(abs(a) + resolution * sum(map(abs, row)) for a, row in zip(A, B))
-    dtype = _value_dtype(vmax, table)
+    dtype = _row_dtype(lmax, Q, vmax, L, table)
     K = np.indices((resolution + 1,) * P.dimension).reshape(P.dimension, -1).T
     V = np.array(A, dtype=dtype) + K @ np.array(B, dtype=dtype).T
     inside = (V > 0).all(axis=1)
-    lams = [tuple(axis[k] for axis, k in zip(axes, ks)) for ks in K[inside].tolist()]
-    return dict(zip(lams, _probes(lams, V[inside], scale, table)))
+    Lam = np.array(lo_Q, dtype=dtype) + K[inside] * np.array(h_Q, dtype=dtype)
+    axes = [[a + k * h for k in range(resolution + 1)] for a, h in zip(lo, steps)]
+    lams = itertools.compress(itertools.product(*axes), inside.tolist())
+    return dict(zip(lams, _probes(Lam, Q, V[inside], L, table)))

@@ -199,11 +199,12 @@ def certificate_to_json(cert: CriticalCertificate) -> dict:
 def probe_to_json(probe: Probe | None):
     if probe is None:
         return None
+    base, exit_parameter = probe.strings
     return {
         "facet": probe.facet_index,
-        "base": _point_json(probe.base),
+        "base": list(base),
         "direction": list(probe.direction),
-        "exit_parameter": "inf" if probe.exit_parameter is None else str(probe.exit_parameter),
+        "exit_parameter": exit_parameter,
     }
 
 

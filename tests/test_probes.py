@@ -417,9 +417,22 @@ def test_scan_matches_reference(name, resolution, bound):
     assert grid == expected
 
 
+def _beyond_64_bits():
+    # the offset's denominator 10^20 exceeds 2^63, so the scaled facet values
+    # overflow any fixed-width integer type
+    c = F(10**20 + 1, 10**20)
+    return make_polytope(2, [((1, 0), F(0)), ((0, 1), F(0)), ((-1, -1), -c)])
+
+
 @pytest.mark.parametrize("name", REFERENCE_POLYTOPES)
+def test_scan_shares_one_probe_per_distinct_probe(name):
+    probes = [p for p in probe_scan(REFERENCE_POLYTOPES[name](), 32, 3).values() if p is not None]
+    assert len({id(p) for p in probes}) == len(set(probes))
+
+
+@pytest.mark.parametrize("name", [*REFERENCE_POLYTOPES, "beyond_64_bits"])
 def test_single_fiber_probes_match_scan(name):
-    P = REFERENCE_POLYTOPES[name]()
+    P = _beyond_64_bits() if name == "beyond_64_bits" else REFERENCE_POLYTOPES[name]()
     for lam, probe in probe_scan(P, 16, 3).items():
         assert displaceable_by_probe(P, lam, 3) == probe
         if probe is not None:
@@ -430,8 +443,9 @@ def test_single_fiber_probes_match_scan(name):
 def test_scan_dtype_follows_overflow_bound(c, dtype, monkeypatch):
     # on [0, c]^2 at resolution 16 (c a multiple of 16) the scaled facet values
     # are the integers A_g + sum_j k_j B_gj, bounded by |A_g| + 16 sum_j |B_gj| = 2c,
-    # and bound 1 keeps every slope within 1: the kernel's bound 2c is just
-    # below 2**62 in the first case and equal to it in the second
+    # and bound 1 keeps every slope, direction entry and C_e within 1, with
+    # Q = L = 1 and fiber numerators at most c: the bound 2c on every product
+    # is just below 2**62 in the first case and equal to it in the second
     P = make_polytope(2, [((1, 0), F(0)), ((0, 1), F(0)), ((-1, 0), F(-c)), ((0, -1), F(-c))])
     kernel, seen = probes_mod._first_probes, []
 
@@ -445,13 +459,26 @@ def test_scan_dtype_follows_overflow_bound(c, dtype, monkeypatch):
 
 
 def test_scan_exact_beyond_64_bits():
-    # the offset's denominator 10^20 exceeds 2^63, so the scaled facet values
-    # overflow any fixed-width integer type
-    c = F(10**20 + 1, 10**20)
-    P = make_polytope(2, [((1, 0), F(0)), ((0, 1), F(0)), ((-1, -1), -c)])
+    P = _beyond_64_bits()
     grid = probe_scan(P, 8)
     assert max(x.denominator for lam in grid for x in lam) > 2**63
     assert grid == _reference_scan(P, 8, 3)
+
+
+def test_scan_exact_far_from_the_origin():
+    # on [c, c + 2]^2 with c = 2^61 the facet values stay small, but the fiber
+    # numerators over Q = 4 pass 2^63: a bound on the facet values alone would
+    # pick int64, which cannot hold them
+    c = 2**61
+    P = make_polytope(
+        2, [((1, 0), c), ((0, 1), c), ((-1, 0), -(c + 2)), ((0, -1), -(c + 2))]
+    )
+    grid = probe_scan(P, 8, 3)
+    expected = _reference_scan(P, 8, 3)
+    assert list(grid) == list(expected)
+    assert grid == expected
+    for lam, probe in grid.items():
+        assert displaceable_by_probe(P, lam, 3) == probe
 
 
 # Unknown points and SHA-256 of `probes --scan 64 --bound 3 --json` (without
