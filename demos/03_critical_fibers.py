@@ -6,11 +6,12 @@ truncated Novikov ring.  Leading systems that reduce to binomials, such as
 P(1,3,5)'s zeta1^6 zeta2^3 = 5, zeta1^5 zeta2^4 = 3, are solved in closed
 form: exactly |det E| = 9 roots for the exponent matrix E.  Other systems are
 solved by a polyhedral homotopy with one path per unit of mixed volume.
-Roots lift by Newton with quadratically growing residual valuation when the
+Roots lift by Newton, each step at least doubling the residual level, when the
 leading b-Hessian H0 (the constant part of the b-Hessian at the root, each row
-divided by its least power of q) has a nonzero diagonal; otherwise (or when
-Newton stalls) they lift by level-by-level graded corrections, one solve
-against H0 per level, which need only H0 invertible.
+divided by its least power of q) has a nonzero diagonal; otherwise (or when a
+Newton step fails to double it) they lift by level-by-level graded
+corrections, one solve against H0 per level, each raising the level, which
+need only H0 invertible.
 """
 
 from fractions import Fraction as F

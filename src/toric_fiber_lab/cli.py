@@ -305,10 +305,7 @@ def main(argv=None) -> int:
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, ToricFiberError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (ToricFiberError, OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -54,11 +54,11 @@ class SingularLeadingHessian(ToricFiberError):
 
 
 class NoConvergence(ToricFiberError):
-    """Newton lifting stalled without reaching the truncation order."""
+    """A Newton lift step failed to raise the residual level to at least twice its last value."""
 
 
 class Inconsistent(ToricFiberError):
-    """Graded lifting failed: singular leading b-Hessian H0 or a stalled residual level."""
+    """Graded lifting failed: singular leading b-Hessian H0 or a level that did not rise."""
 
 
 class NotTransverse(ValidationError):

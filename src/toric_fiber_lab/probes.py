@@ -43,6 +43,7 @@ from .polytope import (
 DEFAULT_BOUND = 3  # direction sup-norm bound
 DEFAULT_RESOLUTION = 16  # grid steps per axis in analyze
 MAX_GRID_POINTS = 2**22  # largest (resolution + 1)**dimension a scan accepts
+MAX_DIRECTIONS = 2**20  # largest (2 bound + 1)**dimension - 1 a direction table accepts
 
 
 @dataclass(frozen=True)
@@ -87,13 +88,24 @@ def _slopes(P: MomentPolytope, alphas) -> np.ndarray:
     return np.array(normals, dtype=dtype) @ np.array(alphas, dtype=dtype).T
 
 
+def check_bound(bound: int, dimension: int) -> None:
+    """Reject a bound below 1 or with more than MAX_DIRECTIONS nonzero directions."""
+    if bound < 1:
+        raise ValueError("bound must be positive")
+    count = (2 * bound + 1) ** dimension - 1
+    if count > MAX_DIRECTIONS:
+        raise ValueError(
+            f"bound {bound} gives {count} probe directions in dimension {dimension}, "
+            f"more than the {MAX_DIRECTIONS} a table accepts"
+        )
+
+
 def _direction_table(P: MomentPolytope, bound: int):
     """Every facet with primitive normal, in order, with each direction of
     sup-norm <= bound pairing to 1 with it, in lexicographic order.  A normal
     with gcd m pairs to multiples of m only, so s_i = 1 picks out both.
     Returns _table's (facets, directions, slopes, C), one entry per position."""
-    if bound < 1:
-        raise ValueError("bound must be positive")
+    check_bound(bound, P.dimension)
     box = itertools.product(range(-bound, bound + 1), repeat=P.dimension)
     alphas = [a for a in box if any(a)]
     S = _slopes(P, alphas)

@@ -31,7 +31,7 @@ from .polytope import (
     polytope_to_json,
 )
 from .probes import DEFAULT_BOUND, DEFAULT_RESOLUTION, Probe, Verdict
-from .probes import displaceable_by_probe, probe_scan
+from .probes import check_bound, displaceable_by_probe, probe_scan
 from .solver import CriticalCertificate, find_critical_fibers
 
 TOOL_VERSION = "0.1.0"
@@ -78,12 +78,12 @@ def analyze(
 ) -> AnalysisReport:
     """Run the critical-fiber search and the probe scan, then classify.
 
-    Raises ValueError for a direction bound or a grid resolution below 1,
-    whether or not any probe search runs, and for a scanned grid above
-    MAX_GRID_POINTS before the critical-fiber search starts.
+    Raises ValueError for a direction bound or a grid resolution below 1 and
+    for a bound above MAX_DIRECTIONS directions, whether or not any probe
+    search runs, and for a scanned grid above MAX_GRID_POINTS before the
+    critical-fiber search starts.
     """
-    if bound < 1:
-        raise ValueError("bound must be positive")
+    check_bound(bound, P.dimension)
     if resolution < 1:
         raise ValueError("resolution must be positive")
     scan = probe_scan(P, resolution, bound) if P.dimension <= 2 and is_bounded(P) else None

@@ -10,9 +10,10 @@ root).  Per candidate, certificates_at_fiber, gated by the potential alone,
 solves the complex leading-coefficient system (in closed form when it reduces
 exactly to binomials, otherwise by a polyhedral homotopy with one path per
 unit of mixed volume; nothing on either route is random), then lifts each
-leading root to a series solution of grad W = 0 by series Newton iteration
-or, when H0 has a zero diagonal entry or Newton stalls, by cancelling
-residual levels one valuation at a time, which needs only H0 invertible.
+leading root to a series solution of grad W = 0 by series Newton iteration,
+each step of which must double the residual level, or, when H0 has a zero
+diagonal entry or Newton breaks that law, by cancelling residual levels one
+valuation at a time, which needs only H0 invertible and must raise the level.
 
 Both lifts work in b with z = e^b: row j of the b-Hessian, divided by
 q^{m_j} (m_j the row's least term valuation), is the normalized b-Hessian,
@@ -74,7 +75,6 @@ PATH_MIN_STEP = 1e-12
 PATH_END_GAP = 1e-9
 PATH_MAX_ROUNDS = 1000
 POLISH_STEPS = 16
-MAX_NEWTON_ITER = 60
 MAX_GRADED_LEVELS = 400
 
 
@@ -664,13 +664,12 @@ def _solve_series_system(Hhat, ghat, H0inv: np.ndarray):
     return delta
 
 
-def _certificate(W, z, tv, g, method, nondegenerate, iterations, history) -> CriticalCertificate:
-    """Package the lifted point z from the term list tv and gradient g last taken at z."""
-    res = min((val(gj) for gj in g), default=INF)
+def _certificate(W, z, tv, method, nondegenerate, iterations, history) -> CriticalCertificate:
+    """Package the lifted point z, whose gradient is zero, from its term list tv."""
     return CriticalCertificate(
         fiber=W.fiber,
         z=tuple(z),
-        residual_valuation=res,
+        residual_valuation=INF,
         leading_jacobian_nondegenerate=nondegenerate,
         critical_value=value_from_terms(W, tv),
         intersection_lower_bound=2**W.dimension,
@@ -678,11 +677,6 @@ def _certificate(W, z, tv, g, method, nondegenerate, iterations, history) -> Cri
         iterations=iterations,
         residual_history=tuple(history),
     )
-
-
-def _stalled(history) -> bool:
-    """True when none of the last three frontiers passes the best one before them."""
-    return len(history) > 3 and max(history[-3:]) <= max(history[:-3])
 
 
 def newton_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
@@ -693,34 +687,32 @@ def newton_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     The step solves Hhat db = -ghat in b = log z with the normalized
     b-Hessian, refined with the inverse of its constant part H0 at zeta, and
     moves z_k by z_k db_k: the Newton step in z with no series inverse.
+    With H0 invertible each step at least doubles the normalized residual
+    level f, so about log2((D - min m_j) / f_0) + 1 steps reach truncation D.
     Raises SingularLeadingHessian when H0 has a vanishing diagonal entry or
-    condition number >= 1e8, and NoConvergence when the frontier stalls
-    (_stalled: none of the last three frontiers passes the best one before
-    them) or the iteration budget runs out; the pipeline then tries
-    graded_lift, which asks only that H0 be invertible.
+    condition number >= 1e8, and NoConvergence at the first step that does
+    not take f above and to at least twice its last value; the pipeline then
+    tries graded_lift, which asks only that H0 be invertible.
     """
     row_vals, z, tv, g, front, Hhat, H0 = _lift_start(W, zeta)
     startable = _newton_startable(H0)
     history = [front]
     if all(gj.is_zero() for gj in g):
-        return _certificate(W, z, tv, g, "newton", startable, 0, history)
+        return _certificate(W, z, tv, "newton", startable, 0, history)
     if not startable:
         raise SingularLeadingHessian("H0 is unfit for plain Newton at this root")
     H0inv = np.linalg.inv(H0)
-    for it in range(1, MAX_NEWTON_ITER + 1):
+    for it in itertools.count(1):
         ghat = tuple(gj.shift(-m) for gj, m in zip(g, row_vals))
         db = _solve_series_system(Hhat, ghat, H0inv)
         z = tuple(zj + zj * dj for zj, dj in zip(z, db))
         tv, g, front = _normalized_state(W, row_vals, z)
         history.append(front)
         if all(gj.is_zero() for gj in g):
-            return _certificate(W, z, tv, g, "newton", startable, it, history)
-        if _stalled(history):
-            raise NoConvergence(
-                f"residual valuation stalled at {front} after {it} iterations"
-            )
+            return _certificate(W, z, tv, "newton", startable, it, history)
+        if front <= history[-2] or front < 2 * history[-2]:
+            raise NoConvergence(f"step {it} took the residual level from {history[-2]} to {front}")
         Hhat = _normalized_hessian(W, row_vals, tv)
-    raise NoConvergence("iteration budget exhausted before reaching the truncation")
 
 
 def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
@@ -730,25 +722,21 @@ def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     coefficients of the normalized gradient, and moves z_k by
     zeta_k db_k q^f.  Corrections only enter at positive levels, so H0 is
     fixed by zeta; it must be invertible, though its diagonal may vanish.
-    Raises Inconsistent when H0 is singular or the frontier stalls, turns
-    nonpositive or runs out.  The stall rule is newton_lift's (_stalled); a
-    correction at q^f leaves every lower level untouched, so here it means
-    four equal frontiers in a row.
+    A correction at q^f cancels level f and leaves lower levels untouched, so
+    it must raise the frontier.  Raises Inconsistent when H0 is singular, the
+    first frontier is nonpositive, a correction does not raise it, or
+    MAX_GRADED_LEVELS corrections do not reach the truncation.
     """
     row_vals, z, tv, g, front, _, H0 = _lift_start(W, zeta)
     if not _well_conditioned(H0):
         raise Inconsistent("H0 is singular at this root")
+    if front <= 0:
+        raise Inconsistent(f"residual at nonpositive level {front}")
     startable = _diagonal_clear(H0)  # _newton_startable, with the condition number known
     history = [front]
-    levels = 0
     while not all(gj.is_zero() for gj in g):
-        levels += 1
-        if levels > MAX_GRADED_LEVELS:
+        if len(history) > MAX_GRADED_LEVELS:
             raise Inconsistent("level budget exhausted before the truncation")
-        if front <= 0:
-            raise Inconsistent(f"residual at nonpositive level {front}")
-        if _stalled(history):
-            raise Inconsistent(f"frontier stalled at level {front}")
         r = np.array(
             [gj.coefficient(front + m) for gj, m in zip(g, row_vals)], dtype=complex
         )
@@ -758,8 +746,10 @@ def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
             for zj, zk, dk in zip(z, zeta, db)
         )
         tv, g, front = _normalized_state(W, row_vals, z)
+        if front <= history[-1]:
+            raise Inconsistent(f"correction at level {history[-1]} left the frontier at {front}")
         history.append(front)
-    return _certificate(W, z, tv, g, "graded", startable, levels, history)
+    return _certificate(W, z, tv, "graded", startable, len(history) - 1, history)
 
 
 # -- pipeline -----------------------------------------------------------------

@@ -33,6 +33,7 @@ from toric_fiber_lab.cli import main
 from toric_fiber_lab.probes import MAX_GRID_POINTS
 from conftest import (
     corner_cut_polytope,
+    cube_polytope,
     hexagon_polytope,
     interval_polytope,
     orbifold_interval_polytope,
@@ -362,6 +363,74 @@ def test_probes_reject_empty_direction_set(bound):
         displaceable_by_probe(P, (F(1, 4),), bound)
     with pytest.raises(ValueError):
         probe_scan(P, 4, bound)
+
+
+def test_direction_cap_admits_exactly_the_bounds_it_names():
+    # 2**20 directions: bound 2**19 in dimension 1, 511 in 2 and 50 in 3
+    assert probes_mod.MAX_DIRECTIONS == 2**20
+    for dimension, bound in ((1, 2**19), (2, 511), (3, 50)):
+        probes_mod.check_bound(bound, dimension)
+        count = (2 * bound + 3) ** dimension - 1
+        with pytest.raises(ValueError, match=f"bound {bound + 1} gives {count} probe directions"):
+            probes_mod.check_bound(bound + 1, dimension)
+
+
+def _table_must_not_be_built(monkeypatch):
+    # every direction table forms its slopes: a call that gets this far stops
+    class Built(Exception):
+        pass
+
+    def refuse(P, alphas):
+        raise Built
+
+    monkeypatch.setattr(probes_mod, "_slopes", refuse)
+    return Built
+
+
+def test_probes_reject_a_bound_above_the_direction_cap(monkeypatch):
+    # read the cap first: without one the calls below would build about 10**6
+    # directions
+    assert probes_mod.MAX_DIRECTIONS == 2**20
+    built = _table_must_not_be_built(monkeypatch)
+    square, centre = square_polytope(), (F(0), F(0))
+    with pytest.raises(ValueError, match="1050624 probe directions"):
+        displaceable_by_probe(square, centre, 512)
+    with pytest.raises(ValueError, match="1050624 probe directions"):
+        probe_scan(square, 4, 512)
+    with pytest.raises(built):  # at the cap the table is built
+        displaceable_by_probe(square, centre, 511)
+
+
+def test_probes_run_up_to_the_direction_cap(monkeypatch):
+    # with the cap at 24 directions, bound 2 (5**2 - 1 = 24) runs on the
+    # square and bound 3 (48) does not
+    monkeypatch.setattr(probes_mod, "MAX_DIRECTIONS", 24)
+    square = square_polytope()
+    assert displaceable_by_probe(square, (F(1, 2), F(0)), 2) is not None
+    assert len(probe_scan(square, 4, 2)) == 9
+    with pytest.raises(ValueError, match="bound 3 gives 48 probe directions"):
+        displaceable_by_probe(square, (F(1, 2), F(0)), 3)
+
+
+def test_analyze_rejects_a_bound_above_the_direction_cap_before_searching(
+    monkeypatch, tmp_path, capsys
+):
+    assert probes_mod.MAX_DIRECTIONS == 2**20
+    _table_must_not_be_built(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the critical-fiber search ran")
+
+    monkeypatch.setattr(report_mod, "find_critical_fibers", refuse)
+    with pytest.raises(ValueError, match="probe directions"):
+        analyze(square_polytope(), bound=512)
+    with pytest.raises(ValueError, match="bound 51 gives 1092726 probe directions"):
+        analyze(cube_polytope(), bound=51)  # no grid scan in dimension 3
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(polytope_to_json(square_polytope())))
+    assert main(["analyze", "--input", str(path), "--bound", "512"]) == 2
+    captured = capsys.readouterr()
+    assert "1050624 probe directions" in captured.err and captured.out == ""
 
 
 # -- the scan against the definition -------------------------------------------------

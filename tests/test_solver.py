@@ -1045,9 +1045,9 @@ def test_obstructed_fiber_keeps_its_simple_root():
 
 def test_pipeline_drops_the_obstructed_double_root(monkeypatch):
     # the two homotopy paths into the double root end only near it (zeta
-    # about 1 - 1e-8), where H0 is small but startable: Newton stalls, the
-    # graded lift reports Inconsistent and the root is dropped; the simple
-    # root -1/2 survives
+    # about 1 - 1e-8), where H0 is small but startable: a Newton step fails
+    # to double the residual level, the graded lift reports Inconsistent and
+    # the root is dropped; the simple root -1/2 survives
     failures = []
     for name in ("newton_lift", "graded_lift"):
         original = getattr(solver_mod, name)
@@ -1125,12 +1125,11 @@ def test_pipeline_certificates_verified_independently():
 
 
 
-def test_a_nan_gradient_is_never_certified():
-    # W = z q^(1/2) + z^-1 q^(1/2) (1 + NaN q^(1/2)): at z = 1 the gradient is
-    # a NaN term at q^1, which would certify the point if it were pruned as zero
+def _nan_tail_potential():
+    # W = z q^(1/2) + z^-1 q^(1/2) (1 + NaN q^(1/2))
     D = F(3, 2)
     tail = series([(0, 1.0), (F(1, 2), math.nan)], D)
-    W = Potential(
+    return Potential(
         1,
         (F(1, 2),),
         (
@@ -1139,7 +1138,13 @@ def test_a_nan_gradient_is_never_certified():
         ),
         D,
     )
-    g = gradient_from_terms(W, term_values(W, (constant_series(1.0, D),)))
+
+
+def test_a_nan_gradient_is_never_certified():
+    # at z = 1 the gradient is a NaN term at q^1, which would certify the
+    # point if it were pruned as zero
+    W = _nan_tail_potential()
+    g = gradient_from_terms(W, term_values(W, (constant_series(1.0, W.truncation),)))
     assert not g[0].is_zero()
     with pytest.raises(NoConvergence):
         newton_lift(W, (1.0,))
@@ -1246,24 +1251,86 @@ def test_lift_routes_of_the_benchmark_cases(name):
             assert gap > solver_mod.ROOT_DEDUP_TOL
 
 
-def test_stall_rule():
-    stalled = solver_mod._stalled
-    # monotone: three frontiers in a row no better than the best before them
-    assert not stalled([1, 2, 2, 2])
-    assert stalled([1, 2, 2, 2, 2])
-    # a Newton-style dip that recovers past the best never stalls
-    history = [1, 3, 2, 2, 4]
-    assert not any(stalled(history[:k]) for k in range(1, len(history) + 1))
-    # one that climbs back only to the best does
-    assert stalled([1, 3, 2, 2, 3])
-    # on nondecreasing histories (graded_lift's) it is the rule "each of the
-    # last three frontiers no better than the one before it"
-    for length in (4, 5, 6):
-        for history in itertools.product((1, 2, 3), repeat=length):
-            h = list(history)
-            if h == sorted(h):
-                previous_rule = all(a >= b for a, b in zip(h[-4:], h[-3:]))
-                assert stalled(h) == previous_rule
+def _evaluations(monkeypatch):
+    # counts the points a lift evaluates: its start and one per step
+    seen = []
+    original = solver_mod._normalized_state
+
+    def counted(*args):
+        seen.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(solver_mod, "_normalized_state", counted)
+    return seen
+
+
+def test_newton_ends_at_its_first_step_that_does_not_double(monkeypatch):
+    # the NaN stays at level 1/2 after the step, so the first step breaks
+    # the law and Newton evaluates only its start and that step
+    seen = _evaluations(monkeypatch)
+    with pytest.raises(NoConvergence, match="step 1 took the residual level from 1/2 to 1/2"):
+        newton_lift(_nan_tail_potential(), (1.0,))
+    assert len(seen) == 2
+
+
+def test_newton_ends_at_a_step_that_raises_the_level_without_doubling_it(monkeypatch):
+    # each step cut to its lowest term cancels one level, like a graded
+    # correction: the level goes 1 -> 2 (doubled), then 2 -> 3, short of 4
+    W = build_potential(corner_cut_polytope(0), (F(0), F(0)))
+    step = solver_mod._solve_series_system
+
+    def lowest_term(*args):
+        return tuple(series(d.terms[:1], d.truncation) for d in step(*args))
+
+    monkeypatch.setattr(solver_mod, "_solve_series_system", lowest_term)
+    with pytest.raises(NoConvergence, match="step 2 took the residual level from 2 to 3"):
+        newton_lift(W, (-1.0 + 0j, 1.0 + 0j))
+
+
+def test_a_point_that_is_not_a_leading_root_ends_at_once(monkeypatch):
+    # at z = 2 the interval's gradient keeps a residual at level 0, which
+    # neither a Newton step nor a graded correction can raise
+    W = build_potential(interval_polytope(), (F(1, 2),))
+    seen = _evaluations(monkeypatch)
+    with pytest.raises(NoConvergence, match="step 1 took the residual level from 0 to 0"):
+        newton_lift(W, (2.0 + 0j,))
+    assert len(seen) == 2
+    with pytest.raises(Inconsistent, match="nonpositive level 0"):
+        graded_lift(W, (2.0 + 0j,))
+    assert len(seen) == 3
+
+
+def test_graded_lift_ends_at_its_first_repeated_level(monkeypatch):
+    # with every correction made zero the frontier repeats at once
+    W = build_potential(corner_cut_polytope(0), (F(0), F(0)))
+    assert graded_lift(W, (-1.0 + 0j, 1.0 + 0j)).residual_history[0] == 1
+    monkeypatch.setattr(solver_mod, "monomial", lambda c, e, D: zero_series(D))
+    seen = _evaluations(monkeypatch)
+    with pytest.raises(Inconsistent, match="correction at level 1 left the frontier at 1"):
+        graded_lift(W, (-1.0 + 0j, 1.0 + 0j))
+    assert len(seen) == 2
+
+
+@pytest.mark.parametrize(
+    "make, D",
+    [(make, None) for make in BENCH_CASES.values()]
+    + [
+        (lambda: _twelve_line_polytope(), None),
+        (lambda: _twelve_line_polytope(F(-23, 8)), 2),
+        (_sixteen_gon, 12),
+    ],
+    ids=list(BENCH_CASES) + ["12-line", "twisted-hexagon-D2", "16-gon-D12"],
+)
+def test_lift_histories_obey_the_convergence_law(make, D):
+    # every Newton step at least doubles the residual level and every graded
+    # correction raises it; a lift that breaks the law ships no certificate
+    certs = find_critical_fibers(make(), truncation=D)
+    assert certs
+    for cert in certs:
+        hist = cert.residual_history
+        assert all(b > a for a, b in zip(hist, hist[1:]))
+        if cert.method == "newton":
+            assert all(b >= 2 * a for a, b in zip(hist, hist[1:]))
 
 
 def test_certificates_at_fiber():
