@@ -7,7 +7,8 @@ first half of a probe are displaceable.  All arithmetic here is exact.
 
 One block kernel tests coverage.  A direction table pairs each (facet i,
 direction alpha) once, with the slopes s_g = <v_g, alpha> of every facet,
-all from one integer product of normals and directions.  A fiber is held as
+all from one integer product of normals and directions, and keeps the
+arrays every probe call reads (_Table).  A fiber is held as
 integer numerators Lam over a common denominator Q, its facet values as the
 integers V_g = L l_g(lam) for a common denominator L; on a grid
 lam = lo + k h both are affine in k.  The probe from entry (i, alpha) covers
@@ -27,6 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,7 +106,7 @@ def _direction_table(P: MomentPolytope, bound: int):
     """Every facet with primitive normal, in order, with each direction of
     sup-norm <= bound pairing to 1 with it, in lexicographic order.  A normal
     with gcd m pairs to multiples of m only, so s_i = 1 picks out both.
-    Returns _table's (facets, directions, slopes, C), one entry per position."""
+    Returns the _Table of these entries."""
     check_bound(bound, P.dimension)
     box = itertools.product(range(-bound, bound + 1), repeat=P.dimension)
     alphas = [a for a in box if any(a)]
@@ -113,10 +115,36 @@ def _direction_table(P: MomentPolytope, bound: int):
     return _table(facets.tolist(), [alphas[c] for c in cols], S[:, cols].T)
 
 
-def _table(facets: list[int], alphas: list[tuple[int, ...]], S: np.ndarray):
-    """(facets, directions, slopes as (entries, facets), C), with C_e the lcm
-    of entry e's -s_g < 0 (1 if none): its exit candidates' denominator."""
-    return facets, alphas, S, [math.lcm(*(-s for s in row if s < 0)) for row in S.tolist()]
+class _Table(NamedTuple):
+    """A direction table, one entry e = (facet i, direction alpha) per position.
+
+    facets, alphas and C (C_e the lcm of entry e's -s_g < 0, 1 if none: its
+    exit candidates' denominator) build the Probes.  The kernels read the
+    same entries as arrays formed once with the table: facet_arr, alpha_arr
+    and C_arr, the slopes S as (entries, facets), si = s_i, and W = |s_g|
+    with W_i = 0.
+    """
+
+    facets: list[int]
+    alphas: list[tuple[int, ...]]
+    C: list[int]
+    facet_arr: np.ndarray
+    alpha_arr: np.ndarray
+    C_arr: np.ndarray
+    S: np.ndarray
+    si: np.ndarray
+    W: np.ndarray
+
+
+def _table(facets: list[int], alphas: list[tuple[int, ...]], S: np.ndarray) -> _Table:
+    """The _Table of the entries (facets[e], alphas[e]) with slopes S[e]."""
+    C = [math.lcm(*(-s for s in row if s < 0)) for row in S.tolist()]
+    entries, facet_arr = np.arange(len(facets)), np.array(facets, dtype=np.intp)
+    W = np.abs(S)
+    W[entries, facet_arr] = 0
+    amax = max(map(abs, itertools.chain(*alphas)), default=1)
+    return _Table(facets, alphas, C, facet_arr, np.array(alphas, dtype=int_dtype(amax)),
+                  np.array(C, dtype=int_dtype(max(C, default=1))), S, S[entries, facet_arr], W)
 
 
 def _stored_table(P: MomentPolytope, bound: int):
@@ -127,7 +155,7 @@ def _stored_table(P: MomentPolytope, bound: int):
     return tables[bound]
 
 
-def _row_dtype(lmax: int, Q: int, vmax: int, L: int, table):
+def _row_dtype(lmax: int, Q: int, vmax: int, L: int, table: _Table):
     """The dtype for fibers Lam/Q, |Lam_j| <= lmax, with facet values V/L,
     |V_g| <= vmax.  The products formed, V_g s_i and V_i |s_g| (kernel),
     Lam_j L s_i and V_i alpha_j Q (bases), V_g s_i C_e/(-s_g) and V_i C_e
@@ -135,14 +163,13 @@ def _row_dtype(lmax: int, Q: int, vmax: int, L: int, table):
     integer formed is one, a factor of one, or a sum of two.  lam can be huge
     while V is small (a polytope far from the origin): vmax alone is no bound.
     """
-    _, alphas, S, C = table
-    smax = int(np.abs(S).max(initial=1))
-    amax = max(map(abs, itertools.chain(*alphas)), default=1)
+    smax = int(np.abs(table.S).max(initial=1))
+    amax = int(np.abs(table.alpha_arr).max(initial=1))
     lmax, vmax = max(lmax, 1), max(vmax, 1)
-    return int_dtype(max(vmax * smax * max(C, default=1), lmax * L * smax, vmax * amax * Q))
+    return int_dtype(max(vmax * smax * max(table.C, default=1), lmax * L * smax, vmax * amax * Q))
 
 
-def _first_probes(V: np.ndarray, table) -> np.ndarray:
+def _first_probes(V: np.ndarray, table: _Table) -> np.ndarray:
     """Index of the first table entry covering each row of V, or -1.
 
     Row p holds V_g = L l_g(lam_p).  With t = l_i(lam)/s_i the parameter from
@@ -154,26 +181,21 @@ def _first_probes(V: np.ndarray, table) -> np.ndarray:
     arrays to stay in cache, and each facet g adds one (rows, entries)
     comparison to the block's coverage.
     """
-    facets, _, S, _ = table
     first = np.full(len(V), -1)
-    if not facets:
+    if not table.facets:
         return first
-    entries = np.arange(len(facets))
-    si = S[entries, facets]
-    W = np.abs(S)
-    W[entries, facets] = 0
-    step = max(1, 2**14 // len(facets))
+    step = max(1, 2**14 // len(table.facets))
     for lo in range(0, len(V), step):
         block = V[lo : lo + step]
-        Vi = block[:, facets]
+        Vi = block[:, table.facet_arr]
         covers = np.ones(Vi.shape, dtype=bool)
-        for Vg, Wg in zip(block.T, W.T):
-            covers &= Vg[:, None] * si > Vi * Wg
+        for Vg, Wg in zip(block.T, table.W.T):
+            covers &= Vg[:, None] * table.si > Vi * Wg
         first[lo : lo + step] = np.where(covers.any(axis=1), covers.argmax(axis=1), -1)
     return first
 
 
-def _probes(Lam: np.ndarray, Q: int, V: np.ndarray, L: int, table) -> list[Probe | None]:
+def _probes(Lam: np.ndarray, Q: int, V: np.ndarray, L: int, table: _Table) -> list[Probe | None]:
     """The probe of the first table entry covering each fiber Lam/Q, whose
     facet values are V/L, or None.
 
@@ -183,17 +205,16 @@ def _probes(Lam: np.ndarray, Q: int, V: np.ndarray, L: int, table) -> list[Probe
     least V_g s_i C_e/(-s_g).  Rows with equal (e, base, exit) numerators
     share one Probe.
     """
-    facets, alphas, S, C = table
     out: list[Probe | None] = [None] * len(V)
     first = _first_probes(V, table)
     rows = np.flatnonzero(first >= 0)
     if not len(rows):
         return out
     E, at, V = first[rows], np.arange(len(rows)), V[rows]
-    S, i = S[E].astype(V.dtype), np.array(facets)[E]
-    Vi, si, Ce = V[at, i], S[at, i], np.array(C, dtype=V.dtype)[E]
+    S, i = table.S[E].astype(V.dtype), table.facet_arr[E]
+    Vi, si, Ce = V[at, i], S[at, i], table.C_arr[E].astype(V.dtype)
     d = L * si
-    base = Lam[rows] * d[:, None] - Vi[:, None] * (np.array(alphas, dtype=V.dtype)[E] * Q)
+    base = Lam[rows] * d[:, None] - Vi[:, None] * (table.alpha_arr[E].astype(V.dtype) * Q)
     least = np.full(len(rows), -1, dtype=V.dtype)  # -1: no s_g < 0 yet
     for Vg, sg in zip(V.T, S.T):
         neg = sg < 0
@@ -201,20 +222,28 @@ def _probes(Lam: np.ndarray, Q: int, V: np.ndarray, L: int, table) -> list[Probe
         least = np.where(neg & ((least < 0) | (cand < least)), cand, least)
     exits = np.where(least < 0, -1, least + Vi * Ce)
     shared: dict[tuple[int, ...], Probe] = {}
-    fraction = functools.cache(Fraction)
+    fractions: dict[tuple[int, int], Fraction] = {}
+
+    def fraction(n: int, m: int) -> Fraction:
+        x = fractions.get((n, m))
+        if x is None:
+            x = fractions[n, m] = Fraction(n, m)
+        return x
+
     keys = zip(E.tolist(), d.tolist(), exits.tolist(), *base.T.tolist())
     for r, key in zip(rows.tolist(), keys):
         probe = shared.get(key)
         if probe is None:
             e, de, x, *b = key  # de = L s_i, the entry's d
-            exit_parameter = None if x < 0 else fraction(x, C[e] * de)
+            exit_parameter = None if x < 0 else fraction(x, table.C[e] * de)
             base_point = tuple(fraction(n, Q * de) for n in b)
-            probe = shared[key] = Probe(facets[e], base_point, alphas[e], exit_parameter)
+            probe = Probe(table.facets[e], base_point, table.alphas[e], exit_parameter)
+            shared[key] = probe
         out[r] = probe
     return out
 
 
-def _probe_at(P: MomentPolytope, lam, table) -> Probe | None:
+def _probe_at(P: MomentPolytope, lam, table: _Table) -> Probe | None:
     """_probes for one fiber: Q is the lcm of lam's denominators, L that of
     its facet values'."""
     values, lam = facet_values(P, lam), [Fraction(x) for x in lam]

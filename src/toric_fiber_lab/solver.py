@@ -4,14 +4,15 @@ Pipeline: enumerate the fibers where every gradient direction has its
 minimal term valuation attained at least twice and one minimal pair per
 direction isolates the fiber (tropical candidates: the lower faces of the
 facet lifting, found by the integer kernel that also finds the homotopy's
-mixed cells, each fiber and its minimal facets read off its face; any other
-tie point has leading supports of mixed volume 0 and so no isolated leading
-root).  Per candidate, certificates_at_fiber, gated by the potential alone,
-solves the complex leading-coefficient system (in closed form when it reduces
-exactly to binomials, otherwise by a polyhedral homotopy with one path per
-unit of mixed volume; nothing on either route is random), then lifts each
-leading root to a series solution of grad W = 0 by series Newton iteration,
-each step of which must double the residual level, or, when H0 has a zero
+mixed cells, tied faces collapsed per fiber, and each fiber and its minimal
+facets read off its first face; any other tie point has leading supports of
+mixed volume 0 and so no isolated leading root).  Per candidate,
+certificates_at_fiber, gated by the potential alone, solves the complex
+leading-coefficient system (in closed form when it reduces exactly to
+binomials, otherwise by a polyhedral homotopy with one path per unit of
+mixed volume; nothing on either route is random), then lifts each leading
+root to a series solution of grad W = 0 by series Newton iteration, each
+step of which must double the residual level, or, when H0 has a zero
 diagonal entry or Newton breaks that law, by cancelling residual levels one
 valuation at a time, which needs only H0 invertible and must raise the level.
 
@@ -20,13 +21,16 @@ q^{m_j} (m_j the row's least term valuation), is the normalized b-Hessian,
 and its constant part at the leading root zeta is H0.  Every step solves
 with it and moves z_k by z_k db_k, so no step needs a series inverse.  Each
 point a lift visits is evaluated once: its term list gives the gradient,
-the Hessian and the critical value.
+the critical value, H0 at the start and, only when Newton iterates, the
+series Hessian.  The row valuations are computed once per potential.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,6 +46,7 @@ from .errors import (
 )
 from .novikov import (
     INF,
+    PRUNE_THRESHOLD,
     NovikovSeries,
     constant_series,
     monomial,
@@ -116,8 +121,12 @@ def tropical_candidates(P: MomentPolytope) -> list[TropicalCandidate]:
     the lcm of the offset denominators.  A lower face (_lower_faces, ties
     included) with pairs (a_j, b_j), d = |det| and N = d L lam picks one facet
     pair per direction that is minimal at lam: d L l_i(lam) = <v_i, N> + d h_i,
-    so row j's minimal facets are those at height s = 0.  The first face of
-    each lam gives its candidate if lam is interior, that is if every
+    so row j's minimal facets are those at height s = 0.  Tied faces share
+    their fiber, and what is read off a face depends on its fiber alone, so
+    the faces collapse per fiber before any Fraction is built: two match when
+    their (d, N) agree after dividing by gcd(d, N), exact in int64 and on
+    Python integers alike.  The first face of each fiber gives its candidate
+    if lam is interior, that is if every
     <v_{a_j}, N> + d h_{a_j} > 0 (every facet lies in some row).  Twists never
     move valuations, so the candidates depend on P alone.
 
@@ -137,16 +146,21 @@ def tropical_candidates(P: MomentPolytope) -> list[TropicalCandidate]:
     L = math.lcm(*(f.offset.denominator for f in P.facets))
     h = [int(-L * f.offset) for f in P.facets]
     v = [f.normal for f in P.facets]
-    faces = _lower_faces([[v[i] for i in r] for r in rows], [[h[i] for i in r] for r in rows])
-    found = {}
-    for pairs, d, N, s in faces:
-        lam = tuple(Fraction(int(x), d * L) for x in N)
-        least = (r[a] for r, (a, _) in zip(rows, pairs))
-        if lam not in found and all(
-            sum(int(x) * c for x, c in zip(N, v[i])) + d * h[i] > 0 for i in least
-        ):
-            found[lam] = tuple(tuple(i for i, x in zip(r, sj) if x == 0) for r, sj in zip(rows, s))
-    return [TropicalCandidate(lam, m) for lam, m in sorted(found.items())]
+    ab, d, N, s = _lower_faces([[v[i] for i in r] for r in rows], [[h[i] for i in r] for r in rows])
+    fiber = np.column_stack([d, N])
+    fiber //= np.gcd.reduce(fiber, axis=1)[:, None]
+    first = {}
+    for c, key in enumerate(map(tuple, fiber.tolist())):
+        first.setdefault(key, c)
+    found = []
+    for (dc, *Nc), c in first.items():
+        least = (r[a] for r, a in zip(rows, ab[c, :, 0].tolist()))
+        if all(sum(x * y for x, y in zip(Nc, v[i])) + dc * h[i] > 0 for i in least):
+            minima = tuple(
+                tuple(i for i, x in zip(r, sj[c].tolist()) if x == 0) for r, sj in zip(rows, s)
+            )
+            found.append(TropicalCandidate(tuple(Fraction(x, dc * L) for x in Nc), minima))
+    return sorted(found, key=lambda cand: cand.fiber)
 
 
 # -- leading system -----------------------------------------------------------
@@ -156,8 +170,12 @@ def _row_data(W: Potential):
     """Per direction: min term valuation, and the positions in W.terms attaining it.
 
     Direction j ranges over the terms with exponent[j] != 0; raises
-    DegenerateDirection when there are none.
+    DegenerateDirection when there are none.  Computed once per potential
+    and kept on W, which the leading system and every lift from it share.
     """
+    stored = W.__dict__.get("_row_data")
+    if stored is not None:
+        return stored
     mins, argmins = [], []
     for j in range(W.dimension):
         support = [(i, t.valuation) for i, t in enumerate(W.terms) if t.exponent[j] != 0]
@@ -166,7 +184,8 @@ def _row_data(W: Potential):
         m = min(v for _, v in support)
         mins.append(m)
         argmins.append(tuple(i for i, v in support if v == m))
-    return tuple(mins), tuple(argmins)
+    W.__dict__["_row_data"] = stored = tuple(mins), tuple(argmins)
+    return stored
 
 
 def leading_system(W: Potential) -> LeadingSystem:
@@ -321,8 +340,10 @@ def _lower_faces(supports, lifting):
     rows a_j - b_j and d = |det M| > 0, cramer_solve gives N = d alpha in
     integers, and the height of a above the face, times d, is the integer
     s = <a - a_j, N> + d (h(a) - h(a_j)) >= 0.  The pair choices are tested
-    CHUNK at a time, in the dtype int_dtype picks for the bound below.  Returns one (pairs, d, N, s) per lower face, ties
-    (a zero s off the pair) included, with s[j] listed over supports[j].
+    CHUNK at a time, in the dtype int_dtype picks for the bound below.
+    Returns the lower faces, ties (a zero s off the pair) included, stacked
+    in choice order: pairs (faces, n, 2), d (faces,), N (faces, n) and per
+    row j the heights s[j] (faces, len(supports[j])).
     """
     n = len(supports)
     big = max(abs(x) for S in supports for a in S for x in a)
@@ -334,7 +355,10 @@ def _lower_faces(supports, lifting):
     pairs = [np.array(list(itertools.combinations(range(len(Sj)), 2))) for Sj in supports]
     shape = [len(p) for p in pairs]
     total = math.prod(shape)
-    faces = []
+    if not total:
+        return (np.zeros((0, n, 2), dtype=int), np.zeros(0, dtype=dtype),
+                np.zeros((0, n), dtype=dtype), [np.zeros((0, len(Sj)), dtype=dtype) for Sj in S])
+    chunks = []
     for first in range(0, total, CHUNK):
         grid = np.unravel_index(np.arange(first, min(first + CHUNK, total)), shape)
         ab = np.stack([p[g] for p, g in zip(pairs, grid)], axis=1)  # (choices, n, 2)
@@ -350,11 +374,9 @@ def _lower_faces(supports, lifting):
             sj = v - v[choice, ab[:, j, 0]][:, None]
             face &= (sj >= 0).all(axis=1)
             above.append(sj)
-        faces += [
-            (tuple(map(tuple, ab[c])), int(d[c]), N[c], [sj[c] for sj in above])
-            for c in np.flatnonzero(face)
-        ]
-    return faces
+        chunks.append((ab[face], d[face], N[face], *(sj[face] for sj in above)))
+    ab, d, N, *s = (np.concatenate(part) for part in zip(*chunks))
+    return ab, d, N, s
 
 
 def _mixed_cells(supports, lifting):
@@ -366,10 +388,10 @@ def _mixed_cells(supports, lifting):
     Returns one (pairs, d, s) per cell; the d summed over the cells is the
     mixed volume.
     """
-    faces = _lower_faces(supports, lifting)
-    if any((sj == 0).sum() > 2 for *_, s in faces for sj in s):
+    ab, d, _, s = _lower_faces(supports, lifting)
+    if any(((sj == 0).sum(axis=1) > 2).any() for sj in s):
         return None
-    return [(pairs, d, s) for pairs, d, _, s in faces]
+    return [(tuple(map(tuple, ab[c])), int(d[c]), [sj[c] for sj in s]) for c in range(len(d))]
 
 
 def _tau_part(c, theta, tau, pw, k):
@@ -535,9 +557,10 @@ def _homotopy_roots(sys: LeadingSystem) -> list[tuple[complex, ...]]:
     its tau = 1 factors formed once and _track's order of products.  It is
     kept when the last step moved it by less than ROOT_DEDUP_TOL (a path
     escaping to infinity keeps moving), every row passes the relative
-    residual test of ROOT_RESIDUAL_TOL, and no kept root lies within
-    ROOT_DEDUP_TOL (paths meeting at a multiple root end together).
-    Exponent products, the residual's too, are real (see _path_field).
+    residual test of ROOT_RESIDUAL_TOL, and no kept root of an earlier path
+    lies within ROOT_DEDUP_TOL (paths meeting at a multiple root end
+    together); both tests run on all settled ends at once.  Exponent
+    products, the residual's too, are real (see _path_field).
     """
     n = sys.dimension
     supports, coeffs = _row_supports(sys)
@@ -574,18 +597,17 @@ def _homotopy_roots(sys: LeadingSystem) -> list[tuple[complex, ...]]:
             J, H = _path_field(E, R, RE, w, target, False)
             dw = -_solve_paths(J, H)
             w = w + dw
-        settled = np.max(np.abs(dw), axis=1) < ROOT_DEDUP_TOL
-        terms = c * np.exp(_exponents(w[settled], E))
-    roots: list[np.ndarray] = []
-    for zeta, row_terms in zip(np.exp(w[settled]), terms):
-        resid = np.abs(row_terms @ R)
-        scale = (np.abs(row_terms)[:, None] * R).max(axis=0)
-        if np.any(resid > ROOT_RESIDUAL_TOL * scale):
-            continue
-        if any(np.max(np.abs(zeta - r)) < ROOT_DEDUP_TOL for r in roots):
-            continue
-        roots.append(zeta)
-    return sorted((tuple(complex(x) for x in r) for r in roots), key=_root_key)
+        w = w[np.max(np.abs(dw), axis=1) < ROOT_DEDUP_TOL]
+        zeta = np.exp(w)
+        terms = c * np.exp(_exponents(w, E))
+        scale = (np.abs(terms)[:, :, None] * R).max(axis=1)
+        zeta = zeta[~np.any(np.abs(terms @ R) > ROOT_RESIDUAL_TOL * scale, axis=1)]
+        close = np.abs(zeta[:, None, :] - zeta[None, :, :]).max(axis=2) < ROOT_DEDUP_TOL
+    kept = np.ones(len(zeta), dtype=bool)
+    for a in range(len(zeta)):
+        if kept[a]:  # a kept root drops every later end close to it
+            kept[a + 1 :] &= ~close[a, a + 1 :]
+    return sorted(map(tuple, zeta[kept].tolist()), key=_root_key)
 
 
 # -- lifting infrastructure ---------------------------------------------------
@@ -623,22 +645,42 @@ def _normalized_hessian(W: Potential, row_vals, tv) -> list[list[NovikovSeries]]
     return [[Hjk.shift(-m) for Hjk in row] for row, m in zip(H, row_vals)]
 
 
-def _constant_part(Hhat) -> np.ndarray:
-    """H0: the q^0 coefficients of a normalized b-Hessian."""
-    return np.array([[Hjk.coefficient(0) for Hjk in row] for row in Hhat], dtype=complex)
+def _leading_hessian(W: Potential, tv) -> np.ndarray:
+    """H0 at a constant point from its term list tv, bit for bit _normalized_hessian's q^0 part.
+
+    Entry (j, k) is the q^{m_j} coefficient of sum_i v_ij v_ik tv[i], which
+    only row j's terms of least valuation m_j reach.  It is summed as
+    _weighted_sum sums it, in term order over the nonzero weights from 0j
+    (so no part is -0.0 and _on_grid's 0j + changes nothing), and pruned
+    below PRUNE_THRESHOLD as _on_grid prunes it, without forming any series.
+    A term with no coefficient at q^{m_j} adds an exact zero, which changes
+    no such sum.
+    """
+    row_vals, minima = _row_data(W)
+    H0 = []
+    for j, (m, S) in enumerate(zip(row_vals, minima)):
+        lead = [(W.terms[i].exponent, tv[i].coefficient(m)) for i in S]
+        row = []
+        for k in range(W.dimension):
+            acc = 0j
+            for e, c in lead:
+                if e[k]:
+                    acc = acc + c * float(e[j] * e[k])
+            row.append(0j if abs(acc) < PRUNE_THRESHOLD else acc)
+        H0.append(row)
+    return np.array(H0, dtype=complex)
 
 
 def _lift_start(W: Potential, zeta):
     """Shared start of both lifts at the constant point zeta.
 
     Returns the row valuations m_j, the constant series z, its term list,
-    gradient and normalized frontier, the normalized b-Hessian Hhat and H0.
+    gradient and normalized frontier, and H0.
     """
     row_vals, _ = _row_data(W)
     z = tuple(constant_series(zj, W.truncation) for zj in zeta)
     tv, g, front = _normalized_state(W, row_vals, z)
-    Hhat = _normalized_hessian(W, row_vals, tv)
-    return row_vals, z, tv, g, front, Hhat, _constant_part(Hhat)
+    return row_vals, z, tv, g, front, _leading_hessian(W, tv)
 
 
 def _solve_series_system(Hhat, ghat, H0inv: np.ndarray):
@@ -648,19 +690,19 @@ def _solve_series_system(Hhat, ghat, H0inv: np.ndarray):
     subtracts Hhat * step from r.  Hhat - H0 has positive valuation, so every
     correction gains valuation and the loop ends when one is the zero series;
     the partial sums are those of the Neumann series of (H0 (I + E))^{-1}.
+    Each sum starts at its first term: started at the zero series, it has
+    the same coefficients.
     """
-    n = len(ghat)
-    zero = ghat[0] * 0.0
-    delta = (zero,) * n
+    inv = H0inv.tolist()
+    delta = None
     r = [-gj for gj in ghat]
     for _ in range(MAX_GRADED_LEVELS):
-        step = tuple(
-            sum((r[k] * complex(H0inv[j, k]) for k in range(n)), zero) for j in range(n)
-        )
-        if all(c.is_zero() for c in step):
+        step = tuple(functools.reduce(operator.add, map(operator.mul, r, row)) for row in inv)
+        if delta is not None and all(c.is_zero() for c in step):
             break
-        delta = tuple(d + c for d, c in zip(delta, step))
-        r = [rj - sum((Hj[k] * step[k] for k in range(n)), zero) for rj, Hj in zip(r, Hhat)]
+        delta = step if delta is None else tuple(map(operator.add, delta, step))
+        r = [rj - functools.reduce(operator.add, map(operator.mul, Hj, step))
+             for rj, Hj in zip(r, Hhat)]
     return delta
 
 
@@ -694,7 +736,7 @@ def newton_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     not take f above and to at least twice its last value; the pipeline then
     tries graded_lift, which asks only that H0 be invertible.
     """
-    row_vals, z, tv, g, front, Hhat, H0 = _lift_start(W, zeta)
+    row_vals, z, tv, g, front, H0 = _lift_start(W, zeta)
     startable = _newton_startable(H0)
     history = [front]
     if all(gj.is_zero() for gj in g):
@@ -703,6 +745,7 @@ def newton_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
         raise SingularLeadingHessian("H0 is unfit for plain Newton at this root")
     H0inv = np.linalg.inv(H0)
     for it in itertools.count(1):
+        Hhat = _normalized_hessian(W, row_vals, tv)
         ghat = tuple(gj.shift(-m) for gj, m in zip(g, row_vals))
         db = _solve_series_system(Hhat, ghat, H0inv)
         z = tuple(zj + zj * dj for zj, dj in zip(z, db))
@@ -712,7 +755,6 @@ def newton_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
             return _certificate(W, z, tv, "newton", startable, it, history)
         if front <= history[-2] or front < 2 * history[-2]:
             raise NoConvergence(f"step {it} took the residual level from {history[-2]} to {front}")
-        Hhat = _normalized_hessian(W, row_vals, tv)
 
 
 def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
@@ -727,7 +769,7 @@ def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     first frontier is nonpositive, a correction does not raise it, or
     MAX_GRADED_LEVELS corrections do not reach the truncation.
     """
-    row_vals, z, tv, g, front, _, H0 = _lift_start(W, zeta)
+    row_vals, z, tv, g, front, H0 = _lift_start(W, zeta)
     if not _well_conditioned(H0):
         raise Inconsistent("H0 is singular at this root")
     if front <= 0:

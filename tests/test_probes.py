@@ -152,6 +152,16 @@ def test_probe_through_matches_definition(P):
                     assert not is_interior(P, beyond)
 
 
+def test_probe_through_takes_a_direction_past_int64():
+    # the slopes, the base and the kernel's products of the direction entry
+    # 2**64 need Python integers, and the probe is the one the definition gives
+    c = 2**66
+    P = make_polytope(2, [((1, 0), F(0)), ((-1, 0), F(-1)), ((0, 1), F(-c)), ((0, -1), F(-c))])
+    lam, alpha = (F(1, 8), F(0)), (1, 2**64)
+    covers, base, exit_t = _definition_holds(P, lam, facet_values(P, lam), 0, alpha)
+    assert covers and probe_through(P, lam, 0, alpha) == Probe(0, base, alpha, exit_t)
+
+
 @pytest.mark.parametrize("alpha", [(1,), (1, 0, 5)])
 def test_probe_rejects_direction_of_wrong_length(alpha):
     # zip would truncate (1, 0, 5) to (1, 0) and pad nothing onto (1,)

@@ -1,5 +1,7 @@
 """End-to-end analysis reports: classification, JSON/text/SVG determinism."""
 
+import collections
+import enum
 import json
 import math
 from fractions import Fraction
@@ -243,6 +245,19 @@ def test_json_text_writes_every_bench_report_as_json_does(name, monkeypatch):
     assert [text] == [_stdlib_text(doc) for doc in docs]
 
 
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 7
+
+
+class _Text(str):
+    pass
+
+
+class _Real(float):
+    pass
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -263,6 +278,10 @@ def test_json_text_writes_every_bench_report_as_json_does(name, monkeypatch):
         [0.1, -0.0, 1e300, -2.5e-300, 5e-324, 1e16, 123456789.0],
         [math.nan, math.inf, -math.inf],
         {"z": [{"re": math.nan, "im": -math.inf}], "a": {"b": {"c": [1, "2", 3.0]}}},
+        # subclasses of the scalar and container types, found by isinstance
+        [_Level.HIGH, _Text("a\nb"), _Real(0.25), {"k": _Level.LOW}],
+        collections.OrderedDict([("b", _Text("x")), ("a", [_Real(-1.5)])]),
+        _Text("top"),
     ],
 )
 def test_json_text_matches_json(doc):

@@ -173,21 +173,26 @@ def test_candidates_are_the_tie_points_of_minimal_pair_choices(make):
     assert found == _pair_solutions(P, minimal=True)
 
 
+def _lower_face_fibers(P):
+    """Each lower face's fiber, in face order, and the facets of each direction's row."""
+    rows = [[i for i, f in enumerate(P.facets) if f.normal[j] != 0] for j in range(P.dimension)]
+    L = math.lcm(*(f.offset.denominator for f in P.facets))
+    _, d, N, _ = solver_mod._lower_faces(
+        [[P.facets[i].normal for i in row] for row in rows],
+        [[int(-L * P.facets[i].offset) for i in row] for row in rows],
+    )
+    return [tuple(F(x, dk * L) for x in Nk) for dk, Nk in zip(d.tolist(), N.tolist())], rows
+
+
 def _lower_face_points(P):
-    """Candidates by re-evaluating each lower-face point with facet_values.
+    """Candidates by re-evaluating each distinct lower-face point with facet_values.
 
     Keeps each interior point where every direction's least facet value is
     attained at least twice, with the per-direction minimal facets.
     """
-    rows = [[i for i, f in enumerate(P.facets) if f.normal[j] != 0] for j in range(P.dimension)]
-    L = math.lcm(*(f.offset.denominator for f in P.facets))
-    faces = solver_mod._lower_faces(
-        [[P.facets[i].normal for i in row] for row in rows],
-        [[int(-L * P.facets[i].offset) for i in row] for row in rows],
-    )
+    fibers, rows = _lower_face_fibers(P)
     found = {}
-    for _, d, N, _ in faces:
-        lam = tuple(F(int(x), d * L) for x in N)
+    for lam in set(fibers):
         values = facet_values(P, lam)
         if any(v <= 0 for v in values):
             continue
@@ -211,23 +216,31 @@ def test_candidates_read_off_their_faces_match_facet_values(make):
 
 
 def test_candidates_read_off_their_faces_match_facet_values_on_random_polytopes():
+    # half the polytopes share one offset over all facets, so that many lower
+    # faces tie at one fiber and collapse before their candidate is read off
     rng = random.Random(3)
-    kinds = {(n, bounded): 0 for n in (1, 2, 3) for bounded in (True, False)}
-    with_candidates = set()
+    kinds = {(n, bounded, common): 0 for n in (1, 2, 3) for bounded in (True, False)
+             for common in (True, False)}
+    with_candidates, tied = set(), set()
     while min(kinds.values()) < 4:
-        n = rng.randint(1, 3)
+        n, common = rng.randint(1, 3), rng.random() < 0.5
         facets = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(n, n + 4))]
+        offset = F(-rng.randint(0, 8), rng.randint(1, 3))
+        offsets = [offset if common else F(-rng.randint(0, 8), rng.randint(1, 3)) for _ in facets]
         try:
-            P = make_polytope(n, [(v, F(-rng.randint(0, 8), rng.randint(1, 3)))
-                                  for v in facets if any(v)])
+            P = make_polytope(n, [(v, c) for v, c in zip(facets, offsets) if any(v)])
         except ToricFiberError:
             continue
-        kinds[n, is_bounded(P)] += 1
+        kinds[n, is_bounded(P), common] += 1
         found = [(c.fiber, c.per_direction_minima) for c in tropical_candidates(P)]
         assert found == _lower_face_points(P)
         if found:
             with_candidates.add(is_bounded(P))
+        fibers, _ = _lower_face_fibers(P)
+        if common and len(set(fibers)) < len(fibers):
+            tied.add(n)
     assert with_candidates == {True, False}
+    assert tied == {1, 2, 3}
 
 
 def test_points_only_a_non_minimal_pair_isolates_have_no_leading_root():
@@ -773,6 +786,50 @@ def test_exponent_product_passes_only_real_operands_to_matmul(monkeypatch):
     assert _MatmulDtypes.seen == [(np.dtype(float), np.dtype(float))] * 2
 
 
+def _double_root_system():
+    # (z - 1)^2: both of its paths end at the double root z = 1
+    return LeadingSystem(1, (((1 + 0j, (2,)), (-2 + 0j, (1,)), (1 + 0j, (0,))),), (F(0),))
+
+
+@pytest.mark.parametrize(
+    "make, dropped",
+    [(_hexagon_centre_system, 0), (_twelve_line_centre_system, 0),
+     (_cross_polytope_system, 0), (_double_root_system, 1)],
+    ids=["hexagon-centre", "12-line-centre", "cross-polytope", "double-root"],
+)
+def test_homotopy_root_filters_keep_the_roots_of_a_loop_over_path_ends(make, dropped, monkeypatch):
+    # the residual and dedupe tests run on all settled path ends at once; the
+    # reference runs them end by end on the same ends, whose exponent product
+    # is the last one the homotopy forms.  How many 12-line ends settle
+    # depends on the BLAS kernel; none of them is dropped
+    seen = []
+    exponents = solver_mod._exponents
+
+    def recorded(w, E):
+        seen.append(w.copy())
+        return exponents(w, E)
+
+    monkeypatch.setattr(solver_mod, "_exponents", recorded)
+    sys = make()
+    roots = solver_mod._homotopy_roots(sys)
+    w = seen[-1]
+    supports, coeffs = solver_mod._row_supports(sys)
+    E = np.array([a for S in supports for a in S], dtype=float)
+    R = np.array([[float(i == j) for j in range(sys.dimension)]
+                  for i, S in enumerate(supports) for _ in S])
+    c = np.array([x for row in coeffs for x in row], dtype=complex)
+    reference = []
+    for zeta, row_terms in zip(np.exp(w), c * np.exp(exponents(w, E))):
+        scale = (np.abs(row_terms)[:, None] * R).max(axis=0)
+        if np.any(np.abs(row_terms @ R) > solver_mod.ROOT_RESIDUAL_TOL * scale):
+            continue
+        if any(np.max(np.abs(zeta - r)) < solver_mod.ROOT_DEDUP_TOL for r in reference):
+            continue
+        reference.append(zeta)
+    assert len(w) - len(roots) == dropped
+    assert roots == sorted((tuple(map(complex, r)) for r in reference), key=solver_mod._root_key)
+
+
 def test_exponent_product_keeps_an_infinite_part_in_its_own_part():
     # 1j * inf is nan + inf j, so the parts must not be joined as a + 1j * b
     w = np.array([[complex(1.0, np.inf), 2.0]])
@@ -843,19 +900,30 @@ def test_newton_lift_refuses_singular_leading_jacobian():
 
 
 def _leading_matrix(W, zeta):
+    # H0 read off the term list, which must have the bytes of the q^0 part of
+    # the normalized b-Hessian's series
     row_vals, _ = solver_mod._row_data(W)
     z = tuple(constant_series(x, W.truncation) for x in zeta)
     tv = term_values(W, z)
-    return solver_mod._constant_part(solver_mod._normalized_hessian(W, row_vals, tv))
+    H0 = solver_mod._leading_hessian(W, tv)
+    Hhat = solver_mod._normalized_hessian(W, row_vals, tv)
+    constant_part = np.array([[Hjk.coefficient(0) for Hjk in row] for row in Hhat], dtype=complex)
+    assert H0.tobytes() == constant_part.tobytes()
+    return H0
 
 
-@pytest.mark.parametrize("name", list(BENCH_CASES))
-def test_leading_matrix_is_the_z_jacobian_times_zeta(name):
-    # H0, read off the normalized b-Hessian, equals J0 diag(zeta) with J0 the
-    # leading z-Jacobian built here from the raw terms: row j sums
+@pytest.mark.parametrize(
+    "make",
+    list(BENCH_CASES.values())
+    + [lambda: _twelve_line_polytope(), lambda: _twelve_line_polytope(F(-23, 8)), _sixteen_gon],
+    ids=list(BENCH_CASES) + ["12-line", "twisted-hexagon", "16-gon"],
+)
+def test_leading_matrix_is_the_z_jacobian_times_zeta(make):
+    # H0, read off the term list, equals J0 diag(zeta) with J0 the leading
+    # z-Jacobian built here from the raw terms: row j sums
     # v_ij v_ik m_i zeta^{v_i} / zeta_k over the terms of least valuation
     # among those with v_ij != 0
-    P = BENCH_CASES[name]()
+    P = make()
     for cand in tropical_candidates(P):
         W = build_potential(P, cand.fiber)
         n = W.dimension
