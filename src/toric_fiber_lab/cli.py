@@ -28,6 +28,8 @@ from .potential import build_potential, term_table
 from .probes import DEFAULT_BOUND, DEFAULT_RESOLUTION, displaceable_by_probe, probe_scan
 from .report import (
     TOOL_VERSION,
+    _Json,
+    _probe_text,
     analyze,
     certificate_to_json,
     json_text,
@@ -170,8 +172,9 @@ def cmd_probes(args) -> int:
         return 0
     grid = probe_scan(P, args.scan, args.bound)
     if args.json:
+        blocks: dict[int, str] = {}
         doc = [
-            {"fiber": [str(x) for x in lam], "probe": probe_to_json(p)}
+            {"fiber": [str(x) for x in lam], "probe": _Json(_probe_text(p, "\n    ", blocks))}
             for lam, p in grid.items()
         ]
         print(json_text(doc))

@@ -97,10 +97,12 @@ def potential_from_disks(
     truncation=None,
 ) -> Potential:
     """Rebuild the potential from index-2 disk classes: term i has valuation
-    disk_area(e_i) and exponent boundary_class(e_i)."""
-    lam, _, D, factors = fiber_setup(P, lam, alpha, truncation)
+    disk_area(e_i) and exponent boundary_class(e_i).  Each area d . l(lam) is
+    formed from the facet values fiber_setup computed."""
+    lam, values, D, factors = fiber_setup(P, lam, alpha, truncation)
     terms = tuple(
-        PotentialTerm(i, mult, tail, boundary_class(cls, P), disk_area(cls, P, lam))
+        PotentialTerm(i, mult, tail, boundary_class(cls, P),
+                      sum((dj * lj for dj, lj in zip(cls, values)), Fraction(0)))
         for i, (cls, (mult, tail)) in enumerate(zip(index_two_classes(P), factors))
     )
     return Potential(P.dimension, lam, terms, D)

@@ -116,12 +116,7 @@ class NovikovSeries:
 
     def shift(self, offset: RationalLike) -> "NovikovSeries":
         """Multiply by q^offset; negative offsets must not push any exponent below 0."""
-        d = _frac(offset)
-        den = math.lcm(self._den, d.denominator)
-        f, dk = den // self._den, d.numerator * (den // d.denominator)
-        if self._items and self._items[0][0] * f + dk < 0:
-            raise NegativeValuation(f"exponent {val(self) + d} < 0")
-        return _on_grid(((k * f + dk, c) for k, c in self._items), den, self._top * f)
+        return _shifted(self._items, self._den, self._top, _frac(offset))
 
     def retruncate(self, truncation: RationalLike) -> "NovikovSeries":
         return series(self.terms, truncation)
@@ -146,6 +141,15 @@ def _on_grid(pairs, den: int, top: int) -> NovikovSeries:
     kept = ((k, v) for k, c in pairs if k < top and not abs(v := 0j + c) < PRUNE_THRESHOLD)
     s._items, s._den, s._top = tuple(sorted(kept)), den, top
     return s
+
+
+def _shifted(items, den: int, top: int, d: Fraction) -> NovikovSeries:
+    """The series with stored items on grid (den, top), times q^d."""
+    den2 = math.lcm(den, d.denominator)
+    f, dk = den2 // den, d.numerator * (den2 // d.denominator)
+    if items and items[0][0] * f + dk < 0:
+        raise NegativeValuation(f"exponent {Fraction(items[0][0], den) + d} < 0")
+    return _on_grid(((k * f + dk, c) for k, c in items), den2, top * f)
 
 
 def _aligned(a: NovikovSeries, b: NovikovSeries):

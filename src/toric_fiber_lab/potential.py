@@ -15,7 +15,9 @@ from fractions import Fraction
 
 from .errors import NotAUnit, ZeroComponent
 from .novikov import (
+    PRUNE_THRESHOLD,
     NovikovSeries,
+    _shifted,
     _weighted_sum,
     constant_series,
     monomial_eval,
@@ -105,16 +107,22 @@ def term_values(W: Potential, z: tuple[NovikovSeries, ...]) -> list[NovikovSerie
 
     Each z_j is inverted once, and only when some term has a negative
     exponent in direction j; a bulk tail that is exactly 1 is not multiplied.
-    Callers that need several derivatives at z build this list once and pass
-    it to gradient_from_terms, hessian_from_terms and value_from_terms.
+    At a point of constant series on one grid with every tail exactly 1 (a
+    lift's start point) each term is one complex number, formed by
+    _constant_term_values.  Callers that need several derivatives at z build
+    this list once and pass it to gradient_from_terms, hessian_from_terms and
+    value_from_terms.
     """
     _require_units(z, W.dimension)
+    unit = one(W.truncation)
+    constant = all(len(zj._items) == 1 for zj in z) and len({(zj._den, zj._top) for zj in z}) <= 1
+    if constant and all(t.bulk_tail == unit for t in W.terms):
+        return _constant_term_values(W, z)
     inverses = tuple(
         nov_inverse(zj) if any(t.exponent[j] < 0 for t in W.terms) else None
         for j, zj in enumerate(z)
     )
     point = tuple(z) + inverses
-    unit = one(W.truncation)
     out = []
     for t in W.terms:
         split = tuple(max(vj, 0) for vj in t.exponent) + tuple(
@@ -124,6 +132,52 @@ def term_values(W: Potential, z: tuple[NovikovSeries, ...]) -> list[NovikovSerie
         if t.bulk_tail != unit:  # an absent twist leaves the tail exactly 1
             v = v * t.bulk_tail
         out.append((v * t.multiplier).shift(t.valuation))
+    return out
+
+
+def _kept(c):
+    """c as _on_grid stores it, or None (the zero series) where it prunes c."""
+    c = 0j + c
+    return None if abs(c) < PRUNE_THRESHOLD else c
+
+
+def _times(a, b):
+    """The coefficient of the product of one-term series a and b (None: zero)."""
+    return None if a is None or b is None else _kept(a * b)
+
+
+def _constant_term_values(W: Potential, z: tuple[NovikovSeries, ...]) -> list[NovikovSeries]:
+    """term_values at constant units z on one grid, every bulk tail exactly 1.
+
+    Each series operation of the series route acts on one coefficient here,
+    in the same order: z_j^{-1} is 1.0/z_j (NotAUnit as nov_inverse raises
+    it), a product is 0j + a*b pruned below PRUNE_THRESHOLD, a power is
+    repeated products as nov_pow forms them, the factors come in
+    monomial_eval's order (positive exponents, then inverses) and the
+    multiplier comes last.  Each value is the one-term series that shift
+    builds, so its floats are bit for bit the series route's.
+    """
+    c = [zj._items[0][1] for zj in z]
+    inv = [None] * len(c)
+    for j, cj in enumerate(c):
+        if any(t.exponent[j] < 0 for t in W.terms):
+            if abs(cj) <= PRUNE_THRESHOLD:
+                raise NotAUnit("series with valuation 0 is not invertible")
+            inv[j] = _kept(1.0 / cj)
+    out = []
+    for t in W.terms:
+        if not any(t.exponent):  # monomial_eval's one, on its own grid
+            out.append((monomial_eval(z, t.exponent) * t.multiplier).shift(t.valuation))
+            continue
+        factors = [(c[j], vj) for j, vj in enumerate(t.exponent) if vj > 0]
+        factors += [(inv[j], -vj) for j, vj in enumerate(t.exponent) if vj < 0]
+        for n, (b, k) in enumerate(factors):
+            p = b
+            for _ in range(k - 1):
+                p = _times(p, b)
+            acc = p if n == 0 else _times(acc, p)
+        v = None if acc is None else _kept(complex(acc * t.multiplier))
+        out.append(_shifted(() if v is None else ((0, v),), z[0]._den, z[0]._top, t.valuation))
     return out
 
 

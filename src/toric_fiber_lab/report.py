@@ -5,13 +5,16 @@ classifies every grid fiber as critical, displaceable, or unknown.  Outputs
 are deterministic for a fixed configuration: grid order is ascending, floats
 are formatted identically, and no timestamps are embedded.
 
-Every JSON document the package prints goes through one writer, json_text,
-which returns exactly json.dumps(doc, indent=2, sort_keys=True).  The
-standard library encodes an indented document in pure Python (its C encoder
-is used only when indent is None), one generator per container; json_text
-builds the same text as one recursive string join, picks each encoder by
-exact type and encodes scalar children inline, and takes about half the time
-on the benchmark's reports.
+Every JSON document the package prints is written by json_text, which
+returns exactly json.dumps(doc, indent=2, sort_keys=True).  The standard
+library encodes an indented document in pure Python (its C encoder is used
+only when indent is None), one generator per container; json_text builds the
+same text as one recursive string join, picks each encoder by exact type and
+encodes scalar children inline.  A report's grid entries all have one shape
+at one depth, so report_to_json writes each from one template and hands the
+grid to json_text as finished text (_Json); grid cells share Probe objects,
+and each distinct probe's block is written once per document, as the CLI's
+probes --scan --json writes it too.
 """
 
 from __future__ import annotations
@@ -94,19 +97,18 @@ def analyze(
     for lam in filter(lambda x: displaceable_by_probe(P, x, bound), cert_fibers):
         raise InternalInconsistency(f"fiber {lam} is certified critical and displaced by a probe")
     grid: list[Verdict] = []
-    unknown: list[tuple[Fraction, ...]] = []
     if scan is not None:
-        # the guard above found no probe at a certified fiber
-        for lam, probe in scan.items():
-            if lam in cert_fibers:
-                grid.append(Verdict(lam, "critical", None, cert_fibers[lam]))
-            elif probe is not None:
-                grid.append(Verdict(lam, "displaceable", probe))
-            else:
-                grid.append(Verdict(lam, "no_probe_found"))
-                unknown.append(lam)
+        # a dict copy keeps the scan's stored hashes, so only the certified
+        # fibers are hashed; each on the grid gets its certificate index in
+        # place of its probe, which the guard above found to be None
+        cells = dict(scan)
+        cells.update((lam, i) for lam, i in cert_fibers.items() if lam in cells)
+        grid = [Verdict(lam, "no_probe_found") if v is None else
+                Verdict(lam, "critical", None, v) if isinstance(v, int) else
+                Verdict(lam, "displaceable", v) for lam, v in cells.items()]
     else:
         notes.append("Probe grid scan skipped: needs a bounded polytope of dimension <= 2.")
+    unknown = [v.fiber for v in grid if v.kind == "no_probe_found"]
     config = {
         "seed": seed,
         "truncation": None if truncation is None else str(Fraction(truncation)),
@@ -135,7 +137,8 @@ def json_text(doc) -> str:
     doc holds str keys and str, int, float, bool, None, list, tuple and dict
     values; TypeError for any other key or value.  Strings are escaped by the
     json module's own ASCII encoder, and numbers formatted as json formats
-    them (NaN and Infinity included).
+    them (NaN and Infinity included).  A _Json value is JSON text already
+    and is written as is.
     """
     return _json_value(doc, "\n")
 
@@ -150,6 +153,10 @@ def _json_float(o: float) -> str:
     return float.__repr__(o)
 
 
+class _Json(str):
+    """Text that json_text writes as is: a value already written as JSON text."""
+
+
 # the scalar encoders, picked by exact type first and by isinstance for a subclass
 _SCALAR_JSON = {
     str: encode_basestring_ascii,
@@ -157,6 +164,7 @@ _SCALAR_JSON = {
     float: _json_float,
     bool: lambda o: "true" if o else "false",
     type(None): lambda o: "null",
+    _Json: str.__str__,
 }
 
 
@@ -228,19 +236,53 @@ def probe_to_json(probe: Probe | None):
     }
 
 
+def _probe_text(probe: Probe | None, nl: str, blocks: dict) -> str:
+    """json_text(probe_to_json(probe)) with nl before its closing brace.
+
+    blocks keeps each probe's text by identity, so a probe shared by many
+    grid cells is written once.
+    """
+    if probe is None:
+        return "null"
+    text = blocks.get(id(probe))
+    if text is None:
+        base, exit_parameter = probe.strings
+        i1, i2 = nl + "  ", nl + "    "
+        text = blocks[id(probe)] = (
+            "{" + i1 + '"base": [' + i2 + '"' + ('",' + i2 + '"').join(base) + '"' + i1
+            + "]," + i1 + '"direction": [' + i2 + ("," + i2).join(map(str, probe.direction))
+            + i1 + "]," + i1 + '"exit_parameter": "' + exit_parameter + '",' + i1
+            + '"facet": ' + str(probe.facet_index) + nl + "}"
+        )
+    return text
+
+
+def _grid_text(grid: tuple[Verdict, ...]) -> str:
+    """The report's "grid" list as json_text writes it at depth 1.
+
+    Every entry has the same keys at the same depth, so each is written from
+    one template; fiber, base and exit strings are str(Fraction) and need no
+    escaping.
+    """
+    if not grid:
+        return "[]"
+    blocks: dict[int, str] = {}
+    entry = ('{\n      "certificate": %s,\n      "fiber": [\n        "%s"\n      ],'
+             '\n      "probe": %s,\n      "verdict": "%s"\n    }')
+    entries = [
+        entry % ("null" if v.certificate is None else v.certificate,
+                 '",\n        "'.join(map(str, v.fiber)),
+                 _probe_text(v.probe, "\n      ", blocks), v.kind)
+        for v in grid
+    ]
+    return "[\n    " + ",\n    ".join(entries) + "\n  ]"
+
+
 def report_to_json(report: AnalysisReport) -> str:
     doc = {
         "polytope": polytope_to_json(report.polytope),
         "certificates": [certificate_to_json(c) for c in report.certificates],
-        "grid": [
-            {
-                "fiber": _point_json(v.fiber),
-                "verdict": v.kind,
-                "probe": probe_to_json(v.probe),
-                "certificate": v.certificate,
-            }
-            for v in report.grid
-        ],
+        "grid": _Json(_grid_text(report.grid)),
         "unknown": {
             "count": report.unknown_count,
             "examples": [_point_json(x) for x in report.unknown_examples],
@@ -315,13 +357,18 @@ def render_svg(report: AnalysisReport) -> str:
     resolution = report.config.get("resolution") or DEFAULT_RESOLUTION
     cw = scale * wx / resolution
     ch = scale * wy / resolution
+    # a cell's x depends only on its first coordinate and its y only on its
+    # second: each is formatted once per grid value (one object per axis value)
+    tail = f'" width="{cw:.2f}" height="{ch:.2f}" fill="'
+    tails = {kind: tail + color + '" />' for kind, color in CELL_COLOR.items()}
+    xs: dict[int, str] = {}
+    ys: dict[int, str] = {}
     for v in report.grid:
-        color = CELL_COLOR[v.kind]
-        px, py = to_px(float(v.fiber[0]), float(v.fiber[1]))
-        out.append(
-            f'<rect x="{px - cw / 2:.2f}" y="{py - ch / 2:.2f}" '
-            f'width="{cw:.2f}" height="{ch:.2f}" fill="{color}" />'
-        )
+        x, y = v.fiber
+        sx = xs.get(id(x)) or xs.setdefault(id(x), f"{ox + scale * (float(x) - x0) - cw / 2:.2f}")
+        sy = ys.get(id(y)) or ys.setdefault(
+            id(y), f"{SVG_SIZE - oy - scale * (float(y) - y0) - ch / 2:.2f}")
+        out.append('<rect x="' + sx + '" y="' + sy + tails[v.kind])
     pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (to_px(*v) for v in _ordered_outline(P)))
     out.append(f'<polygon points="{pts}" fill="none" stroke="#000000" stroke-width="2" />')
     for cert in report.certificates:

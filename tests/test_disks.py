@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+import toric_fiber_lab.disks as disks_mod
+import toric_fiber_lab.polytope as polytope_mod
 from toric_fiber_lab import (
     blaschke_data,
     blaschke_eval,
@@ -143,6 +145,27 @@ def test_disk_potential_matches_facet_potential():
             assert ta.valuation == tb.valuation
             assert abs(ta.multiplier - tb.multiplier) < 1e-12
             assert nov_close(ta.bulk_tail, tb.bulk_tail)
+
+
+def test_disk_potential_computes_the_facet_values_once(monkeypatch):
+    # the areas d . l(lam) come from the values fiber_setup computed, not
+    # from one disk_area (one facet_values) per class
+    calls = []
+    facet_values = polytope_mod.facet_values
+
+    def counted(P, lam):
+        calls.append(lam)
+        return facet_values(P, lam)
+
+    for mod in (polytope_mod, disks_mod):
+        monkeypatch.setattr(mod, "facet_values", counted)
+    for P, lam in ALL_EXAMPLES:
+        calls.clear()
+        W = potential_from_disks(P, lam)
+        assert len(calls) <= 1
+        assert [t.valuation for t in W.terms] == [
+            disk_area(cls, P, lam) for cls in index_two_classes(P)
+        ]
 
 
 def test_disk_potential_matches_with_twist():

@@ -1,7 +1,9 @@
 """End-to-end analysis reports: classification, JSON/text/SVG determinism."""
 
 import collections
+import dataclasses
 import enum
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -17,9 +19,11 @@ from toric_fiber_lab import (
     InternalInconsistency,
     Probe,
     UnboundedPolytope,
+    Verdict,
     analyze,
     certificate_to_json,
     make_polytope,
+    polytope_to_json,
     probe_to_json,
     render_svg,
     report_to_json,
@@ -231,18 +235,102 @@ def _stdlib_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _report_doc(rep) -> dict:
+    """The report's whole JSON document, built field by field from the report."""
+    return {
+        "polytope": polytope_to_json(rep.polytope),
+        "certificates": [certificate_to_json(c) for c in rep.certificates],
+        "grid": [
+            {
+                "fiber": [str(x) for x in v.fiber],
+                "verdict": v.kind,
+                "probe": probe_to_json(v.probe),
+                "certificate": v.certificate,
+            }
+            for v in rep.grid
+        ],
+        "unknown": {
+            "count": rep.unknown_count,
+            "examples": [[str(x) for x in lam] for lam in rep.unknown_examples],
+        },
+        "config": rep.config,
+        "version": rep.version,
+        "notes": list(rep.notes),
+    }
+
+
 @pytest.mark.parametrize("name", BENCH_CASES)
-def test_json_text_writes_every_bench_report_as_json_does(name, monkeypatch):
-    # capture the document report_to_json builds, then compare the two writers on it
-    docs = []
+def test_json_text_writes_every_bench_report_as_json_does(name):
+    # the grid is written from a template, the rest by json_text: the whole
+    # text must still be the standard library's text of the whole document
+    rep = analyze(BENCH_CASES[name](), seed=0)
+    assert report_to_json(rep) == _stdlib_text(_report_doc(rep))
 
-    def spy(doc):
-        docs.append(doc)
-        return json_text(doc)
 
-    monkeypatch.setattr(report_mod, "json_text", spy)
-    text = report_to_json(analyze(BENCH_CASES[name](), seed=0))
-    assert [text] == [_stdlib_text(doc) for doc in docs]
+def _unbounded_probe_report():
+    # analyze scans bounded polytopes only, so no scanned probe is unbounded;
+    # one unbounded probe shared by every cell, as grid cells share probes
+    rep = analyze(square_polytope(), seed=0, resolution=4)
+    probe = Probe(0, (F(-1), F(1, 2)), (1, 0), None)
+    return dataclasses.replace(
+        rep, grid=tuple(Verdict(v.fiber, "displaceable", probe) for v in rep.grid)
+    )
+
+
+@pytest.mark.parametrize(
+    "build, shape",
+    [
+        (lambda: analyze(cube_polytope(), seed=0), '"grid": [],'),
+        (lambda: analyze(corner_cut_polytope(F(1, 2)), seed=0),
+         '"certificate": 4,\n      "fiber": [\n        "1/2",\n        "1/2"\n      ],\n'
+         '      "probe": null,\n      "verdict": "critical"'),
+        (lambda: analyze(interval_polytope(), seed=0), '"fiber": [\n        "1/16"\n      ],'),
+        (_unbounded_probe_report, '"exit_parameter": "inf",'),
+    ],
+    ids=["empty-grid", "critical-cells", "1-D", "unbounded-probe"],
+)
+def test_report_json_writes_each_grid_shape_as_json_does(build, shape):
+    rep = build()
+    text = report_to_json(rep)
+    assert shape in text
+    assert text == _stdlib_text(_report_doc(rep))
+
+
+# SHA-256 of report_to_json and render_svg (None: no picture) at seed 0 for
+# the benchmark's fixture inputs.  Their roots take the binomial route, which
+# reads the same under every OpenBLAS kernel tried, so a digest that moves is
+# an output that moved.
+FIXTURE_DIGESTS = {
+    "interval": ("6167b009ce427353ccc428244736310a4dffc6cb0dbd2d0e8bb563bbbc451ff0", None),
+    "plane_blowup": ("2b133a16083e7b70cad5b7682221eb2307b7b464665630f4cc1a0f9d8a312d28", None),
+    "P111": ("a0bc44a4e1aad9d9132f7774a55d23ff47870d858b6c7f1df0a84a331aaaab1d",
+             "d8394635f262bf8087753ad252c6d39ad3ed410ad50cdc7747d84678604380f1"),
+    "P123": ("6fde7ac9742f35fd5e52e6cbdd6e5b1822ac4253acedc8727f2d3b10a10fab48",
+             "dc45d2c543f2a6c7dfd1312ab1a1a10492ce40e0413e9d016f30ef8624c80c5e"),
+    "P135": ("c16cfdf9b75d25aa46a235c9c1a8d74bb50d47b8fd9f75f63bff9b15e449d9c1",
+             "438fd746c08ace215d127e41304e3a262f25bffe12b65ac8317176a27d1b386f"),
+    "orbifold_P12": ("3a5fa53253207ac54c459a7dba05180bf38c1b8761dd86028e11f47fba7dd0df", None),
+    "square": ("22419674d7bff6bc749d8e636f030c3f6288f28b73450160e7fb859ae1120947",
+               "6999261f54ceb9f236f92872ab7b04f831058b53f0d56e56c837c42e1c52cea3"),
+    "corner_cut_0": ("e268ac32ad0e92089b4e7fe7762f52b86b7131ef649a5eb1559d89516d888668",
+                     "6999261f54ceb9f236f92872ab7b04f831058b53f0d56e56c837c42e1c52cea3"),
+    "corner_cut_1/2": ("c1d1c8d09db88e19eeced2f8d0785640c833a8a9fd7706a208b2acc7501f4bcb",
+                       "d938073d5d17a05552b6b9cd2ed8511f9fb70e36b3479303c81ce31949e7cc24"),
+    "cube": ("8aeb8cb193fcd5b3bc29e3328a834b29201e4cd2c706a79ba20ab39a4db0d442", None),
+    "P3": ("7960af2ca75346b805fcac1b038268dc087550589852f7fe5d9e895916641872", None),
+}
+
+
+@pytest.mark.parametrize("name", FIXTURE_DIGESTS)
+def test_fixture_outputs_are_pinned(name):
+    rep = analyze(BENCH_CASES[name](), seed=0)
+    json_digest, svg_digest = FIXTURE_DIGESTS[name]
+    assert hashlib.sha256(report_to_json(rep).encode()).hexdigest() == json_digest
+    if svg_digest is None:
+        with pytest.raises((DimensionUnsupported, UnboundedPolytope)):
+            render_svg(rep)
+    else:
+        assert hashlib.sha256(render_svg(rep).encode()).hexdigest() == svg_digest
 
 
 class _Level(enum.IntEnum):
