@@ -12,6 +12,11 @@ aligned to the lcm of their dens.  .terms is a (Fraction, complex) view built on
 first read.  Only abs(c) < PRUNE_THRESHOLD prunes a coefficient, so a non-finite
 one is kept and a NaN residual never reads as zero.
 
+The arithmetic lives in kernels on the sorted (key, coefficient) items of one
+grid, with one prune rule (_pruned) and one product loop (_product).  The
+operators, _kept and _times, and loops that chain many operations on one grid
+without forming series in between share them, so their floats always agree.
+
 A unit a = a_0 + (terms of positive exponent) is inverted in one pass over
 the exponents of its inverse, which lie in the monoid generated by the
 positive exponents of a (see nov_inverse).  Laurent monomials z^v are formed
@@ -49,7 +54,7 @@ class NovikovSeries:
         if any(a >= b for (a, _), (b, _) in zip(self.terms, self.terms[1:])):
             raise ValueError("exponents must be strictly increasing")
         self._den = math.lcm(D.denominator, *(e.denominator for e, _ in self.terms))
-        self._items = tuple((e.numerator * (self._den // e.denominator), c) for e, c in self.terms)
+        self._items = [(e.numerator * (self._den // e.denominator), c) for e, c in self.terms]
         self._top = D.numerator * (self._den // D.denominator)
 
     @cached_property
@@ -74,29 +79,19 @@ class NovikovSeries:
 
     def __add__(self, other: "NovikovSeries") -> "NovikovSeries":
         a, b, den, top = _aligned(self, other)
-        acc: dict[int, complex] = dict(a)
-        for k, c in b:
-            acc[k] = acc.get(k, 0j) + c
-        return _on_grid(acc.items(), den, top)
+        return _wrap(_sum(a, b), den, top)
 
     def __sub__(self, other: "NovikovSeries") -> "NovikovSeries":
         return self + (-other)
 
     def __neg__(self) -> "NovikovSeries":
-        return _on_grid(((k, -c) for k, c in self._items), self._den, self._top)
+        return _wrap(_negated(self._items), self._den, self._top)
 
     def __mul__(self, other):
         if not isinstance(other, NovikovSeries):
-            return _on_grid(((k, complex(c * other)) for k, c in self._items), self._den, self._top)
+            return _wrap(_scaled(self._items, other), self._den, self._top)
         a, b, den, top = _aligned(self, other)
-        acc: dict[int, complex] = {}
-        for ka, ca in a:
-            for kb, cb in b:
-                k = ka + kb
-                if k >= top:
-                    break
-                acc[k] = acc.get(k, 0j) + ca * cb
-        return _on_grid(acc.items(), den, top)
+        return _wrap(_product(a, b, top), den, top)
 
     __rmul__ = __mul__
 
@@ -135,34 +130,96 @@ class NovikovSeries:
         return " + ".join(parts)
 
 
-def _on_grid(pairs, den: int, top: int) -> NovikovSeries:
-    """Canonical series from (key, c) pairs with distinct keys; 0j + c fixes the sign of zero."""
+def _pruned(pairs) -> list:
+    """The sorted items a series keeps of (key, c) pairs with distinct keys.
+
+    The one prune rule: 0j + c fixes the sign of zero, and c is dropped when
+    abs(c) < PRUNE_THRESHOLD, so a non-finite c is kept.
+    """
+    out = [(k, v) for k, c in pairs if not abs(v := 0j + c) < PRUNE_THRESHOLD]
+    out.sort()
+    return out
+
+
+def _kept(c):
+    """c as a series stores it, or None where _pruned drops it."""
+    kept = _pruned(((0, c),))
+    return kept[0][1] if kept else None
+
+
+def _times(a, b):
+    """The coefficient of the product of one-term series a and b (None: zero)."""
+    return None if a is None or b is None else _kept(a * b)
+
+
+def _sum(a: list, b: list) -> list:
+    """Items of a + b; an empty operand gives the other back, which _pruned would not change."""
+    if not a or not b:
+        return a or b
+    acc = dict(a)
+    for k, c in b:
+        acc[k] = acc.get(k, 0j) + c
+    return _pruned(acc.items())
+
+
+def _negated(a: list) -> list:
+    return _pruned([(k, -c) for k, c in a])
+
+
+def _scaled(a: list, w) -> list:
+    """Items of the series a times the scalar w."""
+    return _pruned([(k, complex(c * w)) for k, c in a])
+
+
+def _product(a: list, b: list, top: int) -> list:
+    """Items of a * b truncated at top: each coefficient summed from 0j over (k_a, k_b) in order."""
+    acc: dict[int, complex] = {}
+    for ka, ca in a:
+        for kb, cb in b:
+            k = ka + kb
+            if k >= top:
+                break
+            acc[k] = acc.get(k, 0j) + ca * cb
+    return _pruned(acc.items())
+
+
+def _wrap(items: list, den: int, top: int) -> NovikovSeries:
+    """The series with these kept, sorted items on grid (den, top)."""
     s = object.__new__(NovikovSeries)
-    kept = ((k, v) for k, c in pairs if k < top and not abs(v := 0j + c) < PRUNE_THRESHOLD)
-    s._items, s._den, s._top = tuple(sorted(kept)), den, top
+    s._items, s._den, s._top = items, den, top
     return s
 
 
-def _shifted(items, den: int, top: int, d: Fraction) -> NovikovSeries:
-    """The series with stored items on grid (den, top), times q^d."""
+def _shifted(items, den: int, top: int, d: Fraction, m=None) -> NovikovSeries:
+    """The series with stored items on grid (den, top), times the scalar m if given, times q^d.
+
+    In one pass, bit for bit (s * m).shift(d).
+    """
     den2 = math.lcm(den, d.denominator)
-    f, dk = den2 // den, d.numerator * (den2 // d.denominator)
-    if items and items[0][0] * f + dk < 0:
-        raise NegativeValuation(f"exponent {Fraction(items[0][0], den) + d} < 0")
-    return _on_grid(((k * f + dk, c) for k, c in items), den2, top * f)
+    f, dk, top2 = den2 // den, d.numerator * (den2 // d.denominator), top * (den2 // den)
+    out = _pruned([(k * f + dk, c if m is None else complex(c * m))
+                   for k, c in items if k * f + dk < top2])
+    if out and out[0][0] < 0:
+        raise NegativeValuation(f"exponent {Fraction(out[0][0], den2)} < 0")
+    return _wrap(out, den2, top2)
 
 
 def _aligned(a: NovikovSeries, b: NovikovSeries):
-    """(items of a, items of b, den, top) on the lcm of their grids."""
-    den = math.lcm(a._den, b._den)
-    fa, fb = den // a._den, den // b._den
-    if a._top * fa != b._top * fb:
-        raise TruncationMismatch(
-            f"series truncated at {a.truncation} and {b.truncation} cannot be combined"
-        )
-    if fa == fb == 1:
-        return a._items, b._items, den, a._top
-    return [(k * fa, c) for k, c in a._items], [(k * fb, c) for k, c in b._items], den, a._top * fa
+    """(items of a, items of b, den, top) on the lcm of their grids, at once on a shared grid."""
+    if a._den == b._den and a._top == b._top:
+        return a._items, b._items, a._den, a._top
+    den, top, (ia, ib) = _aligned_all((a, b))
+    return ia, ib, den, top
+
+
+def _aligned_all(series_list):
+    """(den, top, items of each series) on the lcm of their grids."""
+    den = math.lcm(*(s._den for s in series_list))
+    tops = {s._top * (den // s._den) for s in series_list}
+    if len(tops) > 1:
+        found = " and ".join(dict.fromkeys(str(s.truncation) for s in series_list))
+        raise TruncationMismatch(f"series truncated at {found} cannot be combined")
+    return den, tops.pop(), [[(k * (den // s._den), c) for k, c in s._items] for s in series_list]
 
 
 def series(pairs, truncation: RationalLike) -> NovikovSeries:
@@ -174,20 +231,30 @@ def series(pairs, truncation: RationalLike) -> NovikovSeries:
         if e < 0:
             raise NegativeValuation(f"exponent {e} < 0")
         acc[e] = acc.get(e, 0j) + complex(c)
-    kept = sorted((e, c) for e, c in acc.items() if e < d and not abs(c) < PRUNE_THRESHOLD)
-    return NovikovSeries(kept, d)
+    return NovikovSeries(_pruned((e, c) for e, c in acc.items() if e < d), d)
 
 
-def _weighted_sum(weights, tv, truncation: Fraction) -> NovikovSeries:
-    """sum_i weights[i] * tv[i] over the nonzero weights, merged term by term in order."""
-    den = math.lcm(truncation.denominator, *(s._den for s in tv))
+def _grid(tv, truncation: Fraction, *dens: int) -> tuple[int, int]:
+    """(den, top): the coarsest grid with D, the series tv and the extra denominators dens on it."""
+    den = math.lcm(truncation.denominator, *dens, *(s._den for s in tv))
+    return den, truncation.numerator * (den // truncation.denominator)
+
+
+def _weighted_sum(weights, tv, den: int, top: int, dk: int = 0) -> NovikovSeries:
+    """q^(-dk/den) * sum_i w * tv[i] over the (i, w) of weights, on the grid (den, top).
+
+    Merged term by term in order, each coefficient summed from 0j and pruned
+    once; moving the keys by dk before that prune gives the bytes of pruning
+    first and shifting after.  dk is at most every weighted term's valuation.
+    """
     acc: dict[int, complex] = {}
-    for w, s in zip(weights, tv):
-        if w:
-            w, f = float(w), den // s._den
-            for k, c in s._items:
-                acc[k * f] = acc.get(k * f, 0j) + c * w
-    return _on_grid(acc.items(), den, truncation.numerator * (den // truncation.denominator))
+    for i, w in weights:
+        s = tv[i]
+        f = den // s._den
+        for k, c in s._items:
+            k = k * f - dk
+            acc[k] = acc.get(k, 0j) + c * w
+    return _wrap(_pruned(acc.items()), den, top)
 
 
 def zero_series(truncation: RationalLike) -> NovikovSeries:
@@ -199,7 +266,7 @@ def constant_series(c: complex, truncation: RationalLike) -> NovikovSeries:
     D = _frac(truncation)
     if D <= 0:
         raise ValueError("truncation order must be positive")
-    return _on_grid(((0, complex(c)),), D.denominator, D.numerator)
+    return _wrap(_pruned(((0, complex(c)),)), D.denominator, D.numerator)
 
 
 def monomial(c: complex, exponent: RationalLike, truncation: RationalLike) -> NovikovSeries:
@@ -247,7 +314,7 @@ def nov_inverse(a: NovikovSeries) -> NovikovSeries:
             if f not in queued:
                 queued.add(f)
                 heapq.heappush(heap, f)
-    return _on_grid(b.items(), a._den, top)
+    return _wrap(_pruned(b.items()), a._den, top)
 
 
 def nov_exp(a: NovikovSeries) -> NovikovSeries:

@@ -13,12 +13,17 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotAUnit, ZeroComponent
+from .errors import NotAUnit, ValidationError, ZeroComponent
 from .novikov import (
     PRUNE_THRESHOLD,
     NovikovSeries,
+    _grid,
+    _kept,
     _shifted,
+    _sum,
+    _times,
     _weighted_sum,
+    _wrap,
     constant_series,
     monomial_eval,
     nov_exp,
@@ -26,7 +31,6 @@ from .novikov import (
     one,
     series_to_json,
     val,
-    zero_series,
 )
 from .polytope import MomentPolytope, facet_values, interior_values
 
@@ -70,12 +74,16 @@ def fiber_setup(P: MomentPolytope, lam, alpha=None, truncation=None):
     if len(alpha) != len(P.facets):
         raise ValueError("twist must supply one series per facet")
     factors = []
-    for ai in alpha:
+    for i, ai in enumerate(alpha):
         a = ai.retruncate(D)
         if val(a) < 0:
             raise NotAUnit("twist coefficients must have nonnegative valuation")
         a0 = a.coefficient(0)
-        factors.append((cmath.exp(a0), nov_exp(a - constant_series(a0, D))))
+        try:
+            m = cmath.exp(a0)
+        except OverflowError as exc:
+            raise ValidationError(f"twist of facet {i}: e^{a0} overflows") from exc
+        factors.append((m, nov_exp(a - constant_series(a0, D))))
     return lam, values, D, factors
 
 
@@ -98,8 +106,35 @@ def _require_units(z: tuple[NovikovSeries, ...], n: int) -> None:
     if len(z) != n:
         raise ValueError("point has the wrong length")
     for zj in z:
-        if val(zj) != 0:
+        if not zj._items or zj._items[0][0]:  # valuation 0: a first key of 0
             raise NotAUnit("potential evaluation needs unit components")
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What every evaluation of a potential reads, worked out once per potential."""
+
+    tails_one: tuple[bool, ...]  # per term: the bulk tail is exactly 1
+    inverse: tuple[bool, ...]  # per direction j: some term has a negative exponent in j
+    splits: tuple[tuple[int, ...], ...]  # per term: (max(v, 0), max(-v, 0))
+    gradient: tuple  # per direction j: (i, float(v_ij)) over the terms with v_ij != 0
+    hessian: dict  # per j <= k: (i, float(v_ij v_ik)) over the terms where it is nonzero
+
+
+def _plan(W: Potential) -> _Plan:
+    """W's _Plan, computed on first use and kept on W (whose fields it does not change)."""
+    stored = W.__dict__.get("_plan")
+    if stored is None:
+        unit, n, E = one(W.truncation), W.dimension, [t.exponent for t in W.terms]
+        W.__dict__["_plan"] = stored = _Plan(
+            tuple(t.bulk_tail == unit for t in W.terms),
+            tuple(any(e[j] < 0 for e in E) for j in range(n)),
+            tuple(tuple(max(v, 0) for v in e) + tuple(max(-v, 0) for v in e) for e in E),
+            tuple(tuple((i, float(e[j])) for i, e in enumerate(E) if e[j]) for j in range(n)),
+            {(j, k): tuple((i, float(e[j] * e[k])) for i, e in enumerate(E) if e[j] * e[k])
+             for j in range(n) for k in range(j, n)},
+        )
+    return stored
 
 
 def term_values(W: Potential, z: tuple[NovikovSeries, ...]) -> list[NovikovSeries]:
@@ -114,36 +149,18 @@ def term_values(W: Potential, z: tuple[NovikovSeries, ...]) -> list[NovikovSerie
     value_from_terms.
     """
     _require_units(z, W.dimension)
-    unit = one(W.truncation)
+    plan = _plan(W)
     constant = all(len(zj._items) == 1 for zj in z) and len({(zj._den, zj._top) for zj in z}) <= 1
-    if constant and all(t.bulk_tail == unit for t in W.terms):
+    if constant and all(plan.tails_one):
         return _constant_term_values(W, z)
-    inverses = tuple(
-        nov_inverse(zj) if any(t.exponent[j] < 0 for t in W.terms) else None
-        for j, zj in enumerate(z)
-    )
-    point = tuple(z) + inverses
+    point = tuple(z) + tuple(nov_inverse(zj) if inv else None for zj, inv in zip(z, plan.inverse))
     out = []
-    for t in W.terms:
-        split = tuple(max(vj, 0) for vj in t.exponent) + tuple(
-            max(-vj, 0) for vj in t.exponent
-        )
+    for t, split, tail_one in zip(W.terms, plan.splits, plan.tails_one):
         v = monomial_eval(point, split)
-        if t.bulk_tail != unit:  # an absent twist leaves the tail exactly 1
+        if not tail_one:  # an absent twist leaves the tail exactly 1
             v = v * t.bulk_tail
-        out.append((v * t.multiplier).shift(t.valuation))
+        out.append(_shifted(v._items, v._den, v._top, t.valuation, t.multiplier))
     return out
-
-
-def _kept(c):
-    """c as _on_grid stores it, or None (the zero series) where it prunes c."""
-    c = 0j + c
-    return None if abs(c) < PRUNE_THRESHOLD else c
-
-
-def _times(a, b):
-    """The coefficient of the product of one-term series a and b (None: zero)."""
-    return None if a is None or b is None else _kept(a * b)
 
 
 def _constant_term_values(W: Potential, z: tuple[NovikovSeries, ...]) -> list[NovikovSeries]:
@@ -157,27 +174,28 @@ def _constant_term_values(W: Potential, z: tuple[NovikovSeries, ...]) -> list[No
     multiplier comes last.  Each value is the one-term series that shift
     builds, so its floats are bit for bit the series route's.
     """
+    plan = _plan(W)
     c = [zj._items[0][1] for zj in z]
     inv = [None] * len(c)
-    for j, cj in enumerate(c):
-        if any(t.exponent[j] < 0 for t in W.terms):
+    for j, (cj, needed) in enumerate(zip(c, plan.inverse)):
+        if needed:
             if abs(cj) <= PRUNE_THRESHOLD:
                 raise NotAUnit("series with valuation 0 is not invertible")
             inv[j] = _kept(1.0 / cj)
+    point = c + inv
     out = []
-    for t in W.terms:
-        if not any(t.exponent):  # monomial_eval's one, on its own grid
+    for t, split in zip(W.terms, plan.splits):
+        if not any(split):  # monomial_eval's one, on its own grid
             out.append((monomial_eval(z, t.exponent) * t.multiplier).shift(t.valuation))
             continue
-        factors = [(c[j], vj) for j, vj in enumerate(t.exponent) if vj > 0]
-        factors += [(inv[j], -vj) for j, vj in enumerate(t.exponent) if vj < 0]
+        factors = [(b, k) for b, k in zip(point, split) if k]
         for n, (b, k) in enumerate(factors):
             p = b
             for _ in range(k - 1):
                 p = _times(p, b)
             acc = p if n == 0 else _times(acc, p)
-        v = None if acc is None else _kept(complex(acc * t.multiplier))
-        out.append(_shifted(() if v is None else ((0, v),), z[0]._den, z[0]._top, t.valuation))
+        items = [] if acc is None else [(0, acc)]
+        out.append(_shifted(items, z[0]._den, z[0]._top, t.valuation, t.multiplier))
     return out
 
 
@@ -186,25 +204,27 @@ def value_from_terms(W: Potential, tv: list[NovikovSeries]) -> NovikovSeries:
 
     A running sum, unlike the derivatives: a partial sum that cancels is pruned to exactly 0.
     """
-    return sum(tv, zero_series(W.truncation))
+    den, top = _grid(tv, W.truncation)
+    acc = []
+    for s in tv:
+        f = den // s._den
+        acc = _sum(acc, s._items if f == 1 else [(k * f, c) for k, c in s._items])
+    return _wrap(acc, den, top)
 
 
 def gradient_from_terms(W: Potential, tv: list[NovikovSeries]) -> tuple[NovikovSeries, ...]:
     """Component j: sum_i v_ij * tv[i]."""
-    return tuple(
-        _weighted_sum([t.exponent[j] for t in W.terms], tv, W.truncation)
-        for j in range(W.dimension)
-    )
+    den, top = _grid(tv, W.truncation)
+    return tuple(_weighted_sum(weights, tv, den, top) for weights in _plan(W).gradient)
 
 
 def hessian_from_terms(W: Potential, tv: list[NovikovSeries]) -> list[list[NovikovSeries]]:
     """Symmetric matrix with entry (j,k) = sum_i v_ij v_ik tv[i]."""
+    den, top = _grid(tv, W.truncation)
     n = W.dimension
     H = [[None] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(j, n):
-            weights = [t.exponent[j] * t.exponent[k] for t in W.terms]
-            H[j][k] = H[k][j] = _weighted_sum(weights, tv, W.truncation)
+    for (j, k), weights in _plan(W).hessian.items():
+        H[j][k] = H[k][j] = _weighted_sum(weights, tv, den, top)
     return H
 
 

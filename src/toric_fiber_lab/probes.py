@@ -23,10 +23,9 @@ Python integers otherwise, by the polytope kernel's rule (polytope.int_dtype).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -54,12 +53,12 @@ class Probe:
     base: tuple[Fraction, ...]
     direction: tuple[int, ...]
     exit_parameter: Fraction | None  # None encodes an unbounded probe
+    # base and exit parameter ("inf" if unbounded) as strings, formed with the probe
+    strings: tuple[tuple[str, ...], str] = field(init=False, repr=False, compare=False)
 
-    @functools.cached_property
-    def strings(self) -> tuple[tuple[str, ...], str]:
-        """Base and exit parameter ("inf" if unbounded) as strings, formed once."""
+    def __post_init__(self) -> None:
         exit_parameter = "inf" if self.exit_parameter is None else str(self.exit_parameter)
-        return tuple(map(str, self.base)), exit_parameter
+        object.__setattr__(self, "strings", (tuple(map(str, self.base)), exit_parameter))
 
 
 @dataclass(frozen=True)

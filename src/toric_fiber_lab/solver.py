@@ -20,9 +20,13 @@ Both lifts work in b with z = e^b: row j of the b-Hessian, divided by
 q^{m_j} (m_j the row's least term valuation), is the normalized b-Hessian,
 and its constant part at the leading root zeta is H0.  Every step solves
 with it and moves z_k by z_k db_k, so no step needs a series inverse.  Each
-point a lift visits is evaluated once: its term list gives the gradient,
-the critical value, H0 at the start and, only when Newton iterates, the
-series Hessian.  The row valuations are computed once per potential.
+point a lift visits is evaluated once: its term list gives the normalized
+gradient (q^{-m_j} folded into the keys of its weighted sum), the critical
+value, H0 at the start and, only when Newton iterates, the normalized series
+Hessian.  H0 gets one SVD per lift.  The row valuations are computed once per
+potential.  Newton's series solve runs as one loop on item lists of one grid
+through novikov's kernels, with novikov's one prune rule: this module only
+orders the refinement.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,11 +49,18 @@ from .errors import (
 )
 from .novikov import (
     INF,
-    PRUNE_THRESHOLD,
     NovikovSeries,
+    _aligned_all,
+    _grid,
+    _kept,
+    _negated,
+    _product,
+    _scaled,
+    _sum,
+    _weighted_sum,
+    _wrap,
     constant_series,
     monomial,
-    val,
 )
 from .polytope import (
     CHUNK,
@@ -61,9 +71,8 @@ from .polytope import (
 )
 from .potential import (
     Potential,
+    _plan,
     build_potential,
-    gradient_from_terms,
-    hessian_from_terms,
     term_values,
     value_from_terms,
 )
@@ -250,9 +259,6 @@ def solve_leading(sys: LeadingSystem) -> list[tuple[complex, ...]]:
     return _homotopy_roots(sys)
 
 
-_QUARTER_TURNS = {Fraction(0): 1, Fraction(1, 2): 1j, Fraction(1): -1, Fraction(3, 2): -1j}
-
-
 def _binomial_roots(E: list[list[int]], r: list[complex]):
     """All |det E| torus solutions of zeta^E = r, or None when det E = 0.
 
@@ -263,7 +269,9 @@ def _binomial_roots(E: list[list[int]], r: list[complex]):
     is real, Im u_i / pi is the exact rational p_i solving
     sum_{l <= i} H_il p_l = [r_i < 0] + 2 k_i, so each zeta_j has the exact
     phase pi sum_i V_ji p_i, and a real or purely imaginary zeta_j comes out
-    with an exact zero part.
+    with an exact zero part.  The phases are held as the integers
+    T_i = p_i det over det = prod H_ii, each an exact division; a quarter
+    turn is a multiple of det / 2 modulo 2 det.
     """
     n = len(E)
     Hc = [list(c) for c in zip(*E)]  # columns of H
@@ -288,25 +296,24 @@ def _binomial_roots(E: list[list[int]], r: list[complex]):
     V = np.array(Vc, dtype=float).T
     logs = np.log(np.array(r, dtype=complex))
     real = all(complex(x).imag == 0 for x in r)
+    det = math.prod(Hc[i][i] for i in range(n))
     roots = []
     for k in itertools.product(*(range(Hc[i][i]) for i in range(n))):
         u = np.zeros(n, dtype=complex)
-        turns: list[Fraction] = []
+        T: list[int] = []
         for i in range(n):
             lower = sum(Hc[l][i] * u[l] for l in range(i))
             u[i] = (logs[i] + 2j * np.pi * k[i] - lower) / Hc[i][i]
             if real:
-                lower_turns = sum(Hc[l][i] * turns[l] for l in range(i))
-                turns.append(
-                    Fraction(int(r[i].real < 0) + 2 * k[i] - lower_turns, Hc[i][i])
-                )
+                lower_turns = sum(Hc[l][i] * T[l] for l in range(i))
+                T.append(((int(r[i].real < 0) + 2 * k[i]) * det - lower_turns) // Hc[i][i])
         w = V @ u
         zeta = [complex(x) for x in np.exp(w)]
         if real:
             for j in range(n):
-                unit = _QUARTER_TURNS.get(sum(Vc[i][j] * turns[i] for i in range(n)) % 2)
-                if unit is not None:
-                    zeta[j] = math.exp(w[j].real) * unit
+                quarter, off = divmod(2 * sum(Vc[i][j] * T[i] for i in range(n)) % (4 * det), det)
+                if not off:
+                    zeta[j] = math.exp(w[j].real) * (1, 1j, -1, -1j)[quarter]
         roots.append(tuple(complex(x) for x in zeta))
     return roots
 
@@ -619,30 +626,50 @@ def _newton_startable(H0: np.ndarray) -> bool:
 
 
 def _diagonal_clear(H0: np.ndarray) -> bool:
-    """No diagonal entry is within DIAG_TOL of zero, relative to its row (at least 1)."""
-    return not any(abs(H0[j, j]) <= DIAG_TOL * max(1.0, float(np.max(np.abs(H0[j]))))
-                   for j in range(H0.shape[0]))
+    """No diagonal entry is within DIAG_TOL of zero, relative to its row (at least 1).
+
+    A row with a NaN counts as size 1, as max(1.0, nan) does.
+    """
+    A = np.abs(H0)
+    return not (A.diagonal() <= DIAG_TOL * np.fmax(1.0, A.max(axis=1))).any()
 
 
 def _well_conditioned(H0: np.ndarray) -> bool:
-    """Invertible in floats: not numerically zero, condition number < 1e8."""
+    """Invertible in floats: not numerically zero, condition number < 1e8.
+
+    The condition number is s_max / s_min from one SVD, as np.linalg.cond forms
+    it: a zero s_min (inf or nan there) fails, and a NaN entry raises LinAlgError.
+    """
     if np.max(np.abs(H0)) <= DIAG_TOL:
         return False
-    cond = np.linalg.cond(H0)
-    return bool(np.isfinite(cond) and cond < COND_LIMIT)
+    s = np.linalg.svd(H0, compute_uv=False).tolist()
+    return s[-1] > 0 and s[0] / s[-1] < COND_LIMIT
+
+
+def _normalized_grid(W: Potential, row_vals, tv):
+    """(den, top, keys of m_j) of the grid the normalized forms at the term list tv live on."""
+    den, top = _grid(tv, W.truncation, *(m.denominator for m in row_vals))
+    return den, top, [m.numerator * (den // m.denominator) for m in row_vals]
 
 
 def _normalized_state(W: Potential, row_vals, z):
-    """Term list at z, raw gradient, and normalized frontier min_j (val(g_j) - m_j)."""
+    """Term list at z, normalized gradient q^{-m_j} grad_j, and frontier min_j val of it.
+
+    The frontier is read off the integer keys and becomes one Fraction.
+    """
     tv = term_values(W, z)
-    g = gradient_from_terms(W, tv)
-    return tv, g, min(val(gj) - m for gj, m in zip(g, row_vals))
+    den, top, mk = _normalized_grid(W, row_vals, tv)
+    ghat = tuple(_weighted_sum(w, tv, den, top, m) for w, m in zip(_plan(W).gradient, mk))
+    lead = [g._items[0][0] for g in ghat if g._items]
+    return tv, ghat, Fraction(min(lead), den) if lead else INF
 
 
 def _normalized_hessian(W: Potential, row_vals, tv) -> list[list[NovikovSeries]]:
     """Series matrix q^{-m_j} * dgrad_j/db_k from a term list (valuations >= 0)."""
-    H = hessian_from_terms(W, tv)
-    return [[Hjk.shift(-m) for Hjk in row] for row, m in zip(H, row_vals)]
+    den, top, mk = _normalized_grid(W, row_vals, tv)
+    hess = _plan(W).hessian
+    return [[_weighted_sum(hess[min(j, k), max(j, k)], tv, den, top, m) for k in range(len(mk))]
+            for j, m in enumerate(mk)]
 
 
 def _leading_hessian(W: Potential, tv) -> np.ndarray:
@@ -651,36 +678,42 @@ def _leading_hessian(W: Potential, tv) -> np.ndarray:
     Entry (j, k) is the q^{m_j} coefficient of sum_i v_ij v_ik tv[i], which
     only row j's terms of least valuation m_j reach.  It is summed as
     _weighted_sum sums it, in term order over the nonzero weights from 0j
-    (so no part is -0.0 and _on_grid's 0j + changes nothing), and pruned
-    below PRUNE_THRESHOLD as _on_grid prunes it, without forming any series.
-    A term with no coefficient at q^{m_j} adds an exact zero, which changes
-    no such sum.
+    (so no part is -0.0 and _kept's 0j + changes nothing), and pruned
+    by _kept, without forming any series.  A term with no coefficient at
+    q^{m_j} adds an exact zero, which changes no such sum.
     """
     row_vals, minima = _row_data(W)
     H0 = []
     for j, (m, S) in enumerate(zip(row_vals, minima)):
-        lead = [(W.terms[i].exponent, tv[i].coefficient(m)) for i in S]
+        # a term of valuation m has no key below m: its q^m coefficient is its first item or 0
+        lead = [(W.terms[i].exponent, _first_at(tv[i], m)) for i in S]
         row = []
         for k in range(W.dimension):
             acc = 0j
             for e, c in lead:
                 if e[k]:
                     acc = acc + c * float(e[j] * e[k])
-            row.append(0j if abs(acc) < PRUNE_THRESHOLD else acc)
+            row.append(_kept(acc) or 0j)
         H0.append(row)
     return np.array(H0, dtype=complex)
+
+
+def _first_at(s: NovikovSeries, m: Fraction) -> complex:
+    """The coefficient of q^m in s, when s has no exponent below m."""
+    items = s._items
+    return items[0][1] if items and items[0][0] * m.denominator == m.numerator * s._den else 0j
 
 
 def _lift_start(W: Potential, zeta):
     """Shared start of both lifts at the constant point zeta.
 
     Returns the row valuations m_j, the constant series z, its term list,
-    gradient and normalized frontier, and H0.
+    normalized gradient and frontier, and H0.
     """
     row_vals, _ = _row_data(W)
     z = tuple(constant_series(zj, W.truncation) for zj in zeta)
-    tv, g, front = _normalized_state(W, row_vals, z)
-    return row_vals, z, tv, g, front, _leading_hessian(W, tv)
+    tv, ghat, front = _normalized_state(W, row_vals, z)
+    return row_vals, z, tv, ghat, front, _leading_hessian(W, tv)
 
 
 def _solve_series_system(Hhat, ghat, H0inv: np.ndarray):
@@ -690,20 +723,26 @@ def _solve_series_system(Hhat, ghat, H0inv: np.ndarray):
     subtracts Hhat * step from r.  Hhat - H0 has positive valuation, so every
     correction gains valuation and the loop ends when one is the zero series;
     the partial sums are those of the Neumann series of (H0 (I + E))^{-1}.
-    Each sum starts at its first term: started at the zero series, it has
-    the same coefficients.
+    The loop runs on item lists on one grid (novikov's item kernels), each
+    operation exactly the series operation it stands for, and forms a series
+    only for delta.  Each sum starts at its first term: started at the zero
+    series, it has the same coefficients.
     """
+    n = len(ghat)
+    den, top, items = _aligned_all([*ghat, *(h for row in Hhat for h in row)])
+    H = [items[n * (j + 1): n * (j + 2)] for j in range(n)]
     inv = H0inv.tolist()
     delta = None
-    r = [-gj for gj in ghat]
+    r = [_negated(g) for g in items[:n]]
     for _ in range(MAX_GRADED_LEVELS):
-        step = tuple(functools.reduce(operator.add, map(operator.mul, r, row)) for row in inv)
-        if delta is not None and all(c.is_zero() for c in step):
+        step = [functools.reduce(_sum, map(_scaled, r, row)) for row in inv]
+        if delta is not None and not any(step):
             break
-        delta = step if delta is None else tuple(map(operator.add, delta, step))
-        r = [rj - functools.reduce(operator.add, map(operator.mul, Hj, step))
-             for rj, Hj in zip(r, Hhat)]
-    return delta
+        delta = step if delta is None else list(map(_sum, delta, step))
+        Hstep = [functools.reduce(_sum, [_product(h, d, top) for h, d in zip(Hj, step)])
+                 for Hj in H]
+        r = [_sum(rj, _negated(x)) for rj, x in zip(r, Hstep)]
+    return tuple(_wrap(d, den, top) for d in delta)
 
 
 def _certificate(W, z, tv, method, nondegenerate, iterations, history) -> CriticalCertificate:
@@ -736,22 +775,20 @@ def newton_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     not take f above and to at least twice its last value; the pipeline then
     tries graded_lift, which asks only that H0 be invertible.
     """
-    row_vals, z, tv, g, front, H0 = _lift_start(W, zeta)
+    row_vals, z, tv, ghat, front, H0 = _lift_start(W, zeta)
     startable = _newton_startable(H0)
     history = [front]
-    if all(gj.is_zero() for gj in g):
+    if all(gj.is_zero() for gj in ghat):
         return _certificate(W, z, tv, "newton", startable, 0, history)
     if not startable:
         raise SingularLeadingHessian("H0 is unfit for plain Newton at this root")
     H0inv = np.linalg.inv(H0)
     for it in itertools.count(1):
-        Hhat = _normalized_hessian(W, row_vals, tv)
-        ghat = tuple(gj.shift(-m) for gj, m in zip(g, row_vals))
-        db = _solve_series_system(Hhat, ghat, H0inv)
+        db = _solve_series_system(_normalized_hessian(W, row_vals, tv), ghat, H0inv)
         z = tuple(zj + zj * dj for zj, dj in zip(z, db))
-        tv, g, front = _normalized_state(W, row_vals, z)
+        tv, ghat, front = _normalized_state(W, row_vals, z)
         history.append(front)
-        if all(gj.is_zero() for gj in g):
+        if all(gj.is_zero() for gj in ghat):
             return _certificate(W, z, tv, "newton", startable, it, history)
         if front <= history[-2] or front < 2 * history[-2]:
             raise NoConvergence(f"step {it} took the residual level from {history[-2]} to {front}")
@@ -769,25 +806,23 @@ def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     first frontier is nonpositive, a correction does not raise it, or
     MAX_GRADED_LEVELS corrections do not reach the truncation.
     """
-    row_vals, z, tv, g, front, H0 = _lift_start(W, zeta)
+    row_vals, z, tv, ghat, front, H0 = _lift_start(W, zeta)
     if not _well_conditioned(H0):
         raise Inconsistent("H0 is singular at this root")
     if front <= 0:
         raise Inconsistent(f"residual at nonpositive level {front}")
     startable = _diagonal_clear(H0)  # _newton_startable, with the condition number known
     history = [front]
-    while not all(gj.is_zero() for gj in g):
+    while not all(gj.is_zero() for gj in ghat):
         if len(history) > MAX_GRADED_LEVELS:
             raise Inconsistent("level budget exhausted before the truncation")
-        r = np.array(
-            [gj.coefficient(front + m) for gj, m in zip(g, row_vals)], dtype=complex
-        )
+        r = np.array([gj.coefficient(front) for gj in ghat], dtype=complex)
         db = np.linalg.solve(H0, -r)
         z = tuple(
             zj + monomial(complex(zk * dk), front, W.truncation)
             for zj, zk, dk in zip(z, zeta, db)
         )
-        tv, g, front = _normalized_state(W, row_vals, z)
+        tv, ghat, front = _normalized_state(W, row_vals, z)
         if front <= history[-1]:
             raise Inconsistent(f"correction at level {history[-1]} left the frontier at {front}")
         history.append(front)

@@ -19,6 +19,7 @@ from conftest import (
     quadrant_polytope,
     square_polytope,
     strip_polytope,
+    weighted_plane_polytope,
 )
 
 
@@ -231,6 +232,18 @@ def test_critical_rejects_malformed_bulk(interval_file, tmp_path, capsys, doc, e
     assert captured.err.startswith("error: ")
     assert captured.out == ""
 
+
+
+def test_critical_rejects_an_overflowing_bulk_twist(tmp_path, capsys):
+    # e^1000 overflows a float: exit 2 naming the facet, not a traceback
+    p111 = tmp_path / "P111.json"
+    p111.write_text(json.dumps(polytope_to_json(weighted_plane_polytope(1, 1))))
+    bulk = tmp_path / "b.json"
+    bulk.write_text(json.dumps([{"re": 1000}, 0, 0]))
+    assert main(["critical", "--input", str(p111), "--bulk", str(bulk)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "facet 0" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["potential", "critical", "analyze", "render"])

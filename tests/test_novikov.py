@@ -30,7 +30,7 @@ from toric_fiber_lab import (
     zero_series,
 )
 import toric_fiber_lab.novikov as novikov_mod
-from toric_fiber_lab.novikov import INF, _weighted_sum, monomial_eval
+from toric_fiber_lab.novikov import INF, _grid, _weighted_sum, monomial_eval
 from test_properties import MIXED_STEPS, _random_series
 
 F = Fraction
@@ -323,7 +323,8 @@ def test_grid_arithmetic_is_the_fraction_arithmetic(D, left, right):
             _same(a.retruncate(D2), _ref(ta, D2))
         weights = (2, 0, -3)
         ref = _ref([(e, c * float(w)) for w, t in zip(weights, (ta, tb, ta)) if w for e, c in t], D)
-        _same(_weighted_sum(weights, (a, b, a), D), ref)
+        pairs = [(i, float(w)) for i, w in enumerate(weights) if w]
+        _same(_weighted_sum(pairs, (a, b, a), *_grid((a, b, a), F(D))), ref)
 
 
 @pytest.mark.parametrize("D, left, right", GRID_CASES)

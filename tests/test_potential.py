@@ -11,6 +11,7 @@ from toric_fiber_lab import (
     DegenerateDirection,
     NotAUnit,
     NotInterior,
+    ValidationError,
     ZeroComponent,
     blaschke_data,
     build_potential,
@@ -92,6 +93,15 @@ def test_constant_twist_becomes_multiplier():
     W = build_potential(P, (F(1, 2),), alpha)
     assert abs(W.terms[0].multiplier + 1) < 1e-12
     assert abs(W.terms[1].multiplier - 1) < 1e-12
+
+
+def test_overflowing_twist_is_a_validation_error():
+    # e^1000 overflows a float: the twist is bad input, named by its facet
+    P = weighted_plane_polytope(1, 1)
+    D = default_truncation(P, (F(1, 3), F(1, 3)))
+    alpha = (zero_series(D), constant_series(1000.0, D), zero_series(D))
+    with pytest.raises(ValidationError, match="facet 1"):
+        build_potential(P, (F(1, 3), F(1, 3)), alpha)
 
 
 def test_positive_valuation_twist_keeps_leading_data():

@@ -5,9 +5,12 @@ solver in oracles.py, which shares no arithmetic with the package.
 """
 
 import cmath
+import functools
 import itertools
 import math
+import operator
 import random
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -984,11 +987,15 @@ def test_series_solve_matches_the_system():
     ids=["zero-diagonal", "clear-diagonal"],
 )
 def test_graded_lift_takes_one_condition_number(make, lam, zeta, startable, monkeypatch):
-    conds = []
-    cond = np.linalg.cond
-    monkeypatch.setattr(np.linalg, "cond", lambda A: conds.append(A) or cond(A))
+    # the condition number comes from one SVD of the one H0 the lift builds
+    svds, leading = [], []
+    svd, hessian = np.linalg.svd, solver_mod._leading_hessian
+    monkeypatch.setattr(np.linalg, "svd", lambda A, **kw: svds.append(A) or svd(A, **kw))
+    monkeypatch.setattr(solver_mod, "_leading_hessian",
+                        lambda *a: leading.append(hessian(*a)) or leading[-1])
     cert = graded_lift(build_potential(make(), lam), zeta)
-    assert cert.method == "graded" and len(conds) == 1
+    assert cert.method == "graded" and len(svds) == len(leading) == 1
+    assert svds[0] is leading[0]
     assert cert.leading_jacobian_nondegenerate is startable
 
 
@@ -1408,3 +1415,186 @@ def test_certificates_at_fiber():
     assert certificates_at_fiber(P, (F(2),)) == []  # not interior
     B = plane_blowup_polytope()
     assert len(certificates_at_fiber(B, (F(1), F(1)))) == 1
+
+
+# -- the lift kernels against the code they replaced, bit for bit -------------------
+
+
+def _term_bytes(s):
+    """The exact exponents of s, each with its coefficient's float bytes."""
+    return [(e, struct.pack("dd", c.real, c.imag)) for e, c in s.terms]
+
+
+def _series_loop(Hhat, ghat, H0inv):
+    """The refinement of _solve_series_system written with series operators."""
+    inv = H0inv.tolist()
+    delta = None
+    r = [-gj for gj in ghat]
+    for _ in range(solver_mod.MAX_GRADED_LEVELS):
+        step = tuple(functools.reduce(operator.add, map(operator.mul, r, row)) for row in inv)
+        if delta is not None and all(c.is_zero() for c in step):
+            break
+        delta = step if delta is None else tuple(map(operator.add, delta, step))
+        r = [rj - functools.reduce(operator.add, map(operator.mul, Hj, step))
+             for rj, Hj in zip(r, Hhat)]
+    return delta
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fused_series_solve_matches_the_series_loop_bit_for_bit(n):
+    # grids 1/2, 1/3 and 1/4 meet on 1/12; coefficients that repeat across
+    # the components, with H0^{-1} rows of equal and opposite entries, make
+    # partial sums cancel to exactly zero; 1e-7-sized ones make products
+    # fall below the prune threshold; and parts of -0.0 test the sign fix
+    D = F(3)
+    rng = random.Random(n)
+    pool = [1.0, -1.0, 0.5j, complex(-0.0, 2.0), complex(1.5, -0.0), 1e-7, -1e-7j, 3e-7 + 0j]
+    steps = [F(1, 2), F(1, 3), F(1, 4), F(2, 3), F(5, 4), F(2)]
+
+    def rand_series(lead, grid):
+        pairs = [(F(0), lead)] if lead is not None else []
+        pairs += [(e, rng.choice(pool)) for e in steps
+                  if e.denominator in grid and rng.random() < 0.6]
+        return series(pairs, D)
+
+    checked = 0
+    for _ in range(40):
+        grids = [rng.choice([(2,), (3,), (4,), (2, 3), (1,)]) for _ in range(n * n + n)]
+        H0 = np.eye(n) + np.triu(np.ones((n, n)), 1) * rng.choice([0.0, 1.0])
+        if rng.random() < 0.5:
+            H0 = H0 + np.diag([0.5j] * n)
+        Hhat = [[rand_series(complex(H0[j, k]), grids[j * n + k]) for k in range(n)]
+                for j in range(n)]
+        ghat = tuple(rand_series(rng.choice([None, 1.0, complex(-0.0, -1.0)]), grids[n * n + j])
+                     for j in range(n))
+        if n > 1 and rng.random() < 0.5:
+            ghat = (ghat[1],) + ghat[1:]  # equal components cancel in a partial sum
+        H0inv = np.linalg.inv(H0)
+        got = solver_mod._solve_series_system(Hhat, ghat, H0inv)
+        want = _series_loop(Hhat, ghat, H0inv)
+        assert [_term_bytes(d) for d in got] == [_term_bytes(d) for d in want]
+        assert all(d.truncation == D for d in got)
+        checked += sum(len(d.terms) for d in got)
+    assert checked
+
+
+_FRACTION_QUARTER_TURNS = {F(0): 1, F(1, 2): 1j, F(1): -1, F(3, 2): -1j}
+
+
+def _fraction_phase_roots(E, r):
+    """_binomial_roots with the phases held as Fractions, as it was written before."""
+    n = len(E)
+    Hc = [list(c) for c in zip(*E)]
+    Vc = [[int(i == k) for i in range(n)] for k in range(n)]
+    for i in range(n):
+        while True:
+            live = [k for k in range(i, n) if Hc[k][i] != 0]
+            if not live:
+                return None
+            p = min(live, key=lambda k: abs(Hc[k][i]))
+            Hc[i], Hc[p] = Hc[p], Hc[i]
+            Vc[i], Vc[p] = Vc[p], Vc[i]
+            if len(live) == 1:
+                break
+            for k in range(i + 1, n):
+                q = Hc[k][i] // Hc[i][i]
+                Hc[k] = [x - q * y for x, y in zip(Hc[k], Hc[i])]
+                Vc[k] = [x - q * y for x, y in zip(Vc[k], Vc[i])]
+        if Hc[i][i] < 0:
+            Hc[i] = [-x for x in Hc[i]]
+            Vc[i] = [-x for x in Vc[i]]
+    V = np.array(Vc, dtype=float).T
+    logs = np.log(np.array(r, dtype=complex))
+    real = all(complex(x).imag == 0 for x in r)
+    roots = []
+    for k in itertools.product(*(range(Hc[i][i]) for i in range(n))):
+        u = np.zeros(n, dtype=complex)
+        turns = []
+        for i in range(n):
+            lower = sum(Hc[l][i] * u[l] for l in range(i))
+            u[i] = (logs[i] + 2j * np.pi * k[i] - lower) / Hc[i][i]
+            if real:
+                lower_turns = sum(Hc[l][i] * turns[l] for l in range(i))
+                turns.append(F(int(r[i].real < 0) + 2 * k[i] - lower_turns, Hc[i][i]))
+        w = V @ u
+        zeta = [complex(x) for x in np.exp(w)]
+        if real:
+            for j in range(n):
+                unit = _FRACTION_QUARTER_TURNS.get(sum(Vc[i][j] * turns[i] for i in range(n)) % 2)
+                if unit is not None:
+                    zeta[j] = math.exp(w[j].real) * unit
+        roots.append(tuple(complex(x) for x in zeta))
+    return roots
+
+
+def _root_bytes(roots):
+    return None if roots is None else [
+        [struct.pack("dd", x.real, x.imag) for x in zeta] for zeta in roots
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_integer_root_phases_match_the_fraction_phases_bit_for_bit(n):
+    # random integer E (unimodular column operations reduce it to H) and
+    # unimodular E, real right-hand sides of either sign, and some complex
+    # ones for the other branch
+    rng = random.Random(100 + n)
+    checked = 0
+    for _ in range(60):
+        E = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.25:  # a product of elementary row operations: det E = +-1
+            E = [[int(i == j) * rng.choice([-1, 1]) for j in range(n)] for i in range(n)]
+            for _ in range(4 * n * (n > 1)):
+                a, b = rng.sample(range(n), 2)
+                q = rng.randint(-2, 2)
+                E[a] = [x + q * y for x, y in zip(E[a], E[b])]
+        if rng.random() < 0.2:
+            E[-1] = list(E[0])  # det E = 0: both give None
+        r = [rng.choice([-1.0, 1.0]) * rng.choice([1.0, 0.25, 4.0, 3.0]) for _ in range(n)]
+        if rng.random() < 0.2:
+            r[0] = complex(r[0], 0.5)
+        got = solver_mod._binomial_roots(E, r)
+        assert _root_bytes(got) == _root_bytes(_fraction_phase_roots(E, r))
+        checked += len(got or ())
+    assert checked
+
+
+def _cond_decision(H0):
+    """_well_conditioned as written with np.linalg.cond."""
+    if np.max(np.abs(H0)) <= solver_mod.DIAG_TOL:
+        return False
+    cond = np.linalg.cond(H0)
+    return bool(np.isfinite(cond) and cond < solver_mod.COND_LIMIT)
+
+
+@pytest.mark.parametrize(
+    "H0",
+    [
+        [[2.0, 1.0], [0.5, -1.0]],
+        [[0, 1], [1, 0]],
+        [[0, 0], [0, 0]],
+        [[1e-9, 0], [0, 1e-9]],
+        [[1, 1], [1, 1]],
+        [[1, 0], [0, 1e-8]],
+        [[1, 0], [0, 1.0000001e-8]],
+        [[1, 0], [0, 0.9999999e-8]],
+        [[math.inf, 0], [0, 1]],
+        [[math.inf, math.inf], [1, 1]],
+        [[math.nan, 0], [0, 1]],
+        [[1, 2j], [0.5 + 1j, 3]],
+    ],
+    ids=["plain", "zero-diagonal", "zero", "below-tol", "singular", "cond-1e8", "just-above",
+         "just-below", "infinite", "infinite-row", "nan", "complex"],
+)
+def test_one_svd_decides_as_np_linalg_cond_bit_for_bit(H0):
+    H0 = np.array(H0, dtype=complex)
+    try:
+        want = _cond_decision(H0)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            solver_mod._well_conditioned(H0)
+        return
+    assert solver_mod._well_conditioned(H0) is want
+    s = np.linalg.svd(H0, compute_uv=False)
+    if s[-1] > 0:  # the quotient the decision reads is np.linalg.cond's, to the bit
+        assert struct.pack("d", s[0] / s[-1]) == struct.pack("d", np.linalg.cond(H0))
