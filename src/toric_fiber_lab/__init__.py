@@ -45,7 +45,6 @@ from .novikov import (
     nov_close,
     nov_exp,
     nov_inverse,
-    nov_mul,
     nov_pow,
     one,
     series,
@@ -71,7 +70,6 @@ from .potential import (
     Potential,
     PotentialTerm,
     build_potential,
-    default_truncation,
     eval_gradient,
     eval_hessian,
     eval_potential,
@@ -112,92 +110,3 @@ from .solver import (
 )
 
 __version__ = TOOL_VERSION
-
-__all__ = [
-    "AnalysisReport",
-    "BULK_CAVEAT",
-    "BlaschkeData",
-    "CriticalCertificate",
-    "DegenerateDirection",
-    "DimensionMismatch",
-    "DimensionUnsupported",
-    "EmptyInterior",
-    "Facet",
-    "Inconsistent",
-    "InternalInconsistency",
-    "LeadingSystem",
-    "MomentPolytope",
-    "NegativeValuation",
-    "NoConvergence",
-    "NotAUnit",
-    "NotInterior",
-    "NotTransverse",
-    "NovikovSeries",
-    "Potential",
-    "PotentialTerm",
-    "Probe",
-    "SchemaError",
-    "SingularLeadingHessian",
-    "TOOL_VERSION",
-    "ToricFiberError",
-    "TropicalCandidate",
-    "TruncationMismatch",
-    "UnboundedPolytope",
-    "ValidationError",
-    "Verdict",
-    "ZeroComponent",
-    "analyze",
-    "blaschke_data",
-    "blaschke_eval",
-    "boundary_class",
-    "bounding_box",
-    "build_potential",
-    "certificate_to_json",
-    "certificates_at_fiber",
-    "constant_series",
-    "default_truncation",
-    "disk_area",
-    "displaceable_by_probe",
-    "enumerate_vertices",
-    "eval_gradient",
-    "eval_hessian",
-    "eval_potential",
-    "facet_values",
-    "find_critical_fibers",
-    "graded_lift",
-    "index_two_classes",
-    "integrally_transverse",
-    "is_bounded",
-    "is_interior",
-    "leading_system",
-    "make_polytope",
-    "maslov_index",
-    "monomial",
-    "newton_lift",
-    "nov_close",
-    "nov_exp",
-    "nov_inverse",
-    "nov_mul",
-    "nov_pow",
-    "one",
-    "parse_polytope",
-    "polytope_to_json",
-    "potential_from_disks",
-    "primitive_normal",
-    "probe_scan",
-    "probe_through",
-    "probe_to_json",
-    "render_svg",
-    "report_to_json",
-    "report_to_text",
-    "series",
-    "series_from_json",
-    "series_to_json",
-    "solve_leading",
-    "specialize_q",
-    "term_table",
-    "tropical_candidates",
-    "val",
-    "write_svg",
-    "zero_series",
-]

@@ -282,10 +282,6 @@ def val(s: NovikovSeries) -> Fraction | float:
     return Fraction(s._items[0][0], s._den) if s._items else INF
 
 
-def nov_mul(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:
-    return a * b
-
-
 def nov_inverse(a: NovikovSeries) -> NovikovSeries:
     """Multiplicative inverse of a unit (valuation 0, nonzero leading coefficient).
 

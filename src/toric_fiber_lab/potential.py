@@ -32,7 +32,7 @@ from .novikov import (
     series_to_json,
     val,
 )
-from .polytope import MomentPolytope, facet_values, interior_values
+from .polytope import MomentPolytope, interior_values
 
 DEFAULT_TRUNCATION_FACTOR = 3
 
@@ -52,10 +52,6 @@ class Potential:
     fiber: tuple[Fraction, ...]
     terms: tuple[PotentialTerm, ...]
     truncation: Fraction
-
-
-def default_truncation(P: MomentPolytope, lam) -> Fraction:
-    return DEFAULT_TRUNCATION_FACTOR * max(facet_values(P, lam))
 
 
 def fiber_setup(P: MomentPolytope, lam, alpha=None, truncation=None):

@@ -22,11 +22,13 @@ and its constant part at the leading root zeta is H0.  Every step solves
 with it and moves z_k by z_k db_k, so no step needs a series inverse.  Each
 point a lift visits is evaluated once: its term list gives the normalized
 gradient (q^{-m_j} folded into the keys of its weighted sum), the critical
-value, H0 at the start and, only when Newton iterates, the normalized series
-Hessian.  H0 gets one SVD per lift.  The row valuations are computed once per
-potential.  Newton's series solve runs as one loop on item lists of one grid
-through novikov's kernels, with novikov's one prune rule: this module only
-orders the refinement.
+value and, at the start and at each Newton iterate that keeps the law, the
+normalized series Hessian, whose q^0 part at the start is H0.  Each leading
+root gets one start, kept on the potential and shared by both lifts, and one
+SVD of its H0.  The row valuations are computed once per potential.
+Newton's series solve runs as one loop on item lists of one grid through
+novikov's kernels, with novikov's one prune rule: this module only orders
+the refinement.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .novikov import (
     NovikovSeries,
     _aligned_all,
     _grid,
-    _kept,
     _negated,
     _product,
     _scaled,
@@ -104,7 +105,6 @@ class LeadingSystem:
     # per direction j: ((v_ij * m_i, v_i), ...) over the minimal-valuation terms i,
     # m_i = e^{a_i0} the term's multiplier
     equations: tuple[tuple[tuple[complex, tuple[int, ...]], ...], ...]
-    row_valuations: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,7 @@ def _row_data(W: Potential):
 
 def leading_system(W: Potential) -> LeadingSystem:
     """Per-direction minimal-valuation equations sum v_ij m_i zeta^{v_i} = 0."""
-    row_vals, minima = _row_data(W)
+    _, minima = _row_data(W)
     equations = []
     for j, S in enumerate(minima):
         if len(S) < 2:
@@ -208,7 +208,7 @@ def leading_system(W: Potential) -> LeadingSystem:
             )
         terms = [W.terms[i] for i in S]
         equations.append(tuple((t.exponent[j] * t.multiplier, t.exponent) for t in terms))
-    return LeadingSystem(W.dimension, tuple(equations), row_vals)
+    return LeadingSystem(W.dimension, tuple(equations))
 
 
 # -- leading roots ------------------------------------------------------------
@@ -620,11 +620,6 @@ def _homotopy_roots(sys: LeadingSystem) -> list[tuple[complex, ...]]:
 # -- lifting infrastructure ---------------------------------------------------
 
 
-def _newton_startable(H0: np.ndarray) -> bool:
-    """Plain Newton needs nonvanishing diagonal and moderate conditioning."""
-    return _diagonal_clear(H0) and _well_conditioned(H0)
-
-
 def _diagonal_clear(H0: np.ndarray) -> bool:
     """No diagonal entry is within DIAG_TOL of zero, relative to its row (at least 1).
 
@@ -646,74 +641,55 @@ def _well_conditioned(H0: np.ndarray) -> bool:
     return s[-1] > 0 and s[0] / s[-1] < COND_LIMIT
 
 
-def _normalized_grid(W: Potential, row_vals, tv):
+def _normalized_grid(W: Potential, tv):
     """(den, top, keys of m_j) of the grid the normalized forms at the term list tv live on."""
+    row_vals, _ = _row_data(W)
     den, top = _grid(tv, W.truncation, *(m.denominator for m in row_vals))
     return den, top, [m.numerator * (den // m.denominator) for m in row_vals]
 
 
-def _normalized_state(W: Potential, row_vals, z):
+def _normalized_state(W: Potential, z):
     """Term list at z, normalized gradient q^{-m_j} grad_j, and frontier min_j val of it.
 
     The frontier is read off the integer keys and becomes one Fraction.
     """
     tv = term_values(W, z)
-    den, top, mk = _normalized_grid(W, row_vals, tv)
+    den, top, mk = _normalized_grid(W, tv)
     ghat = tuple(_weighted_sum(w, tv, den, top, m) for w, m in zip(_plan(W).gradient, mk))
     lead = [g._items[0][0] for g in ghat if g._items]
     return tv, ghat, Fraction(min(lead), den) if lead else INF
 
 
-def _normalized_hessian(W: Potential, row_vals, tv) -> list[list[NovikovSeries]]:
+def _normalized_hessian(W: Potential, tv) -> list[list[NovikovSeries]]:
     """Series matrix q^{-m_j} * dgrad_j/db_k from a term list (valuations >= 0)."""
-    den, top, mk = _normalized_grid(W, row_vals, tv)
+    den, top, mk = _normalized_grid(W, tv)
     hess = _plan(W).hessian
     return [[_weighted_sum(hess[min(j, k), max(j, k)], tv, den, top, m) for k in range(len(mk))]
             for j, m in enumerate(mk)]
 
 
-def _leading_hessian(W: Potential, tv) -> np.ndarray:
-    """H0 at a constant point from its term list tv, bit for bit _normalized_hessian's q^0 part.
-
-    Entry (j, k) is the q^{m_j} coefficient of sum_i v_ij v_ik tv[i], which
-    only row j's terms of least valuation m_j reach.  It is summed as
-    _weighted_sum sums it, in term order over the nonzero weights from 0j
-    (so no part is -0.0 and _kept's 0j + changes nothing), and pruned
-    by _kept, without forming any series.  A term with no coefficient at
-    q^{m_j} adds an exact zero, which changes no such sum.
-    """
-    row_vals, minima = _row_data(W)
-    H0 = []
-    for j, (m, S) in enumerate(zip(row_vals, minima)):
-        # a term of valuation m has no key below m: its q^m coefficient is its first item or 0
-        lead = [(W.terms[i].exponent, _first_at(tv[i], m)) for i in S]
-        row = []
-        for k in range(W.dimension):
-            acc = 0j
-            for e, c in lead:
-                if e[k]:
-                    acc = acc + c * float(e[j] * e[k])
-            row.append(_kept(acc) or 0j)
-        H0.append(row)
-    return np.array(H0, dtype=complex)
-
-
-def _first_at(s: NovikovSeries, m: Fraction) -> complex:
-    """The coefficient of q^m in s, when s has no exponent below m."""
-    items = s._items
-    return items[0][1] if items and items[0][0] * m.denominator == m.numerator * s._den else 0j
-
-
 def _lift_start(W: Potential, zeta):
-    """Shared start of both lifts at the constant point zeta.
+    """The start both lifts share at the constant point zeta, built once per root.
 
-    Returns the row valuations m_j, the constant series z, its term list,
-    normalized gradient and frontier, and H0.
+    Returns the constant series z, its term list, normalized gradient and
+    frontier, the normalized Hessian Hhat, H0 (Hhat's q^0 coefficients),
+    whether H0 is invertible in floats (one SVD) and whether it is also fit
+    for plain Newton (_diagonal_clear).  The start is kept on W for the last
+    zeta, keyed by its complex bytes, so graded_lift after a Newton refusal
+    at the same root builds nothing again.
     """
-    row_vals, _ = _row_data(W)
+    key = np.array(zeta, dtype=complex).tobytes()
+    stored = W.__dict__.get("_lift_start")
+    if stored is not None and stored[0] == key:
+        return stored[1]
     z = tuple(constant_series(zj, W.truncation) for zj in zeta)
-    tv, ghat, front = _normalized_state(W, row_vals, z)
-    return row_vals, z, tv, ghat, front, _leading_hessian(W, tv)
+    tv, ghat, front = _normalized_state(W, z)
+    Hhat = _normalized_hessian(W, tv)
+    H0 = np.array([[h.coefficient(0) for h in row] for row in Hhat], dtype=complex)
+    invertible = _well_conditioned(H0)
+    start = z, tv, ghat, front, Hhat, H0, invertible, invertible and _diagonal_clear(H0)
+    W.__dict__["_lift_start"] = key, start
+    return start
 
 
 def _solve_series_system(Hhat, ghat, H0inv: np.ndarray):
@@ -775,8 +751,7 @@ def newton_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     not take f above and to at least twice its last value; the pipeline then
     tries graded_lift, which asks only that H0 be invertible.
     """
-    row_vals, z, tv, ghat, front, H0 = _lift_start(W, zeta)
-    startable = _newton_startable(H0)
+    z, tv, ghat, front, Hhat, H0, _, startable = _lift_start(W, zeta)
     history = [front]
     if all(gj.is_zero() for gj in ghat):
         return _certificate(W, z, tv, "newton", startable, 0, history)
@@ -784,14 +759,15 @@ def newton_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
         raise SingularLeadingHessian("H0 is unfit for plain Newton at this root")
     H0inv = np.linalg.inv(H0)
     for it in itertools.count(1):
-        db = _solve_series_system(_normalized_hessian(W, row_vals, tv), ghat, H0inv)
+        db = _solve_series_system(Hhat, ghat, H0inv)
         z = tuple(zj + zj * dj for zj, dj in zip(z, db))
-        tv, ghat, front = _normalized_state(W, row_vals, z)
+        tv, ghat, front = _normalized_state(W, z)
         history.append(front)
         if all(gj.is_zero() for gj in ghat):
             return _certificate(W, z, tv, "newton", startable, it, history)
         if front <= history[-2] or front < 2 * history[-2]:
             raise NoConvergence(f"step {it} took the residual level from {history[-2]} to {front}")
+        Hhat = _normalized_hessian(W, tv)
 
 
 def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
@@ -806,12 +782,11 @@ def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     first frontier is nonpositive, a correction does not raise it, or
     MAX_GRADED_LEVELS corrections do not reach the truncation.
     """
-    row_vals, z, tv, ghat, front, H0 = _lift_start(W, zeta)
-    if not _well_conditioned(H0):
+    z, tv, ghat, front, _, H0, invertible, startable = _lift_start(W, zeta)
+    if not invertible:
         raise Inconsistent("H0 is singular at this root")
     if front <= 0:
         raise Inconsistent(f"residual at nonpositive level {front}")
-    startable = _diagonal_clear(H0)  # _newton_startable, with the condition number known
     history = [front]
     while not all(gj.is_zero() for gj in ghat):
         if len(history) > MAX_GRADED_LEVELS:
@@ -822,7 +797,7 @@ def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
             zj + monomial(complex(zk * dk), front, W.truncation)
             for zj, zk, dk in zip(z, zeta, db)
         )
-        tv, ghat, front = _normalized_state(W, row_vals, z)
+        tv, ghat, front = _normalized_state(W, z)
         if front <= history[-1]:
             raise Inconsistent(f"correction at level {history[-1]} left the frontier at {front}")
         history.append(front)

@@ -16,7 +16,6 @@ from toric_fiber_lab import (
     blaschke_data,
     build_potential,
     constant_series,
-    default_truncation,
     eval_gradient,
     eval_hessian,
     eval_potential,
@@ -88,7 +87,7 @@ def test_not_interior_message_prints_the_fiber_plainly():
 
 def test_constant_twist_becomes_multiplier():
     P = interval_polytope()
-    D = default_truncation(P, (F(1, 2),))
+    D = build_potential(P, (F(1, 2),)).truncation
     alpha = (constant_series(1j * math.pi, D), zero_series(D))
     W = build_potential(P, (F(1, 2),), alpha)
     assert abs(W.terms[0].multiplier + 1) < 1e-12
@@ -98,7 +97,7 @@ def test_constant_twist_becomes_multiplier():
 def test_overflowing_twist_is_a_validation_error():
     # e^1000 overflows a float: the twist is bad input, named by its facet
     P = weighted_plane_polytope(1, 1)
-    D = default_truncation(P, (F(1, 3), F(1, 3)))
+    D = build_potential(P, (F(1, 3), F(1, 3))).truncation
     alpha = (zero_series(D), constant_series(1000.0, D), zero_series(D))
     with pytest.raises(ValidationError, match="facet 1"):
         build_potential(P, (F(1, 3), F(1, 3)), alpha)
@@ -107,7 +106,7 @@ def test_overflowing_twist_is_a_validation_error():
 def test_positive_valuation_twist_keeps_leading_data():
     P = weighted_plane_polytope(3, 5)
     lam = (F(1), F(1))
-    D = default_truncation(P, lam)
+    D = build_potential(P, lam).truncation
     alpha = (monomial(0.7, F(1, 3), D), zero_series(D), monomial(2.0, F(1, 2), D))
     plain = build_potential(P, lam)
     twisted = build_potential(P, lam, alpha)
@@ -190,7 +189,7 @@ def test_derivatives_match_running_sums():
     # one series() pass per entry equals the term-by-term running sum
     P = weighted_plane_polytope(3, 5)
     lam = (F(1), F(1))
-    D = default_truncation(P, lam)
+    D = build_potential(P, lam).truncation
     alpha = (monomial(0.7, F(1, 3), D), zero_series(D), monomial(2.0 - 1j, F(1, 2), D))
     W = build_potential(P, lam, alpha)
     z = tuple(
@@ -312,7 +311,7 @@ def test_constant_points_match_the_series_route_bit_for_bit(name, closed_form_ca
     rng = random.Random(name)
     checked = 0
     for cand in tropical_candidates(P):
-        D = default_truncation(P, cand.fiber)
+        D = build_potential(P, cand.fiber).truncation
         # no twist, and a constant twist: bulk tails exactly 1, multipliers e^{a_i}
         twist = tuple(constant_series(complex(0.3 * i, -0.2), D) for i in range(len(P.facets)))
         for W in (build_potential(P, cand.fiber), build_potential(P, cand.fiber, twist)):
@@ -349,7 +348,7 @@ def test_constant_points_prune_as_the_series_route(z, zero_terms, closed_form_ca
 def test_a_twisted_potential_takes_the_series_route(closed_form_calls):
     P = weighted_plane_polytope(3, 5)
     lam = (F(1), F(1))
-    D = default_truncation(P, lam)
+    D = build_potential(P, lam).truncation
     alpha = (monomial(0.7, F(1, 3), D), zero_series(D), monomial(2.0, F(1, 2), D))
     W = build_potential(P, lam, alpha)
     z = zpoint(D, 0.5 + 1j, -2.0)

@@ -301,7 +301,7 @@ def test_leading_system_interval():
     W = build_potential(interval_polytope(), (F(1, 2),))
     sys = leading_system(W)
     assert sys.equations == ((((1 + 0j), (1,)), ((-1 + 0j), (-1,))),)
-    assert sys.row_valuations == (F(1, 2),)
+    assert solver_mod._row_data(W)[0] == (F(1, 2),)
 
 
 def test_leading_system_plane_blowup():
@@ -520,7 +520,6 @@ def test_singular_binomial_system_reaches_homotopy(monkeypatch):
             ((2 + 0j, (2, 1)), (1 + 0j, (1, 0))),
             ((3 + 0j, (3, 3)), (1 + 0j, (1, 1))),
         ),
-        (F(0), F(0)),
     )
     # z1 z2 = -1/2 and (z1 z2)^2 = -1/3 have no common root, and the
     # supports have mixed volume 0: no cell, no path
@@ -633,7 +632,7 @@ def _generic_system(support, n):
             k = j * len(support) + i + 1
             row.append((cmath.exp(1j * k * k) * (1 + (k * 0.618034) % 1), e))
         eqs.append(tuple(row))
-    return LeadingSystem(n, tuple(eqs), (F(0),) * n)
+    return LeadingSystem(n, tuple(eqs))
 
 
 @pytest.mark.parametrize(
@@ -791,7 +790,7 @@ def test_exponent_product_passes_only_real_operands_to_matmul(monkeypatch):
 
 def _double_root_system():
     # (z - 1)^2: both of its paths end at the double root z = 1
-    return LeadingSystem(1, (((1 + 0j, (2,)), (-2 + 0j, (1,)), (1 + 0j, (0,))),), (F(0),))
+    return LeadingSystem(1, (((1 + 0j, (2,)), (-2 + 0j, (1,)), (1 + 0j, (0,))),))
 
 
 @pytest.mark.parametrize(
@@ -903,15 +902,8 @@ def test_newton_lift_refuses_singular_leading_jacobian():
 
 
 def _leading_matrix(W, zeta):
-    # H0 read off the term list, which must have the bytes of the q^0 part of
-    # the normalized b-Hessian's series
-    row_vals, _ = solver_mod._row_data(W)
-    z = tuple(constant_series(x, W.truncation) for x in zeta)
-    tv = term_values(W, z)
-    H0 = solver_mod._leading_hessian(W, tv)
-    Hhat = solver_mod._normalized_hessian(W, row_vals, tv)
-    constant_part = np.array([[Hjk.coefficient(0) for Hjk in row] for row in Hhat], dtype=complex)
-    assert H0.tobytes() == constant_part.tobytes()
+    # H0 as both lifts read it: the q^0 part of the start's normalized b-Hessian
+    *_, H0, _, _ = solver_mod._lift_start(W, zeta)
     return H0
 
 
@@ -947,8 +939,8 @@ def test_corner_cut_diagonal_leading_matrix_keeps_a_zero_diagonal():
     W = build_potential(corner_cut_polytope(F(1, 2)), (F(1, 2), F(1, 2)))
     H0 = _leading_matrix(W, (-1.0 + 0j, -1.0 + 0j))
     assert H0.tolist() == [[0, 1], [1, 0]]
-    assert solver_mod._well_conditioned(H0)
-    assert not solver_mod._newton_startable(H0)
+    *_, invertible, startable = solver_mod._lift_start(W, (-1.0 + 0j, -1.0 + 0j))
+    assert invertible and not startable
 
 
 def test_series_solve_matches_the_system():
@@ -987,15 +979,19 @@ def test_series_solve_matches_the_system():
     ids=["zero-diagonal", "clear-diagonal"],
 )
 def test_graded_lift_takes_one_condition_number(make, lam, zeta, startable, monkeypatch):
-    # the condition number comes from one SVD of the one H0 the lift builds
-    svds, leading = [], []
-    svd, hessian = np.linalg.svd, solver_mod._leading_hessian
+    # the condition number comes from one SVD of the start's H0, which
+    # newton_lift and then graded_lift at the same root share
+    svds = []
+    svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda A, **kw: svds.append(A) or svd(A, **kw))
-    monkeypatch.setattr(solver_mod, "_leading_hessian",
-                        lambda *a: leading.append(hessian(*a)) or leading[-1])
-    cert = graded_lift(build_potential(make(), lam), zeta)
-    assert cert.method == "graded" and len(svds) == len(leading) == 1
-    assert svds[0] is leading[0]
+    W = build_potential(make(), lam)
+    try:
+        newton_lift(W, zeta)
+    except SingularLeadingHessian:
+        pass
+    cert = graded_lift(W, zeta)
+    assert cert.method == "graded" and len(svds) == 1
+    assert svds[0] is _leading_matrix(W, zeta)
     assert cert.leading_jacobian_nondegenerate is startable
 
 
@@ -1029,11 +1025,32 @@ def test_lifts_evaluate_each_point_once(monkeypatch):
             calls.update(term_values=0, nov_inverse=0)
             cert = lift(W, zeta)
             points = cert.iterations + 1
-            assert calls["term_values"] == points
+            # the start is the one newton_lift above built: only the steps evaluate
+            assert calls["term_values"] == points - 1
             assert calls["nov_inverse"] <= W.dimension * points
             seen.append((cert.method, cert.iterations))
     assert sorted(m for m, _ in seen) == ["graded"] + ["newton"] * 4
     assert all(it >= 1 for _, it in seen)
+
+
+def test_a_newton_refused_root_is_started_once(monkeypatch):
+    # corner-cut 1/2's diagonal fiber has the one leading root (-1, -1), whose
+    # H0 has a zero diagonal: Newton refuses it and graded_lift lifts it from
+    # the same start, with no second term list at the constant point or SVD
+    starts, svds = [], []
+    evaluate, svd = solver_mod.term_values, np.linalg.svd
+
+    def counted(W, z):
+        if all(len(zj._items) == 1 and zj._items[0][0] == 0 for zj in z):
+            starts.append(tuple(zj.leading() for zj in z))
+        return evaluate(W, z)
+
+    monkeypatch.setattr(solver_mod, "term_values", counted)
+    monkeypatch.setattr(np.linalg, "svd", lambda A, **kw: svds.append(A) or svd(A, **kw))
+    certs = certificates_at_fiber(corner_cut_polytope(F(1, 2)), (F(1, 2), F(1, 2)))
+    assert [c.method for c in certs] == ["graded"]
+    assert starts == [(-1 + 0j, -1 + 0j)]
+    assert len(svds) == 1
 
 
 def test_graded_lift_cut_corner_diagonal_fiber():
@@ -1372,7 +1389,7 @@ def test_a_point_that_is_not_a_leading_root_ends_at_once(monkeypatch):
     assert len(seen) == 2
     with pytest.raises(Inconsistent, match="nonpositive level 0"):
         graded_lift(W, (2.0 + 0j,))
-    assert len(seen) == 3
+    assert len(seen) == 2  # graded_lift reads Newton's start
 
 
 def test_graded_lift_ends_at_its_first_repeated_level(monkeypatch):
@@ -1383,7 +1400,7 @@ def test_graded_lift_ends_at_its_first_repeated_level(monkeypatch):
     seen = _evaluations(monkeypatch)
     with pytest.raises(Inconsistent, match="correction at level 1 left the frontier at 1"):
         graded_lift(W, (-1.0 + 0j, 1.0 + 0j))
-    assert len(seen) == 2
+    assert len(seen) == 1  # the start is the first call's: only the correction evaluates
 
 
 @pytest.mark.parametrize(
