@@ -44,4 +44,4 @@ blowup = make_polytope(2, [((1, 0), F(0)), ((0, 1), F(0)), ((1, 1), F(1))])
 print("\nblow-up of C^2")
 print("  bounded:", is_bounded(blowup))
 print("  vertices:", enumerate_vertices(blowup))
-print("  witness (vertex average after a box cut):", blowup.witness)
+print("  witness ((vertices + recession directions) / #vertices):", blowup.witness)

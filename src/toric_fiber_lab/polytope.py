@@ -4,18 +4,19 @@ A polytope in R^n is the set {x : l_i(x) >= 0} for facet functions
 l_i(x) = <x, v_i> - c_i with integer normal v_i (inward, not necessarily
 primitive) and rational offset c_i.  Nothing here uses floating point, so
 tropical equalities l_i = l_j can be decided reliably downstream.  Facet
-values are Fractions; vertices and boundedness come from one integer kernel
-(_int_cross, cramer_solve) that solves stacks of small square systems at
-once, with the offsets scaled to integers.  It runs in int64 when a bound on
-every integer it forms is below 2**62 and on Python integers otherwise
-(int_dtype): numpy's int64 arithmetic wraps without a warning.  The solver's
-lower faces and the probe kernel share both.
+values are Fractions; vertices, boundedness and the interior witness come
+from one pass of an integer kernel (_int_cross) over the extreme rays of the
+homogenized cone of P, which solves stacks of small square systems at once
+with the offsets scaled to integers.  It runs in int64 when a bound on every
+integer it forms is below 2**62 and on Python integers otherwise (int_dtype):
+numpy's int64 arithmetic wraps without a warning.  The solver's lower faces
+(through cramer_solve) and the probe kernel share both.
 
-A polytope stores its vertex list and its boundedness the first time either
-is asked for, so analyze, the probe scan and the SVG outline run the kernel
-at most once per polytope, and make_polytope keeps those its witness search
-computed.  The stored values live outside the dataclass fields: equality,
-hash and repr depend on dimension, facets and witness only.
+A polytope stores that pass's result the first time it is asked for, so
+analyze, the probe scan and the SVG outline run the kernel at most once per
+polytope, and make_polytope hands over the pass that found its witness.  The
+stored result lives outside the dataclass fields: equality, hash and repr
+depend on dimension, facets and witness only.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInterior, NotInterior, SchemaError, ValidationError
+from .errors import (
+    DimensionMismatch, EmptyInterior, NotInterior, SchemaError, UnboundedPolytope, ValidationError)
 
 
 @dataclass(frozen=True)
@@ -46,21 +48,17 @@ class MomentPolytope:
     facets: tuple[Facet, ...]
     witness: tuple[Fraction, ...]  # validated rational interior point
 
-    # computed on first use; cached_property writes the instance __dict__,
-    # which the frozen dataclass's __setattr__ does not guard
+    # _cone's (vertices, bounded, witness or None), computed on first use; cached_property
+    # writes the instance __dict__, which the frozen dataclass's __setattr__ does not guard
     @functools.cached_property
-    def _vertices(self) -> tuple[tuple[Fraction, ...], ...]:
-        return _solve_vertices(self)
-
-    @functools.cached_property
-    def _bounded(self) -> bool:
-        return _recession_free(self)
+    def _geometry(self) -> tuple:
+        return _cone(self)
 
 
 CHUNK = 2**14  # integer systems solved per vectorized batch
-# Most minors a geometry kernel may form, C(facets, k) 2^(n+1): about 0.5 s.  Parsing
-# runs both kernels, on a half-space plus 2n witness-box facets too, about 8x more per
-# dimension (n = 10: 7.2e8, 24 s); the corner-cut 7-cube needs C(15, 7) 2^8 = 1.6e6.
+# Most minors the geometry kernel may form, C(facets + 1, r) 2^(r+1) with r the rank
+# of the normals: about 0.5 s.  The 8-cube needs C(17, 8) 2^9 = 1.2e7, the 10-cube
+# C(21, 10) 2^11 = 7.2e8 (24 s).
 MAX_KERNEL_MINORS = 2**24
 
 
@@ -124,12 +122,12 @@ def cramer_solve(M: np.ndarray, rhs: np.ndarray):
     return live, -sign * w[:, -1], sign[:, None] * w[:, :-1]
 
 
-def _subsets(count: int, k: int, n: int):
+def _subsets(count: int, k: int):
     """The k-subsets of range(count), in order, as arrays of CHUNK rows at most;
-    ValidationError first when C(count, k) 2^(n+1) exceeds MAX_KERNEL_MINORS."""
-    if (work := math.comb(count, k) * 2 ** (n + 1)) > MAX_KERNEL_MINORS:
-        raise ValidationError(f"dimension {n}, {count} inequalities (any witness-search box "
-                              f"included): {work} minors, more than {MAX_KERNEL_MINORS}")
+    ValidationError first when C(count, k) 2^(k+1) exceeds MAX_KERNEL_MINORS."""
+    if (work := math.comb(count, k) * 2 ** (k + 1)) > MAX_KERNEL_MINORS:
+        raise ValidationError(f"dimension {k}, {count - 1} facets: {work} minors, "
+                              f"more than {MAX_KERNEL_MINORS}")
     combos = itertools.combinations(range(count), k)
     while block := list(itertools.islice(combos, CHUNK)):
         yield np.array(block, dtype=np.intp).reshape(len(block), k)
@@ -180,31 +178,12 @@ def make_polytope(
         if not is_interior(pre, w):
             raise EmptyInterior("supplied interior witness is not interior")
         return MomentPolytope(dimension, tuple(built), w)
-    P = MomentPolytope(dimension, tuple(built), _find_witness(pre))
-    P.__dict__.update(_vertices=pre._vertices, _bounded=pre._bounded)
+    w = pre._geometry[2]
+    if w is None or not is_interior(pre, w):
+        raise EmptyInterior("polytope has no interior point")
+    P = MomentPolytope(dimension, tuple(built), w)
+    P.__dict__["_geometry"] = pre._geometry
     return P
-
-
-def _find_witness(P: MomentPolytope) -> tuple[Fraction, ...]:
-    """The average of the vertices of P, first cut by the box |x_j| <= 2M + 1
-    when P is unbounded.  M is the largest |coordinate| of a vertex of P, or
-    max|c_i| when P has no vertex.  The box then holds every vertex in its
-    interior, and the vertex average of a full-dimensional polytope is
-    interior to it."""
-    n = P.dimension
-    cut = P
-    if not is_bounded(P):
-        coords = [abs(x) for v in enumerate_vertices(P) for x in v]
-        half = 2 * max(coords or [abs(f.offset) for f in P.facets]) + 1
-        box = [Facet(tuple(s * (i == j) for i in range(n)), -half)
-               for j in range(n) for s in (1, -1)]
-        cut = MomentPolytope(n, P.facets + tuple(box), P.witness)
-    verts = enumerate_vertices(cut)
-    if verts:
-        avg = tuple(sum(v[j] for v in verts) / len(verts) for j in range(n))
-        if is_interior(P, avg):
-            return avg
-    raise EmptyInterior("polytope has no interior point in the search box")
 
 
 def parse_polytope(text: str) -> MomentPolytope:
@@ -298,64 +277,76 @@ def primitive_normal(f: Facet) -> tuple[int, ...]:
 def enumerate_vertices(P: MomentPolytope) -> list[tuple[Fraction, ...]]:
     """All intersections of n facet hyperplanes satisfying every inequality,
     sorted, as a new list; P stores them when first asked."""
-    return list(P._vertices)
-
-
-def _solve_vertices(P: MomentPolytope) -> tuple[tuple[Fraction, ...], ...]:
-    """The vertex kernel.  With offsets scaled to integers C = L c,
-    cramer_solve gives each n-subset of facets as d L x = N; x is a vertex
-    when <v_g, N> >= d C_g for every g.
-    """
-    n, a = P.dimension, max(abs(x) for f in P.facets for x in f.normal)
-    L = math.lcm(*(f.offset.denominator for f in P.facets))
-    C = [int(f.offset * L) for f in P.facets]
-    # |d| <= n! a^n, |N_i| <= n! a^(n-1) max|C|, each pairing <= (n+1) n! a^n max|C|
-    dtype = int_dtype((n + 1) * math.factorial(n) * a**n * max(1, *map(abs, C)))
-    A = np.array([f.normal for f in P.facets], dtype=dtype)
-    C = np.array(C, dtype=dtype)
-    seen: set[tuple[Fraction, ...]] = set()
-    for S in _subsets(len(A), n, n):
-        _, d, N = cramer_solve(A[S], C[S])
-        ok = (N @ A.T >= d[:, None] * C).all(axis=1)
-        for row, dk in zip(N[ok].tolist(), d[ok].tolist()):
-            seen.add(tuple(Fraction(x, dk * L) for x in row))
-    return tuple(sorted(seen))
+    return list(P._geometry[0])
 
 
 def is_bounded(P: MomentPolytope) -> bool:
     """True iff the recession cone {d : <v_i, d> >= 0 for all i} is {0};
     P stores the answer when first asked."""
-    return P._bounded
-
-
-def _recession_free(P: MomentPolytope) -> bool:
-    """The boundedness kernel.  Every kernel vector c = _int_cross of n - 1
-    normals is zero when they have rank < n - 1.  Otherwise the cone is {0}
-    exactly when no nonzero c pairs with every normal with one sign: at rank
-    n - 1 some c is orthogonal to every normal, at rank n every extreme ray
-    is some c or -c.
-    """
-    n = P.dimension
-    # every minor and pairing is at most n! a^n
-    dtype = int_dtype(math.factorial(n) * max(abs(x) for f in P.facets for x in f.normal) ** n)
-    A = np.array([f.normal for f in P.facets], dtype=dtype)
-    spans = False
-    for S in _subsets(len(A), n - 1, n):
-        c = _int_cross(A[S])
-        pairs = c @ A.T
-        live = (c != 0).any(axis=1)
-        if (live & ((pairs >= 0).all(axis=1) | (pairs <= 0).all(axis=1))).any():
-            return False
-        spans |= live.any()
-    return bool(spans)
+    return P._geometry[1]
 
 
 def bounding_box(P: MomentPolytope) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Per-axis (min, max) over the vertex set; requires a bounded polytope."""
-    verts = P._vertices
-    if not verts:
-        raise EmptyInterior("no vertices to bound")
-    return tuple(
-        (min(v[j] for v in verts), max(v[j] for v in verts))
-        for j in range(P.dimension)
-    )
+    """Per-axis (min, max) over the vertex set; UnboundedPolytope unless P is bounded."""
+    verts, bounded, _ = P._geometry
+    if not bounded:
+        raise UnboundedPolytope("no box holds an unbounded polytope")
+    return tuple((min(v[j] for v in verts), max(v[j] for v in verts)) for j in range(P.dimension))
+
+
+def _cone(P: MomentPolytope):
+    """The geometry kernel: (sorted vertices, bounded, witness or None).
+
+    With C = L c (L the lcm of the offset denominators), P is the slice s = 1/L
+    of the cone K = {(y, s) : <v_i, y> >= C_i s, s >= 0}.  _rays finds K's
+    extreme rays: the vertices of P and its primitive recession directions.
+    When the normals have rank r < n, P is the polytope on their r pivot
+    columns J plus the lineality space ker(v), so it has no vertex, the rays
+    come from the columns J and the work cap applies at rank r.  The witness
+    (sum of vertices + sum of directions) / #vertices, zero off J, is a
+    strictly positive combination of every extreme ray of K, so it is
+    interior whenever P has an interior.
+    """
+    n = P.dimension
+    L = math.lcm(*(f.offset.denominator for f in P.facets))
+    C = [int(f.offset * L) for f in P.facets]
+    normals = [f.normal for f in P.facets]
+    try:
+        verts, dirs, spans = _rays(normals, C, L)
+    except ValidationError:  # past the work cap at rank n; a lower rank may need less
+        spans = False
+    cols = range(n)
+    if not spans:
+        _, cols = exact_rref([list(v) for v in normals])
+        verts, dirs, _ = _rays([[v[j] for j in cols] for v in normals], C, L)
+    sums = dict(zip(cols, map(sum, zip(*verts, *dirs))))
+    witness = tuple(Fraction(sums.get(j, 0)) / len(verts) for j in range(n)) if verts else None
+    return tuple(sorted(verts)) if spans else (), spans and not dirs, witness
+
+
+def _rays(normals: list, C: list[int], L: int):
+    """(vertices, primitive directions, whether the normals have rank r) for
+    the r columns of normals.  Each r-subset of K's rows (v_i, -C_i) and
+    (0, 1) gives one kernel vector w = (y, s), negated when it pairs <= 0
+    with every row; a nonzero w pairing >= 0 with every row is the vertex
+    y / (L s) when s > 0 and the direction y when s = 0.  Some s != 0
+    exactly when r normals are independent: s = +-det of those r normals.
+    """
+    r, a = len(normals[0]), max(abs(x) for v in normals for x in v)
+    # every minor is at most r! a^r max(1, |C|), each pairing (r+1) times that
+    dtype = int_dtype((r + 1) * math.factorial(r) * a**r * max(1, *map(abs, C)))
+    K = np.array([[*v, -c] for v, c in zip(normals, C)] + [[0] * r + [1]], dtype=dtype)
+    verts, dirs, spans = set(), set(), False
+    for S in _subsets(len(K), r):
+        w = _int_cross(K[S])
+        spans = spans or bool((w[:, -1] != 0).any())
+        pairs = w @ K.T
+        flip = (pairs <= 0).all(axis=1)
+        keep = (flip | (pairs >= 0).all(axis=1)) & (w != 0).any(axis=1)
+        for *y, s in np.where(flip[:, None], -w, w)[keep].tolist():
+            if s:
+                verts.add(tuple(Fraction(x, s * L) for x in y))
+            else:
+                g = math.gcd(*y)
+                dirs.add(tuple(x // g for x in y))
+    return verts, dirs, spans

@@ -19,6 +19,7 @@ from toric_fiber_lab import (
     EmptyInterior,
     NotInterior,
     SchemaError,
+    UnboundedPolytope,
     ValidationError,
     bounding_box,
     enumerate_vertices,
@@ -41,6 +42,7 @@ from conftest import (
     hexagon_polytope,
     orbifold_interval_polytope,
     plane_blowup_polytope,
+    strip_polytope,
     weighted_plane_polytope,
 )
 
@@ -93,23 +95,39 @@ def test_make_polytope_rejects_a_fractional_normal():
         make_polytope(2, [([1.5, 0], F(0)), ([0, 1], F(0))])
 
 
-def _half_space(n):
-    # one facet x_1 >= 0: the witness search cuts it with 2n box facets
-    return json.dumps({"dimension": n, "facets": [[[1] + [0] * (n - 1), 0]]})
+def _cube(n):
+    # [0, 1]^n: 2n facets
+    facets = [[[s * (i == j) for i in range(n)], (s - 1) // 2] for j in range(n) for s in (1, -1)]
+    return json.dumps({"dimension": n, "facets": facets})
 
 
 def test_parse_rejects_kernel_work_past_the_bound():
-    # the vertex kernel would form C(21, 10) 2^11 = 7.2e8 minors (about 24 s)
+    # the kernel would form C(21, 10) 2^11 = 7.2e8 minors (about 24 s)
     start = time.perf_counter()
     with pytest.raises(ValidationError, match="722362368 minors, more than"):
-        parse_polytope(_half_space(10))
+        parse_polytope(_cube(10))
     assert time.perf_counter() - start < 1
 
 
 def test_parse_keeps_the_largest_kernel_work_below_the_bound():
     # C(17, 8) 2^9 = 1.2e7 minors, below polytope.MAX_KERNEL_MINORS
-    P = parse_polytope(_half_space(8))
-    assert not is_bounded(P) and P.witness[0] > 0
+    P = parse_polytope(_cube(8))
+    assert is_bounded(P) and P.witness == (F(1, 2),) * 8
+
+
+_SLABS = [(s, -k) for k in range(1, 11) for s in (1, -1)]  # |x_1| <= k, k = 1..10
+
+
+@pytest.mark.parametrize("n, pairs", [(9, [(1, 0)]), (12, [(1, 0)]), (16, [(1, 0)]), (12, _SLABS)],
+                         ids=["half-space-9", "half-space-12", "half-space-16", "20-slabs-12"])
+def test_half_space_parses_in_any_dimension(n, pairs):
+    # facets s x_1 >= c have normals of rank 1, so the kernel runs on one
+    # column; at rank 12 the 20 slab facets would need 2.4e9 minors
+    facets = [[[s] + [0] * (n - 1), c] for s, c in pairs]
+    start = time.perf_counter()
+    P = parse_polytope(json.dumps({"dimension": n, "facets": facets}))
+    assert time.perf_counter() - start < 0.5
+    assert not is_bounded(P) and is_interior(P, P.witness)
 
 
 def test_make_polytope_rejects_empty_facet_list():
@@ -194,33 +212,42 @@ def test_boundedness():
 def test_unbounded_witness_search():
     B = plane_blowup_polytope()
     assert is_interior(B, B.witness)
-    assert B.witness == (F(7, 5), F(7, 5))
+    assert B.witness == (F(1), F(1))
     # a strip only 1/16 wide
     strip = make_polytope(2, [((1, 0), F(0)), ((-1, 0), F(-1, 16)), ((0, 1), F(0))])
     assert is_interior(strip, strip.witness)
-    assert strip.witness == (F(1, 32), F(9, 16))
+    assert strip.witness == (F(1, 32), F(1, 2))
     # the blow-up of C^3 at the origin, {x, y, z >= 0, x + y + z >= 3}
     C3 = make_polytope(
         3, [((1, 0, 0), F(0)), ((0, 1, 0), F(0)), ((0, 0, 1), F(0)), ((1, 1, 1), F(3))]
     )
     assert is_interior(C3, C3.witness)
-    assert C3.witness == (F(31, 10),) * 3
-    # a half-plane has no vertex: its box still comes from the offsets
+    assert C3.witness == (F(4, 3),) * 3
+    # a half-plane has no vertex: its witness comes from the column of x
     half = make_polytope(2, [((1, 0), F(0))])
-    assert half.witness == (F(1, 2), F(0))
+    assert is_interior(half, half.witness)
+    assert half.witness == (F(1), F(0))
 
 
-def test_witness_search_box_reaches_far_vertices():
-    # 1 <= x - 10y <= 2, y >= 5: the vertices (51, 5) and (52, 5) lie outside
-    # the box |x_j| <= 2 max|c_i| + 1 = 11, so the box is sized from them
+def test_witness_reaches_far_vertices():
+    # 1 <= x - 10y <= 2, y >= 5: the vertices (51, 5) and (52, 5) lie far
+    # from every offset, and (10, 1) is the one recession direction
     P = make_polytope(2, [((1, -10), F(1)), ((-1, 10), F(-2)), ((0, 1), F(5))])
     assert is_interior(P, P.witness)
-    assert P.witness == (F(313, 4), F(307, 40))
+    assert P.witness == (F(113, 2), F(11, 2))
 
 
 def test_bounding_box():
     W = weighted_plane_polytope(3, 5)
     assert bounding_box(W) == ((F(0), F(3)), (F(0), F(5)))
+
+
+@pytest.mark.parametrize("make", [plane_blowup_polytope, strip_polytope],
+                         ids=["plane_blowup", "strip"])
+def test_bounding_box_of_an_unbounded_polytope_is_refused(make):
+    # no box holds the blow-up, though it has vertices, nor the strip, which has none
+    with pytest.raises(UnboundedPolytope):
+        bounding_box(make())
 
 
 def test_json_roundtrip():
@@ -307,23 +334,66 @@ def _reference_bounded(P):
     )
 
 
+def _box_cut_finds_a_witness(P, vertices, bounded):
+    # an independent witness search on the references above: whether the
+    # vertex average of P cut by the box |x_j| <= 2M + 1 is interior, M the
+    # largest |coordinate| of a vertex, or max|c_i| without one
+    n, cut = P.dimension, P
+    if not bounded:
+        half = 2 * max([abs(x) for v in vertices for x in v]
+                       or [abs(f.offset) for f in P.facets]) + 1
+        box = [Facet(tuple(s * (i == j) for i in range(n)), -half)
+               for j in range(n) for s in (1, -1)]
+        cut = MomentPolytope(n, P.facets + tuple(box), P.witness)
+    corners = _reference_vertices(cut)
+    return bool(corners) and is_interior(
+        P, tuple(sum(v[j] for v in corners) / len(corners) for j in range(n)))
+
+
+def _random_facets(rng, n, basis=None):
+    # 1 to 3n + 1 facets; each normal is nonzero with entries in [-2, 2], or a
+    # combination of the basis vectors with coefficients in [-1, 1]
+    facets, m = [], rng.randint(1, 3 * n + 1)
+    while len(facets) < m:
+        if basis is None:
+            normal = tuple(rng.randint(-2, 2) for _ in range(n))
+        else:
+            cs = [rng.randint(-1, 1) for _ in basis]
+            normal = tuple(sum(c * b[j] for c, b in zip(cs, basis)) for j in range(n))
+        if any(normal):
+            facets.append(Facet(normal, F(rng.randint(-6, 6), rng.randint(1, 3))))
+    return facets
+
+
 def test_vertices_and_boundedness_match_the_definitions():
-    # random inequality systems, empty and lower-dimensional ones included
-    rng = random.Random(2)
+    # random inequality systems, empty and lower-dimensional ones included,
+    # and in dimensions 2 and 3 twenty more whose normals have rank below n
+    rng, low = random.Random(2), random.Random(3)
     for n in (1, 2, 3):
-        seen = {"bounded": 0, "unbounded": 0, "vertices": 0}
-        for _ in range(40):
-            facets, m = [], rng.randint(1, 3 * n + 1)
-            while len(facets) < m:
-                normal = tuple(rng.randint(-2, 2) for _ in range(n))
-                if any(normal):
-                    facets.append(Facet(normal, F(rng.randint(-6, 6), rng.randint(1, 3))))
+        seen = {"bounded": 0, "unbounded": 0, "vertices": 0, "interior": 0, "empty": 0}
+        systems = [_random_facets(rng, n) for _ in range(40)]
+        for _ in range(20 if n > 1 else 0):
+            rank, basis = low.randint(1, n - 1), []
+            while len(basis) < rank:
+                if any(b := tuple(low.randint(-1, 1) for _ in range(n))):
+                    basis.append(b)
+            systems.append(_random_facets(low, n, basis))
+        for facets in systems:
             P = MomentPolytope(n, tuple(facets), (F(0),) * n)
             vertices, bounded = enumerate_vertices(P), is_bounded(P)
             assert vertices == _reference_vertices(P)
             assert bounded == _reference_bounded(P)
             seen["bounded" if bounded else "unbounded"] += 1
             seen["vertices"] += bool(vertices)
+            pairs = [(f.normal, f.offset) for f in facets]
+            if _box_cut_finds_a_witness(P, vertices, bounded):
+                Q = make_polytope(n, pairs)
+                assert is_interior(Q, Q.witness)
+                seen["interior"] += 1
+            else:
+                with pytest.raises(EmptyInterior):
+                    make_polytope(n, pairs)
+                seen["empty"] += 1
         assert min(seen.values()) >= 10  # every kind is exercised in every dimension
 
 
@@ -339,8 +409,8 @@ def test_vertex_dtype_follows_overflow_bound(c, dtype, monkeypatch):
         return kernel(M)
 
     monkeypatch.setattr(polytope_mod, "_int_cross", recorded)
-    # make_polytope already stored the vertices, so run the kernel itself
-    polytope_mod._solve_vertices(P)
+    # make_polytope already stored the geometry, so run the kernel itself
+    polytope_mod._cone(P)
     assert enumerate_vertices(P) == _reference_vertices(P) == [(F(0),), (F(c),)]
     assert seen == {np.dtype(dtype)}
     assert P.witness == (F(c, 2),)
@@ -381,49 +451,47 @@ def test_pickle_round_trip_keeps_the_polytope():
     assert enumerate_vertices(back) == verts and is_bounded(back) == bounded
 
 
+def _count_kernel_runs(monkeypatch):
+    kernel, runs = polytope_mod._cone, []
+
+    def counted(Q):
+        runs.append(Q)
+        return kernel(Q)
+
+    monkeypatch.setattr(polytope_mod, "_cone", counted)
+    return runs
+
+
 def test_parse_and_analysis_run_each_geometry_kernel_once(monkeypatch):
-    # make_polytope hands the vertices and boundedness its witness search
-    # computed to the polytope it returns
+    # make_polytope hands the geometry it computed for the witness to the
+    # polytope it returns
     doc = polytope_to_json(hexagon_polytope())
     del doc["interior_witness"]  # so that parsing searches for one
     text = json.dumps(doc)
-    runs = {"_solve_vertices": 0, "_recession_free": 0}
-    for name in runs:
-
-        def counted(Q, kernel=getattr(polytope_mod, name), name=name):
-            runs[name] += 1
-            return kernel(Q)
-
-        monkeypatch.setattr(polytope_mod, name, counted)
+    runs = _count_kernel_runs(monkeypatch)
     report = analyze(parse_polytope(text), seed=0)
     report_to_json(report)
     render_svg(report)
-    assert runs == {"_solve_vertices": 1, "_recession_free": 1}
+    assert len(runs) == 1
 
 
 @pytest.mark.parametrize("make", [hexagon_polytope, plane_blowup_polytope],
                          ids=["bounded", "unbounded"])
 def test_handed_over_geometry_matches_a_fresh_computation(make):
     P = make()
-    assert {"_vertices", "_bounded"} <= P.__dict__.keys()
+    assert "_geometry" in P.__dict__
     blank = MomentPolytope(P.dimension, P.facets, (Fraction(0),) * P.dimension)
-    assert P.witness == polytope_mod._find_witness(blank)  # the witness is not overwritten
-    assert P._vertices == polytope_mod._solve_vertices(P)
-    assert P._bounded == polytope_mod._recession_free(P)
+    assert P._geometry == polytope_mod._cone(blank)
+    assert P.witness == P._geometry[2]  # the witness is the kernel's
 
 
 def test_one_analysis_runs_the_vertex_kernel_at_most_once(monkeypatch):
+    # a supplied witness leaves the kernel to the first question asked
     P = parse_polytope(json.dumps(polytope_to_json(hexagon_polytope())))
-    kernel, runs = polytope_mod._solve_vertices, []
-
-    def counted(Q):
-        runs.append(Q)
-        return kernel(Q)
-
-    monkeypatch.setattr(polytope_mod, "_solve_vertices", counted)
+    runs = _count_kernel_runs(monkeypatch)
     report = analyze(P, seed=0)
     report_to_json(report)
     render_svg(report)
-    assert len(runs) <= 1
+    assert len(runs) == 1
     assert enumerate_vertices(P) == _reference_vertices(P)
-    assert len(runs) <= 1
+    assert len(runs) == 1

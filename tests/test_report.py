@@ -302,7 +302,7 @@ def test_report_json_writes_each_grid_shape_as_json_does(build, shape):
 # an output that moved.
 FIXTURE_DIGESTS = {
     "interval": ("6167b009ce427353ccc428244736310a4dffc6cb0dbd2d0e8bb563bbbc451ff0", None),
-    "plane_blowup": ("2b133a16083e7b70cad5b7682221eb2307b7b464665630f4cc1a0f9d8a312d28", None),
+    "plane_blowup": ("0f052e181b3e72b7fb3e9d27bd993f8fd25b50a8e2ceb11bb130d0ff7a65e0c0", None),
     "P111": ("a0bc44a4e1aad9d9132f7774a55d23ff47870d858b6c7f1df0a84a331aaaab1d",
              "d8394635f262bf8087753ad252c6d39ad3ed410ad50cdc7747d84678604380f1"),
     "P123": ("6fde7ac9742f35fd5e52e6cbdd6e5b1822ac4253acedc8727f2d3b10a10fab48",
