@@ -13,9 +13,8 @@ first read.  Only abs(c) < PRUNE_THRESHOLD prunes a coefficient, so a non-finite
 one is kept and a NaN residual never reads as zero.
 
 The arithmetic lives in kernels on the sorted (key, coefficient) items of one
-grid, with one prune rule (_pruned) and one product loop (_product).  The
-operators, _kept and _times, and loops that chain many operations on one grid
-without forming series in between share them, so their floats always agree.
+grid, with one prune rule (_pruned) and one product loop (_product), which
+every operator shares.
 
 A unit a = a_0 + (terms of positive exponent) is inverted in one pass over
 the exponents of its inverse, which lie in the monoid generated by the
@@ -141,17 +140,6 @@ def _pruned(pairs) -> list:
     return out
 
 
-def _kept(c):
-    """c as a series stores it, or None where _pruned drops it."""
-    kept = _pruned(((0, c),))
-    return kept[0][1] if kept else None
-
-
-def _times(a, b):
-    """The coefficient of the product of one-term series a and b (None: zero)."""
-    return None if a is None or b is None else _kept(a * b)
-
-
 def _sum(a: list, b: list) -> list:
     """Items of a + b; an empty operand gives the other back, which _pruned would not change."""
     if not a or not b:
@@ -208,18 +196,12 @@ def _aligned(a: NovikovSeries, b: NovikovSeries):
     """(items of a, items of b, den, top) on the lcm of their grids, at once on a shared grid."""
     if a._den == b._den and a._top == b._top:
         return a._items, b._items, a._den, a._top
-    den, top, (ia, ib) = _aligned_all((a, b))
-    return ia, ib, den, top
-
-
-def _aligned_all(series_list):
-    """(den, top, items of each series) on the lcm of their grids."""
-    den = math.lcm(*(s._den for s in series_list))
-    tops = {s._top * (den // s._den) for s in series_list}
-    if len(tops) > 1:
-        found = " and ".join(dict.fromkeys(str(s.truncation) for s in series_list))
-        raise TruncationMismatch(f"series truncated at {found} cannot be combined")
-    return den, tops.pop(), [[(k * (den // s._den), c) for k, c in s._items] for s in series_list]
+    den = math.lcm(a._den, b._den)
+    fa, fb = den // a._den, den // b._den
+    if a._top * fa != b._top * fb:
+        raise TruncationMismatch(
+            f"series truncated at {a.truncation} and {b.truncation} cannot be combined")
+    return [(k * fa, c) for k, c in a._items], [(k * fb, c) for k, c in b._items], den, a._top * fa
 
 
 def series(pairs, truncation: RationalLike) -> NovikovSeries:
@@ -374,16 +356,19 @@ def series_to_json(s: NovikovSeries) -> list[dict]:
 def series_from_json(obj, truncation: RationalLike) -> NovikovSeries:
     """Accepts a term list [{"exp","re","im"},...], a bare number, or {"re","im"}.
 
-    Raises SchemaError on anything else, such as a term without "exp" or a non-finite coefficient.
+    Raises SchemaError on anything else, such as a term without "exp", a bare
+    object with one, a boolean, or a non-finite coefficient.
     """
-    if isinstance(obj, (int, float)):
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
         obj = {"re": obj}
-    terms = [{**obj, "exp": 0}] if isinstance(obj, dict) else obj
+    terms = [{**obj, "exp": 0}] if isinstance(obj, dict) and "exp" not in obj else obj
     try:
         pairs = [(Fraction(str(t["exp"])), complex(t.get("re", 0), t.get("im", 0))) for t in terms]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"not a series: {obj!r}") from exc
     for t, (_, c) in zip(terms, pairs):
+        if isinstance(t.get("re"), bool) or isinstance(t.get("im"), bool):
+            raise SchemaError(f"coefficient of the term {t!r} is not a number")
         if not cmath.isfinite(c):
             raise SchemaError(f"coefficient of the term {t!r} is not finite")
     return series(pairs, truncation)

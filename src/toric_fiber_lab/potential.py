@@ -15,13 +15,10 @@ from fractions import Fraction
 
 from .errors import NotAUnit, ValidationError, ZeroComponent
 from .novikov import (
-    PRUNE_THRESHOLD,
     NovikovSeries,
     _grid,
-    _kept,
     _shifted,
     _sum,
-    _times,
     _weighted_sum,
     _wrap,
     constant_series,
@@ -138,17 +135,11 @@ def term_values(W: Potential, z: tuple[NovikovSeries, ...]) -> list[NovikovSerie
 
     Each z_j is inverted once, and only when some term has a negative
     exponent in direction j; a bulk tail that is exactly 1 is not multiplied.
-    At a point of constant series on one grid with every tail exactly 1 (a
-    lift's start point) each term is one complex number, formed by
-    _constant_term_values.  Callers that need several derivatives at z build
-    this list once and pass it to gradient_from_terms, hessian_from_terms and
-    value_from_terms.
+    Callers that need several derivatives at z build this list once and pass
+    it to gradient_from_terms, hessian_from_terms and value_from_terms.
     """
     _require_units(z, W.dimension)
     plan = _plan(W)
-    constant = all(len(zj._items) == 1 for zj in z) and len({(zj._den, zj._top) for zj in z}) <= 1
-    if constant and all(plan.tails_one):
-        return _constant_term_values(W, z)
     point = tuple(z) + tuple(nov_inverse(zj) if inv else None for zj, inv in zip(z, plan.inverse))
     out = []
     for t, split, tail_one in zip(W.terms, plan.splits, plan.tails_one):
@@ -156,42 +147,6 @@ def term_values(W: Potential, z: tuple[NovikovSeries, ...]) -> list[NovikovSerie
         if not tail_one:  # an absent twist leaves the tail exactly 1
             v = v * t.bulk_tail
         out.append(_shifted(v._items, v._den, v._top, t.valuation, t.multiplier))
-    return out
-
-
-def _constant_term_values(W: Potential, z: tuple[NovikovSeries, ...]) -> list[NovikovSeries]:
-    """term_values at constant units z on one grid, every bulk tail exactly 1.
-
-    Each series operation of the series route acts on one coefficient here,
-    in the same order: z_j^{-1} is 1.0/z_j (NotAUnit as nov_inverse raises
-    it), a product is 0j + a*b pruned below PRUNE_THRESHOLD, a power is
-    repeated products as nov_pow forms them, the factors come in
-    monomial_eval's order (positive exponents, then inverses) and the
-    multiplier comes last.  Each value is the one-term series that shift
-    builds, so its floats are bit for bit the series route's.
-    """
-    plan = _plan(W)
-    c = [zj._items[0][1] for zj in z]
-    inv = [None] * len(c)
-    for j, (cj, needed) in enumerate(zip(c, plan.inverse)):
-        if needed:
-            if abs(cj) <= PRUNE_THRESHOLD:
-                raise NotAUnit("series with valuation 0 is not invertible")
-            inv[j] = _kept(1.0 / cj)
-    point = c + inv
-    out = []
-    for t, split in zip(W.terms, plan.splits):
-        if not any(split):  # monomial_eval's one, on its own grid
-            out.append((monomial_eval(z, t.exponent) * t.multiplier).shift(t.valuation))
-            continue
-        factors = [(b, k) for b, k in zip(point, split) if k]
-        for n, (b, k) in enumerate(factors):
-            p = b
-            for _ in range(k - 1):
-                p = _times(p, b)
-            acc = p if n == 0 else _times(acc, p)
-        items = [] if acc is None else [(0, acc)]
-        out.append(_shifted(items, z[0]._den, z[0]._top, t.valuation, t.multiplier))
     return out
 
 

@@ -26,9 +26,7 @@ value and, at the start and at each Newton iterate that keeps the law, the
 normalized series Hessian, whose q^0 part at the start is H0.  Each leading
 root gets one start, kept on the potential and shared by both lifts, and one
 SVD of its H0.  The row valuations are computed once per potential.
-Newton's series solve runs as one loop on item lists of one grid through
-novikov's kernels, with novikov's one prune rule: this module only orders
-the refinement.
+Newton's series solve is a refinement written with the series operators.
 """
 
 from __future__ import annotations
@@ -36,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,6 +44,7 @@ from .errors import (
     DegenerateDirection,
     Inconsistent,
     NoConvergence,
+    NotAUnit,
     NotInterior,
     SingularLeadingHessian,
     ToricFiberError,
@@ -52,14 +52,8 @@ from .errors import (
 from .novikov import (
     INF,
     NovikovSeries,
-    _aligned_all,
     _grid,
-    _negated,
-    _product,
-    _scaled,
-    _sum,
     _weighted_sum,
-    _wrap,
     constant_series,
     monomial,
 )
@@ -692,6 +686,11 @@ def _lift_start(W: Potential, zeta):
     return start
 
 
+def _dot(a, b):
+    """sum_k a_k * b_k, summed left to right from the first product."""
+    return functools.reduce(operator.add, map(operator.mul, a, b))
+
+
 def _solve_series_system(Hhat, ghat, H0inv: np.ndarray):
     """delta with Hhat * delta = -ghat, by refinement with the leading inverse.
 
@@ -699,26 +698,17 @@ def _solve_series_system(Hhat, ghat, H0inv: np.ndarray):
     subtracts Hhat * step from r.  Hhat - H0 has positive valuation, so every
     correction gains valuation and the loop ends when one is the zero series;
     the partial sums are those of the Neumann series of (H0 (I + E))^{-1}.
-    The loop runs on item lists on one grid (novikov's item kernels), each
-    operation exactly the series operation it stands for, and forms a series
-    only for delta.  Each sum starts at its first term: started at the zero
-    series, it has the same coefficients.
     """
-    n = len(ghat)
-    den, top, items = _aligned_all([*ghat, *(h for row in Hhat for h in row)])
-    H = [items[n * (j + 1): n * (j + 2)] for j in range(n)]
     inv = H0inv.tolist()
     delta = None
-    r = [_negated(g) for g in items[:n]]
+    r = [-gj for gj in ghat]
     for _ in range(MAX_GRADED_LEVELS):
-        step = [functools.reduce(_sum, map(_scaled, r, row)) for row in inv]
-        if delta is not None and not any(step):
+        step = [_dot(r, row) for row in inv]
+        if delta is not None and all(s.is_zero() for s in step):
             break
-        delta = step if delta is None else list(map(_sum, delta, step))
-        Hstep = [functools.reduce(_sum, [_product(h, d, top) for h, d in zip(Hj, step)])
-                 for Hj in H]
-        r = [_sum(rj, _negated(x)) for rj, x in zip(r, Hstep)]
-    return tuple(_wrap(d, den, top) for d in delta)
+        delta = step if delta is None else [d + s for d, s in zip(delta, step)]
+        r = [rj - _dot(Hj, step) for rj, Hj in zip(r, Hhat)]
+    return tuple(delta)
 
 
 def _certificate(W, z, tv, method, nondegenerate, iterations, history) -> CriticalCertificate:
@@ -826,7 +816,9 @@ def certificates_at_fiber(
     """Certificates for the leading roots at lam that a lift carries to grad W = 0.
 
     [] on build_potential's NotInterior and leading_system's DegenerateDirection.
-    Each lift returns only once the gradient at its last point is zero.
+    Each lift returns only once the gradient at its last point is zero.  A
+    root with a component the series ring prunes to zero (NotAUnit from
+    newton_lift) fails, and graded_lift is not tried at it.
     """
     try:
         W = build_potential(P, lam, alpha, truncation)
@@ -837,6 +829,8 @@ def certificates_at_fiber(
     for zeta in solve_leading(sys):
         try:
             certs.append(newton_lift(W, zeta))
+        except NotAUnit:
+            pass
         except (SingularLeadingHessian, NoConvergence):
             try:
                 certs.append(graded_lift(W, zeta))

@@ -164,6 +164,17 @@ def test_critical_reports_empty(interval_file, capsys):
     assert "no critical fibers" in capsys.readouterr().out
 
 
+def test_analyze_drops_a_root_the_series_ring_cannot_hold(tmp_path, capsys):
+    # e^60 on facet 0 gives leading roots with a component near 4.2e-18:
+    # their lifts fail and the analysis goes on to the probe grid
+    p111 = tmp_path / "P111.json"
+    p111.write_text(json.dumps(polytope_to_json(weighted_plane_polytope(1, 1))))
+    bulk = tmp_path / "b.json"
+    bulk.write_text(json.dumps({"alpha": [60, 0, 0]}))
+    assert main(["analyze", "--input", str(p111), "--bulk", str(bulk)]) == 0
+    out = capsys.readouterr().out
+    assert "critical fibers: 0" in out and "grid: displaceable=105" in out
+
 @pytest.mark.parametrize(
     "extra", [[], ["--truncation", "2"]], ids=["default", "truncation2"]
 )
@@ -213,6 +224,9 @@ def test_critical_rejects_wrong_bulk_length(interval_file, tmp_path, capsys):
         # json.dumps writes NaN and Infinity, and json.load reads them back
         [[{"exp": "0", "re": math.nan}], 0],
         [[{"exp": "1/2", "re": 1.0}, {"exp": "1", "im": -math.inf}], 0],
+        [True, 0],
+        [{"re": True}, 0],
+        [{"exp": "1/2", "re": 1.0}, 0],
     ],
     ids=[
         "no-alpha-key",
@@ -221,6 +235,9 @@ def test_critical_rejects_wrong_bulk_length(interval_file, tmp_path, capsys):
         "alpha-not-a-list",
         "nan-coefficient",
         "infinite-coefficient",
+        "boolean-series",
+        "boolean-coefficient",
+        "bare-object-with-exp",
     ],
 )
 @pytest.mark.parametrize("extra", [[], ["--truncation", "2"]], ids=["default", "truncated"])

@@ -200,6 +200,11 @@ def test_json_roundtrip():
         [{"exp": "1/2", "re": 1.0}, {"exp": "1", "im": -math.inf}],
         math.inf,
         {"re": 0.0, "im": math.nan},
+        # JSON booleans are no numbers, and a bare object carries no exponent
+        True,
+        {"re": True},
+        [{"exp": "0", "im": False}],
+        {"exp": "1/2", "re": 1.0},
     ],
 )
 def test_series_from_json_rejects_malformed_series(obj):

@@ -2,13 +2,11 @@
 
 import cmath
 import math
-import random
 from fractions import Fraction
 
 import pytest
 
 from toric_fiber_lab import (
-    DegenerateDirection,
     NotAUnit,
     NotInterior,
     ValidationError,
@@ -19,24 +17,15 @@ from toric_fiber_lab import (
     eval_gradient,
     eval_hessian,
     eval_potential,
-    leading_system,
     monomial,
     nov_close,
-    nov_inverse,
-    one,
     potential_from_disks,
-    solve_leading,
     specialize_q,
-    tropical_candidates,
     val,
     zero_series,
 )
-import toric_fiber_lab.potential as potential_mod
-from toric_fiber_lab.novikov import monomial_eval
 from toric_fiber_lab.potential import gradient_from_terms, hessian_from_terms, term_values
-from test_novikov import _grid_bytes
 from conftest import (
-    BENCH_CASES,
     hexagon_polytope,
     interval_polytope,
     plane_blowup_polytope,
@@ -257,70 +246,7 @@ def test_gradient_vanishing_series_valuation():
     assert val(g) == F(3, 2)
 
 
-# -- constant points in closed form ---------------------------------------------
-
-
-def _series_route(W, z):
-    """term_values by series arithmetic, the route every point that is not
-    constant takes: inverses, monomial_eval, tail, multiplier, shift."""
-    inverses = tuple(
-        nov_inverse(zj) if any(t.exponent[j] < 0 for t in W.terms) else None
-        for j, zj in enumerate(z)
-    )
-    out = []
-    for t in W.terms:
-        split = tuple(max(v, 0) for v in t.exponent) + tuple(max(-v, 0) for v in t.exponent)
-        v = monomial_eval(tuple(z) + inverses, split)
-        if t.bulk_tail != one(W.truncation):
-            v = v * t.bulk_tail
-        out.append((v * t.multiplier).shift(t.valuation))
-    return out
-
-
-@pytest.fixture
-def closed_form_calls(monkeypatch):
-    calls = []
-    closed = potential_mod._constant_term_values
-
-    def counted(W, z):
-        calls.append(len(z))
-        return closed(W, z)
-
-    monkeypatch.setattr(potential_mod, "_constant_term_values", counted)
-    return calls
-
-
-def _constant_points(W, rng):
-    """Random constant units over four decades of modulus, then the leading
-    roots at W's fiber (none when its leading system is degenerate)."""
-    points = [
-        zpoint(W.truncation, *(cmath.rect(10 ** rng.uniform(-2, 2), rng.uniform(-3, 3))
-                               for _ in range(W.dimension)))
-        for _ in range(4)
-    ]
-    try:
-        roots = solve_leading(leading_system(W))
-    except DegenerateDirection:
-        roots = []
-    return points + [zpoint(W.truncation, *zeta) for zeta in roots]
-
-
-@pytest.mark.parametrize("name", BENCH_CASES)
-def test_constant_points_match_the_series_route_bit_for_bit(name, closed_form_calls):
-    P = BENCH_CASES[name]()
-    rng = random.Random(name)
-    checked = 0
-    for cand in tropical_candidates(P):
-        D = build_potential(P, cand.fiber).truncation
-        # no twist, and a constant twist: bulk tails exactly 1, multipliers e^{a_i}
-        twist = tuple(constant_series(complex(0.3 * i, -0.2), D) for i in range(len(P.facets)))
-        for W in (build_potential(P, cand.fiber), build_potential(P, cand.fiber, twist)):
-            for z in _constant_points(W, rng):
-                got = term_values(W, z)
-                want = _series_route(W, z)
-                assert [_grid_bytes(s) for s in got] == [_grid_bytes(s) for s in want]
-                checked += 1
-    assert checked and len(closed_form_calls) == checked
+# -- term values at constant and twisted points ------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -328,38 +254,30 @@ def test_constant_points_match_the_series_route_bit_for_bit(name, closed_form_ca
     [((1e-7, 1.0), [0]), ((1e13, 1.0), [2, 3, 4]), ((1.0, 1e-12 + 0j), [])],
     ids=["power-prunes-to-zero", "inverse-prunes-to-zero", "smallest-unit"],
 )
-def test_constant_points_prune_as_the_series_route(z, zero_terms, closed_form_calls):
+def test_constant_points_prune_to_zero_terms(z, zero_terms):
     # hexagon normals (2,1) (1,2) (-1,1) (-2,-1) (-1,-2) (1,-1) at its centre:
     # z_1^2 z_2 = 1e-14 and z_1^{-1} = 1e-13 prune to the zero series
     W = build_potential(hexagon_polytope(), (F(0), F(0)))
     if not zero_terms:
-        # 1e-12 is a unit, but too small to invert: both routes refuse it
-        for route in (term_values, _series_route):
-            with pytest.raises(NotAUnit, match="valuation 0 is not invertible"):
-                route(W, zpoint(W.truncation, *z))
+        # 1e-12 is a unit, but too small to invert
+        with pytest.raises(NotAUnit, match="valuation 0 is not invertible"):
+            term_values(W, zpoint(W.truncation, *z))
         return
     got = term_values(W, zpoint(W.truncation, *z))
     assert [i for i, s in enumerate(got) if s.is_zero()] == zero_terms
-    want = _series_route(W, zpoint(W.truncation, *z))
-    assert [_grid_bytes(s) for s in got] == [_grid_bytes(s) for s in want]
-    assert closed_form_calls == [2]
 
 
-def test_a_twisted_potential_takes_the_series_route(closed_form_calls):
+def test_a_twisted_potential_reaches_its_tails():
     P = weighted_plane_polytope(3, 5)
     lam = (F(1), F(1))
     D = build_potential(P, lam).truncation
     alpha = (monomial(0.7, F(1, 3), D), zero_series(D), monomial(2.0, F(1, 2), D))
     W = build_potential(P, lam, alpha)
-    z = zpoint(D, 0.5 + 1j, -2.0)
-    got = term_values(W, z)
-    assert closed_form_calls == []
-    assert [_grid_bytes(s) for s in got] == [_grid_bytes(s) for s in _series_route(W, z)]
+    got = term_values(W, zpoint(D, 0.5 + 1j, -2.0))
     assert any(len(s._items) > 1 for s in got)  # the tails reach the values
 
 
-def test_a_zero_component_is_not_a_unit(closed_form_calls):
+def test_a_zero_component_is_not_a_unit():
     W = build_potential(hexagon_polytope(), (F(0), F(0)))
     with pytest.raises(NotAUnit, match="unit components"):
         term_values(W, (constant_series(1.0, W.truncation), zero_series(W.truncation)))
-    assert closed_form_calls == []

@@ -5,10 +5,8 @@ solver in oracles.py, which shares no arithmetic with the package.
 """
 
 import cmath
-import functools
 import itertools
 import math
-import operator
 import random
 import struct
 from fractions import Fraction
@@ -43,7 +41,7 @@ from toric_fiber_lab import (
     tropical_candidates,
     zero_series,
 )
-from toric_fiber_lab.novikov import INF
+from toric_fiber_lab.novikov import COMPARE_TOL, INF
 import toric_fiber_lab.polytope as polytope_mod
 from toric_fiber_lab.potential import gradient_from_terms, term_values
 from conftest import (
@@ -967,6 +965,47 @@ def test_series_solve_matches_the_system():
         assert all(abs(c) < 1e-10 for c in acc.values())
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_series_solve_cancels_the_gradient_on_random_systems(n):
+    # grids 1/2, 1/3 and 1/4 meet on 1/12; coefficients that repeat across
+    # the components, with H0^{-1} rows of equal and opposite entries, make
+    # partial sums cancel to exactly zero; 1e-7-sized ones make products
+    # fall below the prune threshold; and parts of -0.0 test the sign fix.
+    # ghat + Hhat delta, formed by the dict oracle, must vanish below q^D
+    D = F(3)
+    rng = random.Random(n)
+    pool = [1.0, -1.0, 0.5j, complex(-0.0, 2.0), complex(1.5, -0.0), 1e-7, -1e-7j, 3e-7 + 0j]
+    steps = [F(1, 2), F(1, 3), F(1, 4), F(2, 3), F(5, 4), F(2)]
+
+    def rand_series(lead, grid):
+        pairs = [(F(0), lead)] if lead is not None else []
+        pairs += [(e, rng.choice(pool)) for e in steps
+                  if e.denominator in grid and rng.random() < 0.6]
+        return series(pairs, D)
+
+    checked = 0
+    for _ in range(40):
+        grids = [rng.choice([(2,), (3,), (4,), (2, 3), (1,)]) for _ in range(n * n + n)]
+        H0 = np.eye(n) + np.triu(np.ones((n, n)), 1) * rng.choice([0.0, 1.0])
+        if rng.random() < 0.5:
+            H0 = H0 + np.diag([0.5j] * n)
+        Hhat = [[rand_series(complex(H0[j, k]), grids[j * n + k]) for k in range(n)]
+                for j in range(n)]
+        ghat = tuple(rand_series(rng.choice([None, 1.0, complex(-0.0, -1.0)]), grids[n * n + j])
+                     for j in range(n))
+        if n > 1 and rng.random() < 0.5:
+            ghat = (ghat[1],) + ghat[1:]  # equal components cancel in a partial sum
+        delta = solver_mod._solve_series_system(Hhat, ghat, np.linalg.inv(H0))
+        assert all(d.truncation == D for d in delta)
+        for j in range(n):
+            acc = dict_of_series(ghat[j])
+            for k in range(n):
+                acc = d_add(acc, d_mul(dict_of_series(Hhat[j][k]), dict_of_series(delta[k]), D), D)
+            assert all(abs(c) <= COMPARE_TOL for c in acc.values())
+        checked += sum(len(d.terms) for d in delta)
+    assert checked
+
+
 # -- graded lifting ---------------------------------------------------------------
 
 
@@ -1291,6 +1330,17 @@ def test_certificates_at_fiber_is_empty_off_the_interior():
     assert certificates_at_fiber(P, (F(1, 3),)) == []
 
 
+def test_a_root_the_series_ring_cannot_hold_fails_its_lift_once(monkeypatch):
+    # e^60 on one facet of the plane puts a leading-root component near
+    # 4.2e-18, which constant_series prunes to the zero series: that root's
+    # Newton lift fails, graded_lift is not tried, and the search goes on
+    P = weighted_plane_polytope(1, 1)
+    alpha = (constant_series(60.0, 1), zero_series(1), zero_series(1))
+    graded = []
+    monkeypatch.setattr(solver_mod, "graded_lift", lambda W, zeta: graded.append(zeta))
+    assert find_critical_fibers(P, alpha) == []
+    assert graded == []
+
 def test_pipeline_deterministic():
     P = weighted_plane_polytope(3, 5)
     a = find_critical_fibers(P, seed=3)
@@ -1434,65 +1484,7 @@ def test_certificates_at_fiber():
     assert len(certificates_at_fiber(B, (F(1), F(1)))) == 1
 
 
-# -- the lift kernels against the code they replaced, bit for bit -------------------
-
-
-def _term_bytes(s):
-    """The exact exponents of s, each with its coefficient's float bytes."""
-    return [(e, struct.pack("dd", c.real, c.imag)) for e, c in s.terms]
-
-
-def _series_loop(Hhat, ghat, H0inv):
-    """The refinement of _solve_series_system written with series operators."""
-    inv = H0inv.tolist()
-    delta = None
-    r = [-gj for gj in ghat]
-    for _ in range(solver_mod.MAX_GRADED_LEVELS):
-        step = tuple(functools.reduce(operator.add, map(operator.mul, r, row)) for row in inv)
-        if delta is not None and all(c.is_zero() for c in step):
-            break
-        delta = step if delta is None else tuple(map(operator.add, delta, step))
-        r = [rj - functools.reduce(operator.add, map(operator.mul, Hj, step))
-             for rj, Hj in zip(r, Hhat)]
-    return delta
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_fused_series_solve_matches_the_series_loop_bit_for_bit(n):
-    # grids 1/2, 1/3 and 1/4 meet on 1/12; coefficients that repeat across
-    # the components, with H0^{-1} rows of equal and opposite entries, make
-    # partial sums cancel to exactly zero; 1e-7-sized ones make products
-    # fall below the prune threshold; and parts of -0.0 test the sign fix
-    D = F(3)
-    rng = random.Random(n)
-    pool = [1.0, -1.0, 0.5j, complex(-0.0, 2.0), complex(1.5, -0.0), 1e-7, -1e-7j, 3e-7 + 0j]
-    steps = [F(1, 2), F(1, 3), F(1, 4), F(2, 3), F(5, 4), F(2)]
-
-    def rand_series(lead, grid):
-        pairs = [(F(0), lead)] if lead is not None else []
-        pairs += [(e, rng.choice(pool)) for e in steps
-                  if e.denominator in grid and rng.random() < 0.6]
-        return series(pairs, D)
-
-    checked = 0
-    for _ in range(40):
-        grids = [rng.choice([(2,), (3,), (4,), (2, 3), (1,)]) for _ in range(n * n + n)]
-        H0 = np.eye(n) + np.triu(np.ones((n, n)), 1) * rng.choice([0.0, 1.0])
-        if rng.random() < 0.5:
-            H0 = H0 + np.diag([0.5j] * n)
-        Hhat = [[rand_series(complex(H0[j, k]), grids[j * n + k]) for k in range(n)]
-                for j in range(n)]
-        ghat = tuple(rand_series(rng.choice([None, 1.0, complex(-0.0, -1.0)]), grids[n * n + j])
-                     for j in range(n))
-        if n > 1 and rng.random() < 0.5:
-            ghat = (ghat[1],) + ghat[1:]  # equal components cancel in a partial sum
-        H0inv = np.linalg.inv(H0)
-        got = solver_mod._solve_series_system(Hhat, ghat, H0inv)
-        want = _series_loop(Hhat, ghat, H0inv)
-        assert [_term_bytes(d) for d in got] == [_term_bytes(d) for d in want]
-        assert all(d.truncation == D for d in got)
-        checked += sum(len(d.terms) for d in got)
-    assert checked
+# -- kernels against the code they replaced, bit for bit ---------------------------
 
 
 _FRACTION_QUARTER_TURNS = {F(0): 1, F(1, 2): 1j, F(1): -1, F(3, 2): -1j}
