@@ -28,8 +28,7 @@ from .potential import build_potential, term_table
 from .probes import DEFAULT_BOUND, DEFAULT_RESOLUTION, displaceable_by_probe, probe_scan
 from .report import (
     TOOL_VERSION,
-    _Json,
-    _probe_text,
+    _scan_text,
     analyze,
     certificate_to_json,
     json_text,
@@ -172,12 +171,7 @@ def cmd_probes(args) -> int:
         return 0
     grid = probe_scan(P, args.scan, args.bound)
     if args.json:
-        blocks: dict[int, str] = {}
-        doc = [
-            {"fiber": [str(x) for x in lam], "probe": _Json(_probe_text(p, "\n    ", blocks))}
-            for lam, p in grid.items()
-        ]
-        print(json_text(doc))
+        print(_scan_text(grid))
         return 0
     hit = sum(1 for p in grid.values() if p is not None)
     print(f"scanned {len(grid)} interior grid points at resolution {args.scan}")

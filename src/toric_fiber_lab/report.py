@@ -5,24 +5,19 @@ classifies every grid fiber as critical, displaceable, or unknown.  Outputs
 are deterministic for a fixed configuration: grid order is ascending, floats
 are formatted identically, and no timestamps are embedded.
 
-Every JSON document the package prints is written by json_text, which
-returns exactly json.dumps(doc, indent=2, sort_keys=True).  The standard
-library encodes an indented document in pure Python (its C encoder is used
-only when indent is None), one generator per container; json_text builds the
-same text as one recursive string join, picks each encoder by exact type and
-encodes scalar children inline.  A report's grid entries all have one shape
-at one depth, so report_to_json writes each from one template and hands the
-grid to json_text as finished text (_Json); grid cells share Probe objects,
-and each distinct probe's block is written once per document, as the CLI's
-probes --scan --json writes it too.
+Every JSON document the package prints is json_text(doc), that is
+json.dumps(doc, indent=2, sort_keys=True).  json.dumps writes indented JSON
+in pure Python, so the two long lists of one-shape entries, a report's grid
+and the probes --scan list, are written from one template each in about a
+fifth of its time; each distinct Probe's block is written once per document.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 from .errors import DimensionUnsupported, InternalInconsistency, UnboundedPolytope
 from .novikov import series_to_json
@@ -132,74 +127,8 @@ def analyze(
 
 
 def json_text(doc) -> str:
-    """json.dumps(doc, indent=2, sort_keys=True), character for character.
-
-    doc holds str keys and str, int, float, bool, None, list, tuple and dict
-    values; TypeError for any other key or value.  Strings are escaped by the
-    json module's own ASCII encoder, and numbers formatted as json formats
-    them (NaN and Infinity included).  A _Json value is JSON text already
-    and is written as is.
-    """
-    return _json_value(doc, "\n")
-
-
-def _json_float(o: float) -> str:
-    if o != o:
-        return "NaN"
-    if o == math.inf:
-        return "Infinity"
-    if o == -math.inf:
-        return "-Infinity"
-    return float.__repr__(o)
-
-
-class _Json(str):
-    """Text that json_text writes as is: a value already written as JSON text."""
-
-
-# the scalar encoders, picked by exact type first and by isinstance for a subclass
-_SCALAR_JSON = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _json_float,
-    bool: lambda o: "true" if o else "false",
-    type(None): lambda o: "null",
-    _Json: str.__str__,
-}
-
-
-def _json_value(o, nl: str) -> str:
-    """o's JSON text, with nl (a newline and o's indentation) before the
-    closing bracket of a nonempty container.  Each encoder is picked by the
-    exact type, so a scalar child is encoded inline; a subclass of a scalar
-    type is picked by isinstance last."""
-    encode = _SCALAR_JSON.get(type(o))
-    if encode is not None:
-        return encode(o)
-    inner = nl + "  "
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        items = []
-        for k in sorted(o):
-            x = o[k]
-            encode = _SCALAR_JSON.get(type(x))
-            # encode_basestring_ascii raises TypeError for a key that is not a str
-            items.append(encode_basestring_ascii(k) + ": "
-                         + (encode(x) if encode else _json_value(x, inner)))
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        items = []
-        for x in o:
-            encode = _SCALAR_JSON.get(type(x))
-            items.append(encode(x) if encode else _json_value(x, inner))
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    for t, encode in _SCALAR_JSON.items():
-        if isinstance(o, t):
-            return encode(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    """The one JSON format the package prints: json.dumps(doc, indent=2, sort_keys=True)."""
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def _point_json(pt) -> list[str]:
@@ -278,11 +207,22 @@ def _grid_text(grid: tuple[Verdict, ...]) -> str:
     return "[\n    " + ",\n    ".join(entries) + "\n  ]"
 
 
+def _scan_text(scan: dict) -> str:
+    """The probes --scan list of {"fiber", "probe"} entries as json_text writes it."""
+    if not scan:
+        return "[]"
+    blocks: dict[int, str] = {}
+    entry = '{\n    "fiber": [\n      "%s"\n    ],\n    "probe": %s\n  }'
+    entries = [entry % ('",\n      "'.join(map(str, lam)), _probe_text(p, "\n    ", blocks))
+               for lam, p in scan.items()]
+    return "[\n  " + ",\n  ".join(entries) + "\n]"
+
+
 def report_to_json(report: AnalysisReport) -> str:
     doc = {
         "polytope": polytope_to_json(report.polytope),
         "certificates": [certificate_to_json(c) for c in report.certificates],
-        "grid": _Json(_grid_text(report.grid)),
+        "grid": "\0grid",  # no report string holds a NUL: replaced below by the grid's text
         "unknown": {
             "count": report.unknown_count,
             "examples": [_point_json(x) for x in report.unknown_examples],
@@ -291,7 +231,7 @@ def report_to_json(report: AnalysisReport) -> str:
         "version": report.version,
         "notes": list(report.notes),
     }
-    return json_text(doc)
+    return json_text(doc).replace('"\\u0000grid"', _grid_text(report.grid), 1)
 
 
 def report_to_text(report: AnalysisReport) -> str:

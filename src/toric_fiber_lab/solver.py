@@ -49,6 +49,7 @@ from .errors import (
     NotInterior,
     SingularLeadingHessian,
     ToricFiberError,
+    ValidationError,
 )
 from .novikov import (
     INF,
@@ -63,6 +64,7 @@ from .polytope import (
     MomentPolytope,
     cramer_solve,
     exact_rref,
+    format_point,
     int_dtype,
 )
 from .potential import (
@@ -172,11 +174,16 @@ def tropical_candidates(P: MomentPolytope) -> list[TropicalCandidate]:
 def _row_data(W: Potential):
     """Per direction: (min term valuation, the positions in W.terms attaining it).
 
-    Read off W's plan; raises DegenerateDirection when no term involves some direction.
+    Read off W's plan; raises DegenerateDirection when no term involves some
+    direction, and ValidationError when the truncation D is at or below some
+    row's least valuation m_j, where that row is 0 mod q^D at every point.
     """
     rows = W._plan.rows
     if None in rows:
         raise DegenerateDirection(f"no term involves direction {rows.index(None)}")
+    if W.truncation <= (m := max(v for v, _ in rows)):
+        raise ValidationError(f"truncation D = {W.truncation} at fiber {format_point(W.fiber)}"
+                              f" is at or below the largest leading valuation max_j m_j = {m}")
     return rows
 
 

@@ -276,6 +276,17 @@ def test_critical_rejects_an_overflowing_bulk_twist(tmp_path, capsys):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+def test_critical_rejects_a_truncation_at_a_leading_valuation(square_file, capsys):
+    # the square's terms at (0, 0) all sit at q^1, so q^(1/3) certifies nothing
+    assert main(["critical", "--input", square_file, "--truncation", "1/3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: truncation D = 1/3 at fiber (0, 0) is at or below the largest leading "
+        "valuation max_j m_j = 1\n"
+    )
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["potential", "critical", "analyze", "render"])
 def test_truncation_with_zero_denominator_is_rejected(interval_file, tmp_path, capsys, command):
     extra = {"potential": ["--lambda", "1/2"], "render": ["--output", str(tmp_path / "x.svg")]}

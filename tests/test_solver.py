@@ -8,6 +8,7 @@ import cmath
 import itertools
 import math
 import random
+import re
 import struct
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from toric_fiber_lab import (
     PotentialTerm,
     SingularLeadingHessian,
     ToricFiberError,
+    ValidationError,
     build_potential,
     certificates_at_fiber,
     constant_series,
@@ -539,6 +541,37 @@ def test_singular_binomial_system_reaches_homotopy(monkeypatch):
     monkeypatch.setattr(solver_mod, "_homotopy_roots", lambda s: calls.append(s) or [])
     assert solve_leading(sys) == []
     assert calls == [sys]
+
+
+def test_a_repeated_inequality_takes_the_merged_row_route(monkeypatch):
+    # the square with x >= -1 listed twice: the first row holds the exponent
+    # (1, 0) twice, so solve_leading hands the system to the homotopy, which merges
+    # the pair into 2 z1 - 1/z1 = 0; the roots are z1 = +-1/sqrt(2), z2 = +-1
+    P = make_polytope(2, [((1, 0), F(-1)), ((0, 1), F(-1)), ((-1, 0), F(-1)),
+                          ((0, -1), F(-1)), ((1, 0), F(-1))])
+    W = build_potential(P, (F(0), F(0)))
+    sys = leading_system(W)
+    assert [e for _, e in sys.equations[0]].count((1, 0)) == 2
+    calls = []
+    homotopy = solver_mod._homotopy_roots
+    monkeypatch.setattr(solver_mod, "_homotopy_roots", lambda s: calls.append(s) or homotopy(s))
+    certs = certificates_at_fiber(P, (F(0), F(0)))
+    assert calls == [sys]
+    leads = sorted((c.z[0].leading().real, c.z[1].leading().real) for c in certs)
+    assert leads == pytest.approx([(-0.5**0.5, -1), (-0.5**0.5, 1), (0.5**0.5, -1), (0.5**0.5, 1)])
+    terms = terms_of_potential(W)
+    assert all(is_critical(terms, [dict_of_series(zj) for zj in c.z], W.truncation) for c in certs)
+
+
+def test_solve_paths_falls_back_per_path_on_a_singular_matrix():
+    # one singular J in the stack makes the batched solve raise; that path
+    # gets nan and every other path np.linalg.solve's own answer
+    J = np.array([[[2, 1j], [0.5, 3]], [[1, 2], [2, 4]], [[0, 1], [-1, 1 + 1j]]], dtype=complex)
+    b = np.array([[1, -1j], [2, 1], [0.5, 3]], dtype=complex)
+    x = solver_mod._solve_paths(J, b)
+    assert np.isnan(x[1]).all()
+    for p in (0, 2):
+        assert np.array_equal(x[p], np.linalg.solve(J[p], b[p]))
 
 
 def test_homotopy_residual_is_relative_to_largest_term():
@@ -1471,10 +1504,10 @@ def test_graded_lift_ends_at_its_first_repeated_level(monkeypatch):
     [(make, None) for make in BENCH_CASES.values()]
     + [
         (lambda: _twelve_line_polytope(), None),
-        (lambda: _twelve_line_polytope(F(-23, 8)), 2),
+        (lambda: _twelve_line_polytope(F(-23, 8)), 3),
         (_sixteen_gon, 12),
     ],
-    ids=list(BENCH_CASES) + ["12-line", "twisted-hexagon-D2", "16-gon-D12"],
+    ids=list(BENCH_CASES) + ["12-line", "twisted-hexagon-D3", "16-gon-D12"],
 )
 def test_lift_histories_obey_the_convergence_law(make, D):
     # every Newton step at least doubles the residual level and every graded
@@ -1495,6 +1528,20 @@ def test_certificates_at_fiber():
     assert certificates_at_fiber(P, (F(2),)) == []  # not interior
     B = plane_blowup_polytope()
     assert len(certificates_at_fiber(B, (F(1), F(1)))) == 1
+
+
+@pytest.mark.parametrize("D", [F(1, 3), F(1)])
+def test_a_truncation_at_or_below_a_leading_valuation_is_refused(D):
+    # every term of the square's potential at (0, 0) sits at q^1: for D <= 1
+    # the gradient is 0 mod q^D, and a lift would certify any point
+    P = BENCH_CASES["square"]()
+    message = (f"truncation D = {D} at fiber (0, 0) is at or below the largest leading "
+               "valuation max_j m_j = 1")
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        certificates_at_fiber(P, (F(0), F(0)), truncation=D)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        find_critical_fibers(P, truncation=D)
+    assert len(certificates_at_fiber(P, (F(0), F(0)), truncation=F(9, 8))) == 4
 
 
 # -- kernels against the code they replaced, bit for bit ---------------------------
