@@ -411,7 +411,7 @@ def test_json_text_matches_json(doc):
 @pytest.mark.parametrize(
     "doc",
     [{1, 2}, b"bytes", Fraction(1, 2), object(), [1, {"a": {2}}], {("a",): "tuple key"},
-     {"a": 1, 2: "mixed keys"}],
+     {"a": 1, 2: "mixed keys"}, {"a": [1j]}, {frozenset({"a"}): "frozenset key"}],
 )
 def test_json_text_rejects_what_it_cannot_write(doc):
     with pytest.raises(TypeError):
