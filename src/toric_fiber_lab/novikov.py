@@ -14,12 +14,12 @@ one is kept and a NaN residual never reads as zero.
 
 The arithmetic lives in kernels on the sorted (key, coefficient) items of one
 grid, with one prune rule (_pruned) and one product loop (_product), which
-every operator shares.
+every operator shares.  No other module reads the grid; the potential's
+term lists use _shifted and _weighted_sums.
 
 A unit a = a_0 + (terms of positive exponent) is inverted in one pass over
 the exponents of its inverse, which lie in the monoid generated by the
-positive exponents of a (see nov_inverse).  Laurent monomials z^v are formed
-in one place, monomial_eval, from nonnegative powers of z_j and of z_j^{-1}.
+positive exponents of a (see nov_inverse).
 """
 
 from __future__ import annotations
@@ -169,19 +169,18 @@ def _wrap(items: list, den: int, top: int) -> NovikovSeries:
     return s
 
 
-def _shifted(items, den: int, top: int, d: Fraction, m=None) -> NovikovSeries:
-    """The series with stored items on grid (den, top), times the scalar m if given, times q^d.
+def _shifted(s: NovikovSeries, d: Fraction, m=None) -> NovikovSeries:
+    """s times the scalar m if given, times q^d.
 
-    In one pass, bit for bit s * m with every exponent then moved up by d (s the series
-    of these items).
+    In one pass, bit for bit s * m with every exponent then moved up by d.
     """
-    den2 = math.lcm(den, d.denominator)
-    f, dk, top2 = den2 // den, d.numerator * (den2 // d.denominator), top * (den2 // den)
+    den = math.lcm(s._den, d.denominator)
+    f, dk, top = den // s._den, d.numerator * (den // d.denominator), s._top * (den // s._den)
     out = _pruned([(k * f + dk, c if m is None else complex(c * m))
-                   for k, c in items if k * f + dk < top2])
+                   for k, c in s._items if k * f + dk < top])
     if out and out[0][0] < 0:
-        raise NegativeValuation(f"exponent {Fraction(out[0][0], den2)} < 0")
-    return _wrap(out, den2, top2)
+        raise NegativeValuation(f"exponent {Fraction(out[0][0], den)} < 0")
+    return _wrap(out, den, top)
 
 
 def _aligned(a: NovikovSeries, b: NovikovSeries):
@@ -208,27 +207,27 @@ def series(pairs, truncation: RationalLike) -> NovikovSeries:
     return NovikovSeries(_pruned((e, c) for e, c in acc.items() if e < d), d)
 
 
-def _grid(tv, truncation: Fraction, *dens: int) -> tuple[int, int]:
-    """(den, top): the coarsest grid with D, the series tv and the extra denominators dens on it."""
-    den = math.lcm(truncation.denominator, *dens, *(s._den for s in tv))
-    return den, truncation.numerator * (den // truncation.denominator)
+def _weighted_sums(rows, tv, D: Fraction) -> list[NovikovSeries]:
+    """q^(-m) * sum_i w * tv[i] over the (i, w) of weights, for each (weights, m) of rows.
 
-
-def _weighted_sum(weights, tv, den: int, top: int, dk: int = 0) -> NovikovSeries:
-    """q^(-dk/den) * sum_i w * tv[i] over the (i, w) of weights, on the grid (den, top).
-
-    Merged term by term in order, each coefficient summed from 0j and pruned
-    once; moving the keys by dk before that prune gives the bytes of pruning
-    first and shifting after.  dk is at most every weighted term's valuation.
+    All results share one grid, worked out once: the lcm of the denominators
+    of D, of every m and of every series of tv.  Each coefficient is summed
+    from 0j in order and pruned once; moving the keys by m before that prune
+    gives the bytes of pruning first and shifting after.  m is at most every
+    weighted term's valuation.
     """
-    acc: dict[int, complex] = {}
-    for i, w in weights:
-        s = tv[i]
-        f = den // s._den
-        for k, c in s._items:
-            k = k * f - dk
-            acc[k] = acc.get(k, 0j) + c * w
-    return _wrap(_pruned(acc.items()), den, top)
+    den = math.lcm(D.denominator, *(m.denominator for _, m in rows), *(s._den for s in tv))
+    top, scaled = D.numerator * (den // D.denominator), [(den // s._den, s._items) for s in tv]
+    out = []
+    for weights, m in rows:
+        dk, acc = m.numerator * (den // m.denominator), {}
+        for i, w in weights:
+            f, items = scaled[i]
+            for k, c in items:
+                k = k * f - dk
+                acc[k] = acc.get(k, 0j) + c * w
+        out.append(_wrap(_pruned(acc.items()), den, top))
+    return out
 
 
 def constant_series(c: complex, truncation: RationalLike) -> NovikovSeries:
@@ -310,25 +309,6 @@ def nov_pow(a: NovikovSeries, k: int) -> NovikovSeries:
     for _ in range(k - 1):
         acc = acc * a
     return acc
-
-
-def monomial_eval(z: tuple[NovikovSeries, ...], v: tuple[int, ...]) -> NovikovSeries:
-    """prod_j z_j^{v_j}; components with negative exponent must be units.
-
-    Components with exponent 0 are never read.  A caller that evaluates many
-    monomials at one point passes (z, z^{-1}) with the exponents split into
-    (max(v, 0), max(-v, 0)), so each z_j is inverted once for all of them.
-    """
-    if len(z) != len(v):
-        raise ValueError("length mismatch between point and exponent vector")
-    if not z:
-        raise ValueError("empty point")
-    acc = None
-    for zj, vj in zip(z, v):
-        if vj:
-            p = nov_pow(zj, vj)
-            acc = p if acc is None else acc * p
-    return one(z[0].truncation) if acc is None else acc
 
 
 def series_to_json(s: NovikovSeries) -> list[dict]:

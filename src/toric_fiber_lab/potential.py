@@ -11,21 +11,19 @@ from __future__ import annotations
 
 import cmath
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotAUnit, ValidationError
+from .errors import NotAUnit, TruncationMismatch, ValidationError
 from .novikov import (
     NovikovSeries,
-    _grid,
     _shifted,
-    _sum,
-    _weighted_sum,
-    _wrap,
+    _weighted_sums,
     constant_series,
-    monomial_eval,
     nov_exp,
     nov_inverse,
+    nov_pow,
     one,
     series_to_json,
     val,
@@ -129,68 +127,73 @@ def build_potential(
     return Potential(P.dimension, lam, terms, D)
 
 
-def _require_units(z: tuple[NovikovSeries, ...], n: int) -> None:
-    if len(z) != n:
+def _require_units(W: Potential, z: tuple[NovikovSeries, ...]) -> None:
+    if len(z) != W.dimension:
         raise ValueError("point has the wrong length")
     for zj in z:
-        if not zj._items or zj._items[0][0]:  # valuation 0: a first key of 0
+        if zj.truncation != W.truncation:
+            raise TruncationMismatch(
+                f"point truncated at {zj.truncation}, potential at {W.truncation}")
+        if val(zj) != 0:
             raise NotAUnit("potential evaluation needs unit components")
 
 
 def term_values(W: Potential, z: tuple[NovikovSeries, ...]) -> list[NovikovSeries]:
-    """Value of each summand at z, in facet order.
+    """Value of each summand at z, a point of units truncated at W's truncation, in facet order.
 
-    Each z_j is inverted once, and only when some term has a negative
-    exponent in direction j; a bulk tail that is exactly 1 is not multiplied.
-    Callers that need several quantities at z build this list once and read
-    them off it: value_from_terms here, the normalized gradient and Hessian
-    in the solver.
+    z^v is a product of powers of the z_j and z_j^{-1} (v split into max(v, 0) and max(-v, 0)),
+    each z_j inverted once and only when some term needs it; a tail of exactly 1 is not
+    multiplied.  value_from_terms, gradient_from_terms and hessian_from_terms read this list.
     """
-    _require_units(z, W.dimension)
+    _require_units(W, z)
     plan = W._plan
     point = tuple(z) + tuple(nov_inverse(zj) if inv else None for zj, inv in zip(z, plan.inverse))
     out = []
     for t, split, tail_one in zip(W.terms, plan.splits, plan.tails_one):
-        v = monomial_eval(point, split)
+        v = functools.reduce(operator.mul, (nov_pow(p, e) for p, e in zip(point, split) if e))
         if not tail_one:  # an absent twist leaves the tail exactly 1
             v = v * t.bulk_tail
-        out.append(_shifted(v._items, v._den, v._top, t.valuation, t.multiplier))
+        out.append(_shifted(v, t.valuation, t.multiplier))
     return out
 
 
-def value_from_terms(W: Potential, tv: list[NovikovSeries]) -> NovikovSeries:
+def value_from_terms(tv: list[NovikovSeries]) -> NovikovSeries:
     """W at the point where tv = term_values(W, z) was taken.
 
     A running sum, unlike the derivatives: a partial sum that cancels is pruned to exactly 0.
     """
-    den, top = _grid(tv, W.truncation)
-    acc = []
-    for s in tv:
-        f = den // s._den
-        acc = _sum(acc, s._items if f == 1 else [(k * f, c) for k, c in s._items])
-    return _wrap(acc, den, top)
+    return functools.reduce(operator.add, tv)
+
+
+def gradient_from_terms(W: Potential, tv, shifts) -> tuple[NovikovSeries, ...]:
+    """Component j: q^(-shifts[j]) * sum_i v_ij * tv[i]; shifts[j] <= its terms' valuations."""
+    return tuple(_weighted_sums(list(zip(W._plan.gradient, shifts)), tv, W.truncation))
+
+
+def hessian_from_terms(W: Potential, tv, shifts) -> list[list[NovikovSeries]]:
+    """Entry (j, k): q^(-shifts[j]) * sum_i v_ij v_ik * tv[i], tv = term_values(W, z).
+
+    Rows j and k of equal shift share their entries (j, k) and (k, j).
+    """
+    n, hess = W.dimension, W._plan.hessian
+    cells = [(j, k) for j in range(n) for k in range(n) if j <= k or shifts[j] != shifts[k]]
+    rows = [(hess[min(c), max(c)], shifts[c[0]]) for c in cells]
+    H = dict(zip(cells, _weighted_sums(rows, tv, W.truncation)))
+    return [[H[(j, k) if (j, k) in H else (k, j)] for k in range(n)] for j in range(n)]
 
 
 def eval_potential(W: Potential, z: tuple[NovikovSeries, ...]) -> NovikovSeries:
-    return value_from_terms(W, term_values(W, z))
+    return value_from_terms(term_values(W, z))
 
 
 def eval_gradient(W: Potential, z: tuple[NovikovSeries, ...]) -> tuple[NovikovSeries, ...]:
     """Derivatives in b (z = e^b): component j is sum_i v_ij * (term i at z)."""
-    tv = term_values(W, z)
-    den, top = _grid(tv, W.truncation)
-    return tuple(_weighted_sum(weights, tv, den, top) for weights in W._plan.gradient)
+    return gradient_from_terms(W, term_values(W, z), (0,) * W.dimension)
 
 
 def eval_hessian(W: Potential, z: tuple[NovikovSeries, ...]) -> list[list[NovikovSeries]]:
     """Symmetric matrix of second derivatives in b, entry (j,k) = sum_i v_ij v_ik term_i."""
-    tv = term_values(W, z)
-    den, top = _grid(tv, W.truncation)
-    n = W.dimension
-    H = [[None] * n for _ in range(n)]
-    for (j, k), weights in W._plan.hessian.items():
-        H[j][k] = H[k][j] = _weighted_sum(weights, tv, den, top)
-    return H
+    return hessian_from_terms(W, term_values(W, z), (0,) * W.dimension)
 
 
 def term_table(W: Potential) -> list[dict]:

@@ -21,12 +21,13 @@ q^{m_j} (m_j the row's least term valuation), is the normalized b-Hessian,
 and its constant part at the leading root zeta is H0.  Every step solves
 with it and moves z_k by z_k db_k, so no step needs a series inverse.  Each
 point a lift visits is evaluated once: its term list gives the normalized
-gradient (q^{-m_j} folded into the keys of its weighted sum), the critical
-value and, at the start and at each Newton iterate that keeps the law, the
-normalized series Hessian, whose q^0 part at the start is H0.  Each leading
-root gets one start, kept on the potential and shared by both lifts, and one
-SVD of its H0.  The row valuations are read off the potential's plan, which
-is computed once per potential.
+gradient, the critical value and, at the start and at each Newton iterate
+that keeps the law, the normalized series Hessian, whose q^0 part at the
+start is H0 (both normalized forms are eval_gradient's and eval_hessian's
+formulas with row j shifted by q^{-m_j}).  Each leading root gets one start,
+kept on the potential and shared by both lifts, and one SVD of its H0.  The
+row valuations are read off the potential's plan, which is computed once per
+potential.
 Newton's series solve is a refinement written with the series operators.
 """
 
@@ -54,10 +55,9 @@ from .errors import (
 from .novikov import (
     INF,
     NovikovSeries,
-    _grid,
-    _weighted_sum,
     constant_series,
     monomial,
+    val,
 )
 from .polytope import (
     CHUNK,
@@ -70,6 +70,8 @@ from .polytope import (
 from .potential import (
     Potential,
     build_potential,
+    gradient_from_terms,
+    hessian_from_terms,
     term_values,
     value_from_terms,
 )
@@ -630,31 +632,16 @@ def _well_conditioned(H0: np.ndarray) -> bool:
     return s[-1] > 0 and s[0] / s[-1] < COND_LIMIT
 
 
-def _normalized_grid(W: Potential, tv):
-    """(den, top, keys of m_j) of the grid the normalized forms at the term list tv live on."""
-    rows = _row_data(W)
-    den, top = _grid(tv, W.truncation, *(m.denominator for m, _ in rows))
-    return den, top, [m.numerator * (den // m.denominator) for m, _ in rows]
-
-
 def _normalized_state(W: Potential, z):
-    """Term list at z, normalized gradient q^{-m_j} grad_j, and frontier min_j val of it.
-
-    The frontier is read off the integer keys and becomes one Fraction.
-    """
+    """Term list at z, normalized gradient q^{-m_j} grad_j, and frontier min_j val of it."""
     tv = term_values(W, z)
-    den, top, mk = _normalized_grid(W, tv)
-    ghat = tuple(_weighted_sum(w, tv, den, top, m) for w, m in zip(W._plan.gradient, mk))
-    lead = [g._items[0][0] for g in ghat if g._items]
-    return tv, ghat, Fraction(min(lead), den) if lead else INF
+    ghat = gradient_from_terms(W, tv, [m for m, _ in _row_data(W)])
+    return tv, ghat, min(map(val, ghat))
 
 
 def _normalized_hessian(W: Potential, tv) -> list[list[NovikovSeries]]:
     """Series matrix q^{-m_j} * dgrad_j/db_k from a term list (valuations >= 0)."""
-    den, top, mk = _normalized_grid(W, tv)
-    hess = W._plan.hessian
-    return [[_weighted_sum(hess[min(j, k), max(j, k)], tv, den, top, m) for k in range(len(mk))]
-            for j, m in enumerate(mk)]
+    return hessian_from_terms(W, tv, [m for m, _ in _row_data(W)])
 
 
 def _lift_start(W: Potential, zeta):
@@ -713,7 +700,7 @@ def _certificate(W, z, tv, method, nondegenerate, iterations, history) -> Critic
         z=tuple(z),
         residual_valuation=INF,
         leading_jacobian_nondegenerate=nondegenerate,
-        critical_value=value_from_terms(W, tv),
+        critical_value=value_from_terms(tv),
         intersection_lower_bound=2**W.dimension,
         method=method,
         iterations=iterations,

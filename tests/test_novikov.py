@@ -27,7 +27,7 @@ from toric_fiber_lab import (
     val,
 )
 import toric_fiber_lab.novikov as novikov_mod
-from toric_fiber_lab.novikov import INF, _grid, _weighted_sum, monomial_eval
+from toric_fiber_lab.novikov import INF, _shifted, _weighted_sums
 from test_properties import MIXED_STEPS, _random_series
 from conftest import nov_close, zero_series
 
@@ -153,12 +153,11 @@ def test_raw_series_needs_strictly_increasing_exponents():
 
 
 def test_monomial_eval_unit_inverses():
-    z = (constant_series(2.0, 3),)
-    assert monomial_eval(z, (-1,)).terms == ((F(0), 0.5 + 0j),)
-    z2 = (constant_series(-1.0, 3), constant_series(-1.0, 3))
-    assert monomial_eval(z2, (-1, -1)).terms == ((F(0), 1 + 0j),)
-    zq = (monomial(1.0, F(1, 2), 3),)
-    assert monomial_eval(zq, (1,)).terms == ((F(1, 2), 1 + 0j),)
+    # a Laurent monomial is a product of powers nov_pow(z_j, v_j), negative ones through the inverse
+    assert nov_pow(constant_series(2.0, 3), -1).terms == ((F(0), 0.5 + 0j),)
+    minus = constant_series(-1.0, 3)
+    assert (nov_pow(minus, -1) * nov_pow(minus, -1)).terms == ((F(0), 1 + 0j),)
+    assert nov_pow(monomial(1.0, F(1, 2), 3), 1).terms == ((F(1, 2), 1 + 0j),)
 
 
 def test_pow_matches_repeated_mul():
@@ -169,7 +168,7 @@ def test_pow_matches_repeated_mul():
 
 def test_shift_and_retruncate():
     m = monomial(1.0, 1, 4)
-    s = novikov_mod._shifted(m._items, m._den, m._top, F(1, 2))
+    s = _shifted(m, F(1, 2))
     assert s.terms == ((F(3, 2), 1 + 0j),)
     assert s.retruncate(1).is_zero()
 
@@ -315,15 +314,23 @@ def test_grid_arithmetic_is_the_fraction_arithmetic(D, left, right):
         for d in (F(1, 3), F(3, 8), F(-1, 4)) + ((-val(a),) if ta else ()):
             if ta and ta[0][0] + d < 0:
                 with pytest.raises(NegativeValuation):
-                    novikov_mod._shifted(a._items, a._den, a._top, d)
+                    _shifted(a, d)
             else:
-                _same(novikov_mod._shifted(a._items, a._den, a._top, d), _ref(((e + d, c) for e, c in ta), D))
+                _same(_shifted(a, d), _ref(((e + d, c) for e, c in ta), D))
         for D2 in (D / 2, D + F(1, 5)):
             _same(a.retruncate(D2), _ref(ta, D2))
         weights = (2, 0, -3)
         ref = _ref([(e, c * float(w)) for w, t in zip(weights, (ta, tb, ta)) if w for e, c in t], D)
         pairs = [(i, float(w)) for i, w in enumerate(weights) if w]
-        _same(_weighted_sum(pairs, (a, b, a), *_grid((a, b, a), F(D))), ref)
+        # rows of different shifts: 6/7's denominator 7 divides no grid of tv, whose
+        # last two series have valuation at least 1
+        tv = (a, b, a, _shifted(a, F(1)), _shifted(b, F(1)))
+        m = F(6, 7)
+        got = _weighted_sums([(pairs, 0), ([(3, -0.5), (4, 1.5)], m)], tv, F(D))
+        _same(got[0], ref)
+        _same(got[1], _ref([(e - m, c * w) for w, s in ((-0.5, tv[3]), (1.5, tv[4]))
+                            for e, c in s.terms], D))
+        assert got[0]._den == got[1]._den and got[0]._den % 7 == 0
 
 
 @pytest.mark.parametrize("D, left, right", GRID_CASES)
@@ -338,7 +345,8 @@ def test_grid_inverse_and_powers_are_the_fraction_arithmetic(D, left, right):
             _same(nov_pow(u, k), _ref_pow(tu, k, D))
         for v in ((1, -1), (-2, 1), (0, 2)):
             pu, pw = _ref_pow(tu, v[0], D), _ref_pow(tw, v[1], D)
-            _same(monomial_eval((u, w), v), _ref_mul(pu, pw, D) if v[0] else pw)
+            got = nov_pow(u, v[0]) * nov_pow(w, v[1]) if v[0] else nov_pow(w, v[1])
+            _same(got, _ref_mul(pu, pw, D) if v[0] else pw)
 
 
 def test_equal_series_on_different_grids_compare_and_hash_equal():

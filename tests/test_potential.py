@@ -8,6 +8,7 @@ import pytest
 from toric_fiber_lab import (
     NotAUnit,
     NotInterior,
+    TruncationMismatch,
     ValidationError,
     blaschke_data,
     build_potential,
@@ -17,6 +18,7 @@ from toric_fiber_lab import (
     eval_potential,
     monomial,
     potential_from_disks,
+    series,
     val,
 )
 from toric_fiber_lab.potential import term_values
@@ -151,6 +153,16 @@ def test_eval_requires_units():
     W = build_potential(P, (F(1, 2),))
     with pytest.raises(NotAUnit):
         eval_potential(W, (monomial(1.0, F(1, 2), W.truncation),))
+
+
+def test_eval_refuses_a_point_of_another_truncation():
+    # W is truncated at 3/2.  At z = 2 truncated at 1/2 the gradient (2 - 1/2) q^{1/2}
+    # read as zero, and at z = 1 + q^2 truncated at 5 the value held q^{9/2}
+    W = build_potential(interval_polytope(), (F(1, 2),))
+    for z in (zpoint(F(1, 2), 2), (series([(0, 1.0), (2, 1.0)], 5),)):
+        for evaluate in (term_values, eval_potential, eval_gradient, eval_hessian):
+            with pytest.raises(TruncationMismatch, match=f"at {z[0].truncation}, potential at 3/2"):
+                evaluate(W, z)
 
 
 def test_gradient_is_termwise_weighting():

@@ -30,6 +30,7 @@ from toric_fiber_lab import (
     certificates_at_fiber,
     constant_series,
     eval_gradient,
+    eval_hessian,
     facet_values,
     find_critical_fibers,
     graded_lift,
@@ -43,7 +44,7 @@ from toric_fiber_lab import (
     solve_leading,
     tropical_candidates,
 )
-from toric_fiber_lab.novikov import INF
+from toric_fiber_lab.novikov import INF, _shifted
 import toric_fiber_lab.polytope as polytope_mod
 from conftest import (
     BENCH_CASES,
@@ -1149,6 +1150,38 @@ def test_graded_lift_cut_corner_diagonal_fiber():
         assert abs(zj.coefficient(0) + 1) < 1e-12
         assert abs(zj.coefficient(1) + 1) < 1e-9  # first correction at level 1
         assert abs(zj.coefficient(2) + 3) < 1e-9
+
+
+def _cut_rectangle():
+    # [-1,1] x [-2,2] cut by x + y <= 4: rows of least valuation 1 and 2 at (0, 0)
+    facets = [((1, 0), 1), ((-1, 0), 1), ((0, 1), 2), ((0, -1), 2), ((1, 1), 4)]
+    return make_polytope(2, [(list(v), F(-c)) for v, c in facets])
+
+
+@pytest.mark.parametrize(
+    "polytope, fiber, minima",
+    [(lambda: corner_cut_polytope(F(1, 2)), (F(1, 2), F(1, 2)), [F(1, 2), F(1, 2)]),
+     (_cut_rectangle, (F(0), F(0)), [F(1), F(2)])],
+    ids=["corner_cut_1/2-diagonal", "cut-rectangle"],
+)
+def test_normalized_rows_times_q_to_the_row_minimum_are_the_eval_rows(polytope, fiber, minima):
+    # the lifts' normalized forms and eval_gradient / eval_hessian share one formula:
+    # row j of each, times q^{m_j}, is the same series, at a certificate's z and at a
+    # point cut off below it where the gradient is not zero; equal minima share the
+    # Hessian's entries (j, k) and (k, j), unequal ones do not
+    P = polytope()
+    W = build_potential(P, fiber)
+    assert [mj for mj, _ in W._plan.rows] == minima
+    cert = certificates_at_fiber(P, fiber)[0]
+    cut = tuple(zj.retruncate(2).retruncate(W.truncation) for zj in cert.z)
+    for z in (cert.z, cut):
+        tv, ghat, _ = solver_mod._normalized_state(W, z)
+        Hhat = solver_mod._normalized_hessian(W, tv)
+        g, H = eval_gradient(W, z), eval_hessian(W, z)
+        assert any(not gj.is_zero() for gj in g) == (z is cut)
+        for j in range(2):
+            assert _shifted(ghat[j], minima[j]) == g[j]
+            assert all(_shifted(Hhat[j][k], minima[j]) == H[j][k] for k in range(2))
 
 
 def test_graded_lift_matches_oracle():
