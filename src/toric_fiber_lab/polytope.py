@@ -6,11 +6,12 @@ primitive) and rational offset c_i.  Nothing here uses floating point, so
 tropical equalities l_i = l_j can be decided reliably downstream.  Facet
 values are Fractions; vertices, boundedness and the interior witness come
 from one pass of an integer kernel (_int_cross) over the extreme rays of the
-homogenized cone of P, which solves stacks of small square systems at once
-with the offsets scaled to integers.  It runs in int64 when a bound on every
-integer it forms is below 2**62 and on Python integers otherwise (int_dtype):
-numpy's int64 arithmetic wraps without a warning.  The solver's lower faces
-(through cramer_solve) and the probe kernel share both.
+homogenized cone of P, on the pivot columns of the normals' exact RREF and
+so at the normals' rank; the kernel solves stacks of small square systems at
+once with the offsets scaled to integers.  It runs in int64 when a bound on
+every integer it forms is below 2**62 and on Python integers otherwise
+(int_dtype): numpy's int64 arithmetic wraps without a warning.  The solver's
+lower faces (through cramer_solve) and the probe kernel share both.
 
 A polytope stores that pass's result the first time it is asked for, so
 analyze, the probe scan and the SVG outline run the kernel at most once per
@@ -298,48 +299,42 @@ def _cone(P: MomentPolytope):
     """The geometry kernel: (sorted vertices, bounded, witness or None).
 
     With C = L c (L the lcm of the offset denominators), P is the slice s = 1/L
-    of the cone K = {(y, s) : <v_i, y> >= C_i s, s >= 0}.  _rays finds K's
-    extreme rays: the vertices of P and its primitive recession directions.
-    When the normals have rank r < n, P is the polytope on their r pivot
-    columns J plus the lineality space ker(v), so it has no vertex, the rays
-    come from the columns J and the work cap applies at rank r.  The witness
-    (sum of vertices + sum of directions) / #vertices, zero off J, is a
-    strictly positive combination of every extreme ray of K, so it is
-    interior whenever P has an interior.
+    of the cone K = {(y, s) : <v_i, y> >= C_i s, s >= 0}.  The exact RREF of
+    the normals gives their pivot columns J, r = |J| of them; P is the
+    polytope on the columns J plus the lineality space ker(v), and _rays
+    finds K's extreme rays on J once, with the work cap at rank r: the
+    vertices of P and its primitive recession directions when r = n, no
+    vertex when r < n.  The witness (sum of vertices + sum of directions) /
+    #vertices, zero off J, is a strictly positive combination of every
+    extreme ray of K, so it is interior whenever P has an interior.
     """
     n = P.dimension
     L = math.lcm(*(f.offset.denominator for f in P.facets))
     C = [int(f.offset * L) for f in P.facets]
     normals = [f.normal for f in P.facets]
-    try:
-        verts, dirs, spans = _rays(normals, C, L)
-    except ValidationError:  # past the work cap at rank n; a lower rank may need less
-        spans = False
-    cols = range(n)
-    if not spans:
-        _, cols = exact_rref([list(v) for v in normals])
-        verts, dirs, _ = _rays([[v[j] for j in cols] for v in normals], C, L)
+    _, cols = exact_rref([list(v) for v in normals])
+    verts, dirs = _rays([[v[j] for j in cols] for v in normals], C, L)
+    spans = len(cols) == n
     sums = dict(zip(cols, map(sum, zip(*verts, *dirs))))
     witness = tuple(Fraction(sums.get(j, 0)) / len(verts) for j in range(n)) if verts else None
     return tuple(sorted(verts)) if spans else (), spans and not dirs, witness
 
 
 def _rays(normals: list, C: list[int], L: int):
-    """(vertices, primitive directions, whether the normals have rank r) for
-    the r columns of normals.  Each r-subset of K's rows (v_i, -C_i) and
-    (0, 1) gives one kernel vector w = (y, s), negated when it pairs <= 0
-    with every row; a nonzero w pairing >= 0 with every row is the vertex
-    y / (L s) when s > 0 and the direction y when s = 0.  Some s != 0
-    exactly when r normals are independent: s = +-det of those r normals.
+    """(vertices, primitive directions) for the r columns of normals of rank r.
+
+    Each r-subset of K's rows (v_i, -C_i) and (0, 1) gives one kernel vector
+    w = (y, s), negated when it pairs <= 0 with every row; a nonzero w pairing
+    >= 0 with every row is the vertex y / (L s) when s > 0 and the direction y
+    when s = 0.
     """
     r, a = len(normals[0]), max(abs(x) for v in normals for x in v)
     # every minor is at most r! a^r max(1, |C|), each pairing (r+1) times that
     dtype = int_dtype((r + 1) * math.factorial(r) * a**r * max(1, *map(abs, C)))
     K = np.array([[*v, -c] for v, c in zip(normals, C)] + [[0] * r + [1]], dtype=dtype)
-    verts, dirs, spans = set(), set(), False
+    verts, dirs = set(), set()
     for S in _subsets(len(K), r):
         w = _int_cross(K[S])
-        spans = spans or bool((w[:, -1] != 0).any())
         pairs = w @ K.T
         flip = (pairs <= 0).all(axis=1)
         keep = (flip | (pairs >= 0).all(axis=1)) & (w != 0).any(axis=1)
@@ -349,4 +344,4 @@ def _rays(normals: list, C: list[int], L: int):
             else:
                 g = math.gcd(*y)
                 dirs.add(tuple(x // g for x in y))
-    return verts, dirs, spans
+    return verts, dirs

@@ -100,9 +100,7 @@ def fiber_setup(P: MomentPolytope, lam, alpha=None, truncation=None):
         raise ValueError("twist must supply one series per facet")
     factors = []
     for i, ai in enumerate(alpha):
-        a = ai.retruncate(D)
-        if val(a) < 0:
-            raise NotAUnit("twist coefficients must have nonnegative valuation")
+        a = ai.retruncate(D)  # NegativeValuation for a twist of negative valuation
         a0 = a.coefficient(0)
         try:
             m = cmath.exp(a0)

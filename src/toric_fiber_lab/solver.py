@@ -212,42 +212,46 @@ def _root_key(zeta) -> tuple:
 def solve_leading(sys: LeadingSystem) -> list[tuple[complex, ...]]:
     """Roots of the leading system on the complex torus, sorted.
 
-    Row j is sum_i v_ij m_i zeta^{v_i}: the multipliers m_i only scale the
-    columns of the integer weight matrix B[j, v_i] = v_ij, so the zero pattern
-    of its exact reduced row echelon form picks the route with no tolerance.
-    A reduced row with one term has no torus root, and the result is [].
-    When the reduced rows are n binomials zeta^{e_r} = r_r whose exponent
-    differences E have det E != 0, the result is the |det E| roots in closed
-    form (_binomial_roots).  Anything else (rows of three or more terms,
-    rank < n, det E = 0, or two terms of a row sharing an exponent) goes to
-    the polyhedral homotopy (_homotopy_roots).  Neither route is random.
+    Each row is merged once (_row_supports): terms sharing an exponent add
+    up, and a sum of 0 drops out.  A merged row with fewer than two terms
+    has no torus root, and the result is [].  Row j is then
+    sum_e e_j m_e zeta^e: the merged multipliers m_e only scale the columns
+    of the integer weight matrix B[j, e] = e_j, so the zero pattern of its
+    exact reduced row echelon form picks the route with no tolerance.  A
+    reduced row with one term has no torus root either.  When the reduced
+    rows are n binomials zeta^{e_r} = r_r whose exponent differences E have
+    det E != 0, the result is the |det E| roots in closed form
+    (_binomial_roots).  Anything else (rows of three or more terms, rank < n
+    or det E = 0) goes to the polyhedral homotopy on the merged rows
+    (_homotopy_roots).  Neither route is random.
     """
     n = sys.dimension
-    if any(len({e for _, e in eq}) < len(eq) for eq in sys.equations):
-        return _homotopy_roots(sys)
-    monos = sorted({e for eq in sys.equations for _, e in eq})
+    supports, coeffs = _row_supports(sys)
+    if any(len(S) < 2 for S in supports):
+        return []
+    monos = sorted({e for S in supports for e in S})
     col = {e: k for k, e in enumerate(monos)}
     B = [[Fraction(0)] * len(monos) for _ in range(n)]
     mult: dict[tuple[int, ...], complex] = {}
-    for j, eq in enumerate(sys.equations):
-        for c, e in eq:
+    for j, (S, cs) in enumerate(zip(supports, coeffs)):
+        for e, c in zip(S, cs):
             B[j][col[e]] = Fraction(e[j])
             mult.setdefault(e, c / e[j])
     R, pivots = exact_rref(B)
-    supports = [[k for k, x in enumerate(row) if x != 0] for row in R]
-    if any(len(s) == 1 for s in supports):
+    reduced = [[k for k, x in enumerate(row) if x != 0] for row in R]
+    if any(len(s) == 1 for s in reduced):
         return []
-    if len(pivots) == n and all(len(s) == 2 for s in supports):
+    if len(pivots) == n and all(len(s) == 2 for s in reduced):
         # reduced row r: zeta^a + R[r][b] (m_b / m_a) zeta^b = 0, pivot R[r][a] = 1
         E, rhs = [], []
-        for row, (a, b) in zip(R, supports):
+        for row, (a, b) in zip(R, reduced):
             ma, mb = monos[a], monos[b]
             E.append([x - y for x, y in zip(ma, mb)])
             rhs.append(-float(row[b]) * mult[mb] / mult[ma])
         roots = _binomial_roots(E, rhs)
         if roots is not None:
             return sorted(roots, key=_root_key)
-    return _homotopy_roots(sys)
+    return _homotopy_roots(supports, coeffs)
 
 
 def _binomial_roots(E: list[list[int]], r: list[complex]):
@@ -536,11 +540,12 @@ def _generic_cells(supports):
     raise ToricFiberError("no generic lifting of the leading supports found")
 
 
-def _homotopy_roots(sys: LeadingSystem) -> list[tuple[complex, ...]]:
-    """Torus roots of a leading system by the polyhedral homotopy, sorted.
+def _homotopy_roots(supports, coeffs) -> list[tuple[complex, ...]]:
+    """Torus roots of a leading system's merged rows by the polyhedral homotopy, sorted.
 
     Huber-Sturmfels (Math. Comp. 1995).  Row j is sum_a c_a zeta^a over its
-    support A_j (_row_supports).  One homotopy
+    support A_j = supports[j], of two or more exponents, with the nonzero
+    coefficients coeffs[j] (_row_supports).  One homotopy
     H_j(x, t) = sum_a c_a exp(i theta_a (1 - t)) t^{h_j(a)} x^a, with the
     heights h of the first generic lifting and fixed angles theta_a, is the
     target system at t = 1; the rotating coefficients keep its paths apart
@@ -560,10 +565,7 @@ def _homotopy_roots(sys: LeadingSystem) -> list[tuple[complex, ...]]:
     together); both tests run on all settled ends at once.  Exponent
     products, the residual's too, are real (see _path_field).
     """
-    n = sys.dimension
-    supports, coeffs = _row_supports(sys)
-    if any(len(S) < 2 for S in supports):
-        return []
+    n = len(supports)
     cells = _generic_cells(supports)
     if not cells:
         return []

@@ -130,6 +130,36 @@ def test_half_space_parses_in_any_dimension(n, pairs):
     assert not is_bounded(P) and is_interior(P, P.witness)
 
 
+# |x_j| <= 2 for j <= 4, |x_1 + x_j| <= 2 for j = 2, 3, 4 and |x_2 + x_3| <= 2 in R^8:
+# 16 normals of rank 4, so P is a 4-D polytope Q on the first four coordinates times R^4
+RANK_4_IN_8D = ('{"dimension":8,"facets":[[[1,0,0,0,0,0,0,0],-2],[[-1,0,0,0,0,0,0,0],-2],'
+                '[[0,1,0,0,0,0,0,0],-2],[[0,-1,0,0,0,0,0,0],-2],[[0,0,1,0,0,0,0,0],-2],'
+                '[[0,0,-1,0,0,0,0,0],-2],[[0,0,0,1,0,0,0,0],-2],[[0,0,0,-1,0,0,0,0],-2],'
+                '[[1,1,0,0,0,0,0,0],-2],[[-1,-1,0,0,0,0,0,0],-2],[[1,0,1,0,0,0,0,0],-2],'
+                '[[-1,0,-1,0,0,0,0,0],-2],[[1,0,0,1,0,0,0,0],-2],[[-1,0,0,-1,0,0,0,0],-2],'
+                '[[0,1,1,0,0,0,0,0],-2],[[0,-1,-1,0,0,0,0,0],-2]]}')
+
+
+def test_a_lower_rank_input_runs_the_ray_kernel_once(monkeypatch):
+    # the normals' RREF picks the four pivot columns before any kernel work, so
+    # _rays runs once, on those columns, and never at rank 8
+    rays, calls = polytope_mod._rays, []
+    monkeypatch.setattr(polytope_mod, "_rays",
+                        lambda normals, C, L: calls.append(len(normals[0])) or rays(normals, C, L))
+    P = parse_polytope(RANK_4_IN_8D)
+    assert calls == [4]
+    # every normal is 0 on x_5..x_8: no 8 facet hyperplanes meet in a point, and
+    # e_8 is a recession direction
+    assert all(f.normal[4:] == (0,) * 4 for f in P.facets)
+    assert enumerate_vertices(P) == [] and not is_bounded(P)
+    # Q lies in the box |x_j| <= 2, so it has no recession direction, and the
+    # witness is the average of Q's vertices, zero off the pivot columns
+    Q = MomentPolytope(4, tuple(Facet(f.normal[:4], f.offset) for f in P.facets), (F(0),) * 4)
+    corners = _reference_vertices(Q)
+    average = tuple(sum(v[j] for v in corners) / len(corners) for j in range(4))
+    assert P.witness == average + (F(0),) * 4 and is_interior(P, P.witness)
+
+
 def test_make_polytope_rejects_empty_facet_list():
     with pytest.raises(SchemaError, match="facets must be a nonempty list"):
         make_polytope(1, [])

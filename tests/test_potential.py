@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from toric_fiber_lab import (
+    NegativeValuation,
     NotAUnit,
     NotInterior,
+    NovikovSeries,
     TruncationMismatch,
     ValidationError,
     blaschke_data,
@@ -91,6 +93,14 @@ def test_overflowing_twist_is_a_validation_error():
         build_potential(P, (F(1, 3), F(1, 3)), alpha)
 
 
+def test_a_twist_of_negative_valuation_is_refused():
+    # q^-1 is no twist: retruncating it at D already refuses the exponent
+    P = interval_polytope()
+    alpha = (NovikovSeries(((F(-1), 1.0),), 2), zero_series(2))
+    with pytest.raises(NegativeValuation, match="exponent -1 < 0"):
+        build_potential(P, (F(1, 2),), alpha)
+
+
 def test_positive_valuation_twist_keeps_leading_data():
     P = weighted_plane_polytope(3, 5)
     lam = (F(1), F(1))
@@ -153,6 +163,8 @@ def test_eval_requires_units():
     W = build_potential(P, (F(1, 2),))
     with pytest.raises(NotAUnit):
         eval_potential(W, (monomial(1.0, F(1, 2), W.truncation),))
+    with pytest.raises(ValueError, match="point has the wrong length"):
+        eval_potential(W, zpoint(W.truncation, 1.0, 1.0))
 
 
 def test_eval_refuses_a_point_of_another_truncation():

@@ -419,8 +419,13 @@ def test_leading_roots_deterministic():
         assert solve_leading(sys) == solve_leading(sys)
 
 
-def _no_homotopy(sys):
+def _no_homotopy(supports, coeffs):
     raise AssertionError("leading system was sent to the homotopy")
+
+
+def _homotopy(sys):
+    """_homotopy_roots on the merged rows of sys, as solve_leading hands them over."""
+    return solver_mod._homotopy_roots(*solver_mod._row_supports(sys))
 
 
 def _satisfies(sys, zeta, rel=1e-10) -> bool:
@@ -537,31 +542,53 @@ def test_singular_binomial_system_reaches_homotopy(monkeypatch):
     )
     # z1 z2 = -1/2 and (z1 z2)^2 = -1/3 have no common root, and the
     # supports have mixed volume 0: no cell, no path
-    assert solver_mod._homotopy_roots(sys) == []
+    assert _homotopy(sys) == []
     calls = []
-    monkeypatch.setattr(solver_mod, "_homotopy_roots", lambda s: calls.append(s) or [])
+    monkeypatch.setattr(solver_mod, "_homotopy_roots", lambda *rows: calls.append(rows) or [])
     assert solve_leading(sys) == []
-    assert calls == [sys]
+    assert calls == [solver_mod._row_supports(sys)]
 
 
 def test_a_repeated_inequality_takes_the_merged_row_route(monkeypatch):
     # the square with x >= -1 listed twice: the first row holds the exponent
-    # (1, 0) twice, so solve_leading hands the system to the homotopy, which merges
-    # the pair into 2 z1 - 1/z1 = 0; the roots are z1 = +-1/sqrt(2), z2 = +-1
+    # (1, 0) twice, and solve_leading merges the pair into (1 + m) z1 - 1/z1 = 0,
+    # m the second copy's multiplier (1, or e^twist for a constant twist on it);
+    # the merged rows are binomials, so the closed form gives z1 = +-1/sqrt(1 + m),
+    # z2 = +-1 with exact zero imaginary parts, and the homotopy is not called
     P = make_polytope(2, [((1, 0), F(-1)), ((0, 1), F(-1)), ((-1, 0), F(-1)),
                           ((0, -1), F(-1)), ((1, 0), F(-1))])
-    W = build_potential(P, (F(0), F(0)))
-    sys = leading_system(W)
-    assert [e for _, e in sys.equations[0]].count((1, 0)) == 2
-    calls = []
-    homotopy = solver_mod._homotopy_roots
-    monkeypatch.setattr(solver_mod, "_homotopy_roots", lambda s: calls.append(s) or homotopy(s))
-    certs = certificates_at_fiber(P, (F(0), F(0)))
-    assert calls == [sys]
-    leads = sorted((c.z[0].leading().real, c.z[1].leading().real) for c in certs)
-    assert leads == pytest.approx([(-0.5**0.5, -1), (-0.5**0.5, 1), (0.5**0.5, -1), (0.5**0.5, 1)])
-    terms = terms_of_potential(W)
-    assert all(is_critical(terms, [dict_of_series(zj) for zj in c.z], W.truncation) for c in certs)
+    monkeypatch.setattr(solver_mod, "_homotopy_roots", _no_homotopy)
+    twisted_copy = tuple(zero_series(F(3)) for _ in range(4)) + (constant_series(math.log(2), F(3)),)
+    for alpha in (None, twisted_copy):
+        W = build_potential(P, (F(0), F(0)), alpha)
+        sys = leading_system(W)
+        assert [e for _, e in sys.equations[0]].count((1, 0)) == 2
+        roots = solve_leading(sys)
+        assert all(x.imag == 0 for zeta in roots for x in zeta)
+        if alpha is None:
+            assert roots == [(s1 * 0.5**0.5 + 0j, s2 + 0j) for s1 in (-1, 1) for s2 in (-1, 1)]
+        else:
+            m = W.terms[4].multiplier
+            assert m.imag == 0 and m.real == pytest.approx(2)
+            z1 = (1 / (1 + m.real)) ** 0.5
+            leads = [(zeta[0].real, zeta[1].real) for zeta in roots]
+            assert leads == pytest.approx([(s1 * z1, s2) for s1 in (-1, 1) for s2 in (-1, 1)])
+        certs = certificates_at_fiber(P, (F(0), F(0)), alpha)
+        assert [tuple(zj.leading() for zj in c.z) for c in certs] == roots
+        terms = terms_of_potential(W)
+        assert all(is_critical(terms, [dict_of_series(zj) for zj in c.z], W.truncation)
+                   for c in certs)
+
+
+@pytest.mark.parametrize("first", [((1 + 0j, (1, 0)), (-1 + 0j, (1, 0))),
+                                   ((1 + 0j, (1, 0)), (-1 + 0j, (1, 0)), (2 + 0j, (-1, 0)))],
+                         ids=["all-cancelled", "one-term-left"])
+def test_a_merged_row_of_fewer_than_two_terms_has_no_root(first, monkeypatch):
+    # the first row merges to no term or to 2/z1 alone: no torus root on either route
+    sys = LeadingSystem(2, (first, ((1 + 0j, (0, 1)), (-1 + 0j, (0, -1)))))
+    monkeypatch.setattr(solver_mod, "_homotopy_roots", _no_homotopy)
+    assert len(solver_mod._row_supports(sys)[0][0]) < 2
+    assert solve_leading(sys) == []
 
 
 def test_solve_paths_falls_back_per_path_on_a_singular_matrix():
@@ -581,9 +608,9 @@ def test_homotopy_residual_is_relative_to_largest_term():
     # every term, and so the absolute residual, small
     P = hexagon_polytope()
     half = leading_system(build_potential(P, (F(1, 2), F(1, 2))))
-    assert solver_mod._homotopy_roots(half) == []
+    assert _homotopy(half) == []
     centre = leading_system(build_potential(P, (F(0), F(0))))
-    roots = solver_mod._homotopy_roots(centre)
+    roots = _homotopy(centre)
     assert len(roots) == 18
     assert all(_satisfies(centre, z) for z in roots)
 
@@ -645,7 +672,7 @@ def test_hexagon_centre_tracks_one_path_per_unit_of_mixed_volume(monkeypatch):
         return track(E, R, c, theta, w, pw, k)
 
     monkeypatch.setattr(solver_mod, "_track", counted)
-    roots = solver_mod._homotopy_roots(centre)
+    roots = _homotopy(centre)
     assert paths == [18] and len(roots) == 18
     assert _distinct(roots) and all(_satisfies(centre, z) for z in roots)
 
@@ -695,7 +722,7 @@ def test_homotopy_finds_every_root_of_a_generic_system(support, n, volume):
     assert sum(d for _, d, _ in solver_mod._generic_cells(supports)) == volume
     # rows with a term constant in z_j are no leading system of a potential,
     # so the homotopy is called directly
-    roots = solver_mod._homotopy_roots(sys)
+    roots = _homotopy(sys)
     assert len(roots) == volume
     assert _distinct(roots)
     assert all(_satisfies(sys, z) for z in roots)
@@ -738,7 +765,7 @@ def _track_arguments(sys, monkeypatch):
         return track(*args)
 
     monkeypatch.setattr(solver_mod, "_track", recorded)
-    solver_mod._homotopy_roots(sys)
+    _homotopy(sys)
     return seen[0]
 
 
@@ -779,7 +806,7 @@ def test_hexagon_centre_forms_three_tau_parts_per_round(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "_tau_part", counted_tau)
     monkeypatch.setattr(solver_mod, "_path_field", counted_field)
-    assert len(solver_mod._homotopy_roots(_hexagon_centre_system())) == 18
+    assert len(_homotopy(_hexagon_centre_system())) == 18
     rounds, rest = divmod(calls[True], 4)
     assert rest == 0 and rounds > 0
     assert calls[False] == 3 * rounds + solver_mod.POLISH_STEPS
@@ -805,7 +832,7 @@ def test_real_exponent_product_is_the_complex_matmul_bit_for_bit(make, monkeypat
         return out
 
     monkeypatch.setattr(solver_mod, "_exponents", recorded)
-    solver_mod._homotopy_roots(make())
+    _homotopy(make())
     assert seen
     for w, E, out in seen:
         assert out.tobytes() == (w @ E.T).tobytes()
@@ -858,7 +885,7 @@ def test_homotopy_root_filters_keep_the_roots_of_a_loop_over_path_ends(make, dro
 
     monkeypatch.setattr(solver_mod, "_exponents", recorded)
     sys = make()
-    roots = solver_mod._homotopy_roots(sys)
+    roots = _homotopy(sys)
     w = seen[-1]
     supports, coeffs = solver_mod._row_supports(sys)
     E = np.array([a for S in supports for a in S], dtype=float)
@@ -1150,6 +1177,16 @@ def test_graded_lift_cut_corner_diagonal_fiber():
         assert abs(zj.coefficient(0) + 1) < 1e-12
         assert abs(zj.coefficient(1) + 1) < 1e-9  # first correction at level 1
         assert abs(zj.coefficient(2) + 3) < 1e-9
+
+
+def test_graded_lift_refuses_once_its_level_budget_is_spent(monkeypatch):
+    # at D = 6 the diagonal fiber's lift takes 5 level corrections, more than a
+    # budget of 3
+    W = build_potential(corner_cut_polytope(F(1, 2)), (F(1, 2), F(1, 2)), truncation=6)
+    assert graded_lift(W, (-1.0 + 0j, -1.0 + 0j)).iterations == 5
+    monkeypatch.setattr(solver_mod, "MAX_GRADED_LEVELS", 3)
+    with pytest.raises(Inconsistent, match="level budget exhausted before the truncation"):
+        graded_lift(W, (-1.0 + 0j, -1.0 + 0j))
 
 
 def _cut_rectangle():
