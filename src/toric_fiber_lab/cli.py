@@ -1,10 +1,12 @@
 """Command line interface.
 
 Subcommands: validate, potential, critical, probes, disks, analyze, render.
-All take --input pointing at a polytope JSON document.  Exit codes: 0 success,
-2 validation problem, 3 internal inconsistency.  analyze and render take
---seed (default 0), which is recorded in the report's config and changes no
-output.
+All take --input pointing at a polytope JSON document, which main reads once
+and hands to the subcommand.  potential, critical, analyze and render also
+take the twist options --bulk and --truncation, which _twist reads once.
+Exit codes: 0 success, 2 validation problem, 3 internal inconsistency.
+analyze and render take --seed (default 0), which is recorded in the report's
+config and changes no output.
 """
 
 from __future__ import annotations
@@ -59,10 +61,15 @@ def _interior_fiber(P, text: str) -> tuple[Fraction, ...]:
     return lam
 
 
-def _load_bulk(path: str | None, n_facets: int, truncation=None):
-    if path is None:
-        return None
-    with open(path, "r", encoding="utf-8") as fh:
+def _twist(args, n_facets: int):
+    """(D, alpha) from --truncation and --bulk, each None when its flag is absent."""
+    try:
+        D = None if args.truncation is None else Fraction(args.truncation)
+    except ZeroDivisionError as exc:
+        raise ValidationError(f"cannot parse truncation {args.truncation!r}: {exc}") from exc
+    if args.bulk is None:
+        return D, None
+    with open(args.bulk, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     entries = doc.get("alpha") if isinstance(doc, dict) else doc
     if not isinstance(entries, list):
@@ -73,30 +80,18 @@ def _load_bulk(path: str | None, n_facets: int, truncation=None):
         )
     out = []
     for e in entries:
-        if truncation is not None:
-            D = truncation
-        elif isinstance(e, list):
-            # keep every term the file specifies; potentials retruncate later
+        d = Fraction(1) if D is None and not isinstance(e, list) else D
+        if d is None:
+            # a term list keeps every term the file specifies; potentials retruncate later
             try:
-                D = max((Fraction(str(t["exp"])) for t in e), default=Fraction(0)) + 1
+                d = max((Fraction(str(t["exp"])) for t in e), default=Fraction(0)) + 1
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ValidationError(f'bulk term without a rational "exp" in {e!r}') from exc
-        else:
-            D = Fraction(1)
-        out.append(series_from_json(e, D))
-    return tuple(out)
+        out.append(series_from_json(e, d))
+    return D, tuple(out)
 
 
-def _truncation(args):
-    text = getattr(args, "truncation", None)
-    try:
-        return None if text is None else Fraction(text)
-    except ZeroDivisionError as exc:
-        raise ValidationError(f"cannot parse truncation {text!r}: {exc}") from exc
-
-
-def cmd_validate(args) -> int:
-    P = _load_polytope(args.input)
+def cmd_validate(P, args) -> int:
     verts = enumerate_vertices(P)
     print(f"dimension: {P.dimension}")
     print(f"facets: {len(P.facets)}")
@@ -108,11 +103,9 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_potential(args) -> int:
-    P = _load_polytope(args.input)
+def cmd_potential(P, args) -> int:
     lam = _parse_lambda(args.fiber)
-    D = _truncation(args)
-    alpha = _load_bulk(args.bulk, len(P.facets), D)
+    D, alpha = _twist(args, len(P.facets))
     W = build_potential(P, lam, alpha, truncation=D)
     if args.json:
         print(json_text({"fiber": [str(x) for x in lam], "truncation": str(W.truncation),
@@ -128,10 +121,8 @@ def cmd_potential(args) -> int:
     return 0
 
 
-def cmd_critical(args) -> int:
-    P = _load_polytope(args.input)
-    D = _truncation(args)
-    alpha = _load_bulk(args.bulk, len(P.facets), D)
+def cmd_critical(P, args) -> int:
+    D, alpha = _twist(args, len(P.facets))
     if args.fiber is not None:
         certs = certificates_at_fiber(P, _interior_fiber(P, args.fiber), alpha, D)
     else:
@@ -152,8 +143,7 @@ def cmd_critical(args) -> int:
     return 0
 
 
-def cmd_probes(args) -> int:
-    P = _load_polytope(args.input)
+def cmd_probes(P, args) -> int:
     if (args.fiber is None) == (args.scan is None):
         raise ValidationError("provide exactly one of --lambda or --scan")
     if args.fiber is not None:
@@ -182,8 +172,7 @@ def cmd_probes(args) -> int:
     return 0
 
 
-def cmd_disks(args) -> int:
-    P = _load_polytope(args.input)
+def cmd_disks(P, args) -> int:
     lam = _interior_fiber(P, args.fiber)
     rows = []
     for cls in index_two_classes(P):
@@ -206,10 +195,8 @@ def cmd_disks(args) -> int:
     return 0
 
 
-def _run_analysis(args):
-    P = _load_polytope(args.input)
-    D = _truncation(args)
-    alpha = _load_bulk(args.bulk, len(P.facets), D)
+def _run_analysis(P, args):
+    D, alpha = _twist(args, len(P.facets))
     return analyze(
         P,
         seed=args.seed,
@@ -220,8 +207,8 @@ def _run_analysis(args):
     )
 
 
-def cmd_analyze(args) -> int:
-    report = _run_analysis(args)
+def cmd_analyze(P, args) -> int:
+    report = _run_analysis(P, args)
     if args.svg:
         write_svg(report, args.svg)
     if args.json:
@@ -231,8 +218,8 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_render(args) -> int:
-    write_svg(_run_analysis(args), args.output)
+def cmd_render(P, args) -> int:
+    write_svg(_run_analysis(P, args), args.output)
     print(f"wrote {args.output}")
     return 0
 
@@ -251,18 +238,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
+    def add_twist_flags(p):
+        p.add_argument("--bulk", help="JSON file with per-facet twist series")
+        p.add_argument("--truncation", help="truncation order p/q")
+
     add("validate", cmd_validate, "check the input document and report geometry")
 
     p = add("potential", cmd_potential, "print the potential's term table at a fiber")
     p.add_argument("--lambda", dest="fiber", required=True, help="fiber, e.g. 1/2,1/3")
-    p.add_argument("--bulk", help="JSON file with per-facet twist series")
-    p.add_argument("--truncation", help="truncation order p/q")
+    add_twist_flags(p)
     p.add_argument("--json", action="store_true")
 
     p = add("critical", cmd_critical, "find critical fibers (or test one fiber)")
     p.add_argument("--lambda", dest="fiber", help="restrict to one fiber")
-    p.add_argument("--bulk", help="JSON file with per-facet twist series")
-    p.add_argument("--truncation", help="truncation order p/q")
+    add_twist_flags(p)
     p.add_argument("--json", action="store_true")
 
     p = add("probes", cmd_probes, "probe displaceability of one fiber or a grid")
@@ -276,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     def add_analysis_flags(p):
-        p.add_argument("--bulk", help="JSON file with per-facet twist series")
-        p.add_argument("--truncation", help="truncation order p/q")
+        add_twist_flags(p)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
         p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
@@ -298,7 +286,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_load_polytope(args.input), args)
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3

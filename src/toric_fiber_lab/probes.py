@@ -23,6 +23,7 @@ Python integers otherwise, by the polytope kernel's rule (polytope.int_dtype).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -221,14 +222,7 @@ def _probes(Lam: np.ndarray, Q: int, V: np.ndarray, L: int, table: _Table) -> li
         least = np.where(neg & ((least < 0) | (cand < least)), cand, least)
     exits = np.where(least < 0, -1, least + Vi * Ce)
     shared: dict[tuple[int, ...], Probe] = {}
-    fractions: dict[tuple[int, int], Fraction] = {}
-
-    def fraction(n: int, m: int) -> Fraction:
-        x = fractions.get((n, m))
-        if x is None:
-            x = fractions[n, m] = Fraction(n, m)
-        return x
-
+    fraction = functools.cache(Fraction)  # equal (n, m) share one Fraction
     keys = zip(E.tolist(), d.tolist(), exits.tolist(), *base.T.tolist())
     for r, key in zip(rows.tolist(), keys):
         probe = shared.get(key)

@@ -135,16 +135,12 @@ def _point_json(pt) -> list[str]:
     return [str(x) for x in pt]
 
 
-def _valuation_json(v) -> str:
-    return "inf" if v == math.inf else str(v)
-
-
 def certificate_to_json(cert: CriticalCertificate) -> dict:
     return {
         "fiber": _point_json(cert.fiber),
         "z": [series_to_json(zj) for zj in cert.z],
-        "residual_valuation": _valuation_json(cert.residual_valuation),
-        "residual_history": [_valuation_json(v) for v in cert.residual_history],
+        "residual_valuation": str(cert.residual_valuation),
+        "residual_history": [str(v) for v in cert.residual_history],
         "leading_jacobian_nondegenerate": cert.leading_jacobian_nondegenerate,
         "critical_value": series_to_json(cert.critical_value),
         "intersection_lower_bound": cert.intersection_lower_bound,

@@ -190,6 +190,9 @@ MALFORMED_DOCUMENTS = {
     "witness-wrong-length": ('{"dimension": 1, "facets": [[[1], 0], [[-1], -1]], '
                              '"interior_witness": ["1/2", "1/2"]}',
                              "interior witness has the wrong length"),
+    "float-witness": ('{"dimension": 1, "facets": [[[1], 0], [[-1], -1]], '
+                      '"interior_witness": [0.5]}',
+                      "not a rational: 0.5"),
 }
 
 WEIGHTED_35_JSON = (

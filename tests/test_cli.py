@@ -51,6 +51,13 @@ def corner_cut_file(tmp_path):
     return str(p)
 
 
+def _required_flags(command, tmp_path):
+    """The flags besides --input that `command` does not run without."""
+    fiber = ["--lambda", "1/2"]
+    return {"potential": fiber, "probes": fiber, "disks": fiber,
+            "render": ["--output", str(tmp_path / "x.svg")]}.get(command, [])
+
+
 def test_validate(interval_file, capsys):
     assert main(["validate", "--input", interval_file]) == 0
     out = capsys.readouterr().out
@@ -59,9 +66,15 @@ def test_validate(interval_file, capsys):
     assert "bounded: True" in out
 
 
-def test_validate_missing_file(tmp_path, capsys):
-    assert main(["validate", "--input", str(tmp_path / "nope.json")]) == 2
-    assert "error" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "command", ["validate", "potential", "critical", "probes", "disks", "analyze", "render"]
+)
+def test_validate_missing_file(tmp_path, capsys, command):
+    argv = [command, "--input", str(tmp_path / "nope.json")] + _required_flags(command, tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error" in captured.err and captured.out == ""
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_validate_malformed_document(tmp_path, capsys):
@@ -81,10 +94,19 @@ def test_validate_names_what_is_malformed(tmp_path, capsys, text, message):
     assert captured.err.startswith(f"error: {message}") and captured.out == ""
 
 
-def test_potential_table(interval_file, capsys):
+def test_potential_table(interval_file, tmp_path, capsys):
     assert main(["potential", "--input", interval_file, "--lambda", "1/2"]) == 0
     out = capsys.readouterr().out
     assert "truncation q^3/2" in out
+    # a complex multiplier e^(0.1-0.2i) prints its imaginary part after the real one
+    bulk = tmp_path / "bulk.json"
+    bulk.write_text(json.dumps({"alpha": [{"re": 0.1, "im": -0.2}, 0]}))
+    argv = ["potential", "--input", interval_file, "--lambda", "1/2", "--bulk", str(bulk)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "    0           [1]        1/2  1.08314-0.219564i",
+        "    1          [-1]        1/2  1",
+    ]
 
 
 def test_potential_json(interval_file, capsys):
@@ -217,14 +239,15 @@ def test_critical_with_bulk_twist(interval_file, tmp_path, capsys):
             assert all(Fraction(t["exp"]) < D for zj in d["z"] for t in zj)
 
 
-def test_critical_rejects_wrong_bulk_length(interval_file, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["potential", "critical", "analyze", "render"])
+def test_critical_rejects_wrong_bulk_length(interval_file, tmp_path, capsys, command):
     bulk = tmp_path / "bulk.json"
     bulk.write_text(json.dumps([0.0, 0.0, 0.0]))
-    rc = main(
-        ["critical", "--input", interval_file, "--bulk", str(bulk)]
-    )
-    assert rc == 2
-    assert "2 facets" in capsys.readouterr().err
+    argv = [command, "--input", interval_file, "--bulk", str(bulk)]
+    assert main(argv + _required_flags(command, tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: bulk file supplies 3 series for 2 facets\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -289,8 +312,8 @@ def test_critical_rejects_a_truncation_at_a_leading_valuation(square_file, capsy
 
 @pytest.mark.parametrize("command", ["potential", "critical", "analyze", "render"])
 def test_truncation_with_zero_denominator_is_rejected(interval_file, tmp_path, capsys, command):
-    extra = {"potential": ["--lambda", "1/2"], "render": ["--output", str(tmp_path / "x.svg")]}
-    argv = [command, "--input", interval_file, "--truncation", "1/0"] + extra.get(command, [])
+    argv = [command, "--input", interval_file, "--truncation", "1/0"]
+    argv += _required_flags(command, tmp_path)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "truncation '1/0'" in captured.err
@@ -472,6 +495,13 @@ def test_render_byte_stable(square_file, tmp_path, capsys):
         )
         assert rc == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_render_writes_what_analyze_svg_writes(corner_cut_file, tmp_path, capsys):
+    rendered, analyzed = tmp_path / "render.svg", tmp_path / "analyze.svg"
+    assert main(["render", "--input", corner_cut_file, "--output", str(rendered)]) == 0
+    assert main(["analyze", "--input", corner_cut_file, "--svg", str(analyzed)]) == 0
+    assert rendered.read_bytes() == analyzed.read_bytes()
 
 
 def test_version():

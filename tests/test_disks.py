@@ -75,6 +75,8 @@ def test_boundary_class():
     assert boundary_class((0, 1, 0), P) == (0, 1)
     assert boundary_class((0, 0, 1), P) == (-5, -3)
     assert boundary_class((1, 2, 1), P) == (-4, -1)  # additivity in the degrees
+    with pytest.raises(ValueError, match="one entry per facet"):
+        boundary_class((1, 0), P)
 
 
 def test_index_two_classes_are_unit_vectors():

@@ -164,6 +164,14 @@ def test_pow_matches_repeated_mul():
     a = series([(0, 1.5), (F(1, 3), -0.5)], 2)
     assert nov_close(nov_pow(a, 3), a * a * a)
     assert nov_close(nov_pow(a, -2) * nov_pow(a, 2), one(2), 1e-9)
+    assert nov_pow(a, 0) == one(2)
+
+
+def test_str_writes_each_term_with_its_exponent():
+    assert str(zero_series(3)) == "0"
+    assert str(constant_series(2.0, 3)) == "2"
+    assert str(constant_series(1 - 0.5j, 3)) == "(1-0.5i)"
+    assert str(series([(0, 1.5), (F(1, 3), -0.5 + 2j)], 2)) == "1.5 + (-0.5+2i)*q^1/3"
 
 
 def test_shift_and_retruncate():
@@ -359,6 +367,8 @@ def test_equal_series_on_different_grids_compare_and_hash_equal():
         assert a6._den % 3 == 0 and a._den % 3 != 0
         assert a6 == a and hash(a6) == hash(a) and a6.terms == a.terms
         assert a6 != a * 2.0 and a6 != a.retruncate(F(5, 2))
+    # a series never equals what is not a series, even one holding its terms
+    assert a.__eq__(a.terms) is NotImplemented and a != a.terms and one(D) != 1
 
 
 def test_grid_truncation_mismatch_still_raises():

@@ -167,6 +167,11 @@ def test_make_polytope_rejects_empty_facet_list():
         parse_polytope('{"dimension": 2, "facets": []}')
 
 
+def test_make_polytope_rejects_a_nonpositive_dimension():
+    with pytest.raises(SchemaError, match="dimension must be a positive integer"):
+        make_polytope(0, [((), F(0))])
+
+
 def test_witness_validation():
     with pytest.raises(EmptyInterior):
         make_polytope(1, [((1,), F(0)), ((-1,), F(-1))], witness=[F(2)])

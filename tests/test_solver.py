@@ -472,7 +472,7 @@ def test_binomial_roots_count_det_exponents(name, monkeypatch):
         assert solve_leading(sys) == roots
 
 
-def test_fixture_pipelines_never_reach_multistart(monkeypatch):
+def test_fixture_pipelines_never_reach_the_homotopy(monkeypatch):
     monkeypatch.setattr(solver_mod, "_homotopy_roots", _no_homotopy)
     for make, count in FIXTURES.values():
         assert len(find_critical_fibers(make(), seed=0)) == count
@@ -677,7 +677,7 @@ def test_hexagon_centre_tracks_one_path_per_unit_of_mixed_volume(monkeypatch):
     assert _distinct(roots) and all(_satisfies(centre, z) for z in roots)
 
 
-def test_cells_give_the_mixed_volume_and_reject_a_non_generic_lifting():
+def test_cells_give_the_mixed_volume_and_reject_a_non_generic_lifting(monkeypatch):
     # the 12-line centre: ten support points per row, a non-isolated root set
     centre = leading_system(build_potential(_twelve_line_polytope(), (F(0), F(0))))
     supports, _ = solver_mod._row_supports(centre)
@@ -693,6 +693,10 @@ def test_cells_give_the_mixed_volume_and_reject_a_non_generic_lifting():
     affine = [[3 * a[0] - a[1] + j for a in S] for j, S in enumerate(supports)]
     assert solver_mod._mixed_cells(supports, flat) is None
     assert solver_mod._mixed_cells(supports, affine) is None
+    # when no lifting in the fixed sequence is generic, the search says so
+    monkeypatch.setattr(solver_mod, "_mixed_cells", lambda supports, heights: None)
+    with pytest.raises(ToricFiberError, match="no generic lifting"):
+        solver_mod._generic_cells(supports)
 
 
 def _generic_system(support, n):
