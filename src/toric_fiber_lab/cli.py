@@ -65,7 +65,7 @@ def _twist(args, n_facets: int):
     """(D, alpha) from --truncation and --bulk, each None when its flag is absent."""
     try:
         D = None if args.truncation is None else Fraction(args.truncation)
-    except ZeroDivisionError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse truncation {args.truncation!r}: {exc}") from exc
     if args.bulk is None:
         return D, None

@@ -15,7 +15,8 @@ one is kept and a NaN residual never reads as zero.
 The arithmetic lives in kernels on the sorted (key, coefficient) items of one
 grid, with one prune rule (_pruned) and one product loop (_product), which
 every operator shares.  No other module reads the grid; the potential's
-term lists use _shifted and _weighted_sums.
+term lists use _shifted and _weighted_sums, and a fiber's lift starts use
+_constant_sums, its form on an axis of constant points with the same bytes.
 
 A unit a = a_0 + (terms of positive exponent) is inverted in one pass over
 the exponents of its inverse, which lie in the monoid generated by the
@@ -29,6 +30,8 @@ import heapq
 import math
 from fractions import Fraction
 from functools import cached_property
+
+import numpy as np
 
 from .errors import NegativeValuation, NotAUnit, SchemaError, TruncationMismatch
 
@@ -228,6 +231,68 @@ def _weighted_sums(rows, tv, D: Fraction) -> list[NovikovSeries]:
                 acc[k] = acc.get(k, 0j) + c * w
         out.append(_wrap(_pruned(acc.items()), den, top))
     return out
+
+
+def _kept(c: complex) -> complex:
+    """c as _pruned keeps it (0j + c), or 0j where _pruned drops it; a kept c is never 0j."""
+    return 0j if abs(v := 0j + c) < PRUNE_THRESHOLD else v
+
+
+def _cmul(a, b) -> np.ndarray:
+    """a * b on complex arrays as CPython forms it: numpy's own product may fuse (FMA) a part."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _kept_array(x: np.ndarray) -> np.ndarray:
+    """_kept on every entry: hypot is the libm call abs(complex) makes."""
+    x = 0j + x
+    return np.where(np.hypot(x.real, x.imag) < PRUNE_THRESHOLD, 0j, x)
+
+
+@np.errstate(all="ignore")  # non-finite coefficients are kept, as the series operators keep them
+def _constant_sums(rows, parts, scalars, D: Fraction):
+    """_weighted_sums(rows, tv, D) and value_from_terms(tv) for the term list tv of each root.
+
+    tv[i] at root r is term_values' scalars[r][i] * T (skipped when one) * m for (T, m, one) =
+    parts[i]: the tail times q^{l_i}, the multiplier, the tail is 1.  Every step is one numpy
+    pass over the roots on the union of the T's keys, with the series operators' bytes (np.add.at
+    sums from 0j in order; a real weight leaves no product to fuse); the running sum is per root.
+    Returns q0[r, a], the q^0 coefficient of row a at root r, and series_of(r, a), that row as a
+    series (the running sum is row -1).
+    """
+    den = math.lcm(D.denominator, *(m.denominator for _, m in rows), *(T._den for T, _, _ in parts))
+    ents = [(i, k * (den // T._den), c) for i, (T, _, _) in enumerate(parts) for k, c in T._items]
+    pos = {k: u for u, k in enumerate(sorted({k for _, k, _ in ents}))}
+    term, col, width = [i for i, _, _ in ents], [pos[k] for _, k, _ in ents], len(pos) + 1
+    by_term = [[e for e, (j, _, _) in enumerate(ents) if j == i] for i in range(len(parts))]
+    s = np.array(scalars, dtype=complex)[:, term]
+    live = s != 0
+    if not all(one for *_, one in parts):
+        one, c = np.array([parts[i][2] for i in term]), np.array([c for *_, c in ents])
+        s = np.where(one, s, _kept_array(_cmul(s, c)))
+        live &= s != 0
+    tv = np.where(live, _kept_array(_cmul(s, np.array([parts[i][1] for i in term]))), 0j)
+    to, at, w = (np.array(x) for x in zip(*((a * width + col[e], e, w) for a, (ws, _) in
+                                            enumerate(rows) for i, w in ws for e in by_term[i])))
+    out = np.zeros((len(s), len(rows), width), dtype=complex)
+    np.add.at(out.reshape(-1), (np.arange(len(s))[:, None] * out[0].size + to).ravel(),
+              (tv[:, at] * w).ravel())
+    out, lists = _kept_array(out), []
+    shifts = [m.numerator * (den // m.denominator) for _, m in rows] + [0]
+    for rs, row in zip(out.tolist(), tv.tolist()):
+        value = [0j] * width
+        for u, x in zip(col, row):
+            value[u] = _kept(value[u] + x)
+        lists.append(rs + [value])
+    top, keys = D.numerator * (den // D.denominator), list(pos)
+
+    def series_of(r: int, a: int) -> NovikovSeries:
+        return _wrap([(k - shifts[a], c) for k, c in zip(keys, lists[r][a]) if c], den, top)
+
+    return out[:, np.arange(len(rows)), [pos.get(dk, width - 1) for dk in shifts[:-1]]], series_of
 
 
 def constant_series(c: complex, truncation: RationalLike) -> NovikovSeries:

@@ -17,13 +17,14 @@ from fractions import Fraction
 
 from .errors import NotAUnit, TruncationMismatch, ValidationError
 from .novikov import (
+    PRUNE_THRESHOLD,
     NovikovSeries,
+    _kept,
     _shifted,
     _weighted_sums,
     constant_series,
     nov_exp,
     nov_inverse,
-    nov_pow,
     one,
     series_to_json,
     val,
@@ -46,12 +47,12 @@ class PotentialTerm:
 class _Plan:
     """What every evaluation of a potential reads, worked out once per potential."""
 
-    tails_one: tuple[bool, ...]  # per term: the bulk tail is exactly 1
     inverse: tuple[bool, ...]  # per direction j: some term has a negative exponent in j
     splits: tuple[tuple[int, ...], ...]  # per term: (max(v, 0), max(-v, 0))
     gradient: tuple  # per direction j: (i, float(v_ij)) over the terms with v_ij != 0
     hessian: dict  # per j <= k: (i, float(v_ij v_ik)) over the terms where it is nonzero
     rows: tuple  # per direction j: (least valuation, the terms at it), None with no term
+    constant: tuple  # per term: (bulk tail times q^{l_i}, multiplier, tail is exactly 1)
 
 
 @dataclass(frozen=True)
@@ -73,13 +74,14 @@ class Potential:
             m = min((v for _, v in vals), default=None)
             rows.append(None if m is None else (m, tuple(i for i, v in vals if v == m)))
         return _Plan(
-            tuple(t.bulk_tail == unit for t in self.terms),
             tuple(any(e[j] < 0 for e in E) for j in range(n)),
             tuple(tuple(max(v, 0) for v in e) + tuple(max(-v, 0) for v in e) for e in E),
             gradient,
             {(j, k): tuple((i, float(e[j] * e[k])) for i, e in enumerate(E) if e[j] * e[k])
              for j in range(n) for k in range(j, n)},
             tuple(rows),
+            tuple((_shifted(t.bulk_tail, t.valuation), t.multiplier, t.bulk_tail == unit)
+                  for t in self.terms),
         )
 
 
@@ -147,12 +149,30 @@ def term_values(W: Potential, z: tuple[NovikovSeries, ...]) -> list[NovikovSerie
     plan = W._plan
     point = tuple(z) + tuple(nov_inverse(zj) if inv else None for zj, inv in zip(z, plan.inverse))
     out = []
-    for t, split, tail_one in zip(W.terms, plan.splits, plan.tails_one):
-        v = functools.reduce(operator.mul, (nov_pow(p, e) for p, e in zip(point, split) if e))
+    for t, v, (_, _, tail_one) in zip(W.terms, _monomials(W, point, operator.mul), plan.constant):
         if not tail_one:  # an absent twist leaves the tail exactly 1
             v = v * t.bulk_tail
         out.append(_shifted(v, t.valuation, t.multiplier))
     return out
+
+
+def _monomials(W: Potential, point, mul) -> list:
+    """z^{v_i} per term from point = z + (z_j^{-1}): each power a left fold of mul (nov_pow's
+    products), then the product of the powers in split order."""
+    return [functools.reduce(mul, (functools.reduce(mul, [x] * e) for x, e in zip(point, split) if e))
+            for split in W._plan.splits]
+
+
+def constant_monomials(W: Potential, zeta) -> list[complex]:
+    """zeta^{v_i} per term, 0j where pruned: term_values' products at the constant point zeta,
+    each on one coefficient and pruned by _kept, as the series products and nov_inverse prune."""
+    z = [_kept(complex(x)) for x in zeta]
+    if len(z) != W.dimension:
+        raise ValueError("point has the wrong length")
+    if 0j in z or any(inv and abs(x) <= PRUNE_THRESHOLD for x, inv in zip(z, W._plan.inverse)):
+        raise NotAUnit("potential evaluation needs unit components")
+    point = z + [_kept(1.0 / x) if inv else 0j for x, inv in zip(z, W._plan.inverse)]
+    return _monomials(W, point, lambda a, b: a and b and _kept(a * b))
 
 
 def value_from_terms(tv: list[NovikovSeries]) -> NovikovSeries:
@@ -168,16 +188,21 @@ def gradient_from_terms(W: Potential, tv, shifts) -> tuple[NovikovSeries, ...]:
     return tuple(_weighted_sums(list(zip(W._plan.gradient, shifts)), tv, W.truncation))
 
 
-def hessian_from_terms(W: Potential, tv, shifts) -> list[list[NovikovSeries]]:
-    """Entry (j, k): q^(-shifts[j]) * sum_i v_ij v_ik * tv[i], tv = term_values(W, z).
-
-    Rows j and k of equal shift share their entries (j, k) and (k, j).
-    """
+def hessian_rows(W: Potential, shifts):
+    """(index, rows): entry (j, k) is q^(-shifts[j]) * sum_i v_ij v_ik * term i by the weights of
+    rows[index[j][k]]; rows j and k of equal shift share their entries (j, k) and (k, j)."""
     n, hess = W.dimension, W._plan.hessian
     cells = [(j, k) for j in range(n) for k in range(n) if j <= k or shifts[j] != shifts[k]]
-    rows = [(hess[min(c), max(c)], shifts[c[0]]) for c in cells]
-    H = dict(zip(cells, _weighted_sums(rows, tv, W.truncation)))
-    return [[H[(j, k) if (j, k) in H else (k, j)] for k in range(n)] for j in range(n)]
+    at = {c: a for a, c in enumerate(cells)}
+    index = [[at[(j, k) if (j, k) in at else (k, j)] for k in range(n)] for j in range(n)]
+    return index, [(hess[min(c), max(c)], shifts[c[0]]) for c in cells]
+
+
+def hessian_from_terms(W: Potential, tv, shifts) -> list[list[NovikovSeries]]:
+    """Entry (j, k): q^(-shifts[j]) * sum_i v_ij v_ik * tv[i], tv = term_values(W, z)."""
+    index, rows = hessian_rows(W, shifts)
+    H = _weighted_sums(rows, tv, W.truncation)
+    return [[H[a] for a in row] for row in index]
 
 
 def eval_potential(W: Potential, z: tuple[NovikovSeries, ...]) -> NovikovSeries:

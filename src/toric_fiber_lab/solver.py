@@ -20,14 +20,17 @@ Both lifts work in b with z = e^b: row j of the b-Hessian, divided by
 q^{m_j} (m_j the row's least term valuation), is the normalized b-Hessian,
 and its constant part at the leading root zeta is H0.  Every step solves
 with it and moves z_k by z_k db_k, so no step needs a series inverse.  Each
-point a lift visits is evaluated once: its term list gives the normalized
-gradient, the critical value and, at the start and at each Newton iterate
-that keeps the law, the normalized series Hessian, whose q^0 part at the
-start is H0 (both normalized forms are eval_gradient's and eval_hessian's
-formulas with row j shifted by q^{-m_j}).  Each leading root gets one start,
-kept on the potential and shared by both lifts, and one SVD of its H0.  The
-row valuations are read off the potential's plan, which is computed once per
-potential.
+point a lift visits after its start is evaluated once: its term list gives
+the normalized gradient, the critical value and, at each Newton iterate that
+keeps the law, the normalized series Hessian (both normalized forms are
+eval_gradient's and eval_hessian's formulas with row j shifted by q^{-m_j}).
+A fiber's roots start together: at a constant point zeta, term i is
+zeta^{v_i} times a series free of zeta, so one pass over a root axis gives
+each root's normalized gradient and Hessian, H0 (the Hessian's q^0 part) and
+critical value with the series operators' bytes, and all H0 go through one
+SVD call.  Both lifts share the batch, kept on the potential; a lift called
+alone starts a batch of one root.  Row valuations are read off the
+potential's plan, computed once per potential.
 Newton's series solve is a refinement written with the series operators.
 """
 
@@ -55,6 +58,7 @@ from .errors import (
 from .novikov import (
     INF,
     NovikovSeries,
+    _constant_sums,
     constant_series,
     monomial,
     val,
@@ -70,8 +74,10 @@ from .polytope import (
 from .potential import (
     Potential,
     build_potential,
+    constant_monomials,
     gradient_from_terms,
     hessian_from_terms,
+    hessian_rows,
     term_values,
     value_from_terms,
 )
@@ -613,25 +619,24 @@ def _homotopy_roots(supports, coeffs) -> list[tuple[complex, ...]]:
 # -- lifting infrastructure ---------------------------------------------------
 
 
-def _diagonal_clear(H0: np.ndarray) -> bool:
-    """No diagonal entry is within DIAG_TOL of zero, relative to its row (at least 1).
-
-    A row with a NaN counts as size 1, as max(1.0, nan) does.
+def _diagonal_clear(H0: np.ndarray) -> np.ndarray:
+    """Per matrix of the stack H0: no diagonal entry is within DIAG_TOL of zero, relative to its
+    row (at least 1).  A row with a NaN counts as size 1, as max(1.0, nan) does.
     """
     A = np.abs(H0)
-    return not (A.diagonal() <= DIAG_TOL * np.fmax(1.0, A.max(axis=1))).any()
+    return ~(np.diagonal(A, axis1=-2, axis2=-1) <= DIAG_TOL * np.fmax(1.0, A.max(axis=-1))).any(-1)
 
 
-def _well_conditioned(H0: np.ndarray) -> bool:
-    """Invertible in floats: not numerically zero, condition number < 1e8.
+def _well_conditioned(H0: np.ndarray) -> np.ndarray:
+    """Per matrix of the stack H0: invertible in floats, not numerically zero, cond < 1e8.
 
-    The condition number is s_max / s_min from one SVD, as np.linalg.cond forms
-    it: a zero s_min (inf or nan there) fails, and a NaN entry raises LinAlgError.
+    The condition number is s_max / s_min from one SVD call for the stack, as np.linalg.cond
+    forms it: a zero s_min (inf or nan there) fails, and a NaN entry raises LinAlgError.
     """
-    if np.max(np.abs(H0)) <= DIAG_TOL:
-        return False
-    s = np.linalg.svd(H0, compute_uv=False).tolist()
-    return s[-1] > 0 and s[0] / s[-1] < COND_LIMIT
+    s = np.linalg.svd(H0, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cond = s[..., 0] / s[..., -1]
+    return (np.abs(H0).max(axis=(-2, -1)) > DIAG_TOL) & (s[..., -1] > 0) & (cond < COND_LIMIT)
 
 
 def _normalized_state(W: Potential, z):
@@ -641,32 +646,49 @@ def _normalized_state(W: Potential, z):
     return tv, ghat, min(map(val, ghat))
 
 
-def _normalized_hessian(W: Potential, tv) -> list[list[NovikovSeries]]:
-    """Series matrix q^{-m_j} * dgrad_j/db_k from a term list (valuations >= 0)."""
-    return hessian_from_terms(W, tv, [m for m, _ in _row_data(W)])
+def _lift_starts(W: Potential, roots) -> dict:
+    """The lift start of every root, from one pass over a root axis; kept on W by zeta's bytes.
+
+    A start is (z, ghat, frontier, Hhat, H0, invertible, startable, critical value) at the
+    constant series z = zeta; Hhat is None where ghat is zero, H0 is its q^0 part, and all H0 of
+    the batch go through one SVD call.  A root that term_values would refuse keeps its NotAUnit,
+    and one whose H0 has a NaN the LinAlgError of its SVD; a lift raises either on reading it.
+    """
+    n, D, shifts = W.dimension, W.truncation, [m for m, _ in _row_data(W)]
+    starts, live, scalars = {}, [], []
+    for zeta in roots:
+        key = np.array(zeta, dtype=complex).tobytes()
+        try:
+            scalars.append(constant_monomials(W, zeta))
+            live.append((key, zeta))
+        except NotAUnit as exc:
+            starts[key] = exc
+    W.__dict__["_lift_starts"] = starts
+    if not live:
+        return starts
+    index, hessian = hessian_rows(W, shifts)
+    q0, series_of = _constant_sums(list(zip(W._plan.gradient, shifts)) + hessian,
+                                   W._plan.constant, scalars, D)
+    H0 = q0[:, n + np.array(index)]
+    nan = np.isnan(H0).any(axis=(1, 2))
+    invertible = _well_conditioned(np.where(nan[:, None, None], 0j, H0))
+    startable = (invertible & _diagonal_clear(H0)).tolist()
+    for r, (key, zeta) in enumerate(live):
+        ghat = tuple(series_of(r, j) for j in range(n))
+        Hhat = None if all(gj.is_zero() for gj in ghat) else [
+            [series_of(r, n + a) for a in row] for row in index]
+        starts[key] = np.linalg.LinAlgError("SVD did not converge: H0 has a NaN entry") if nan[r] else (
+            tuple(constant_series(x, D) for x in zeta), ghat, min(map(val, ghat)), Hhat, H0[r],
+            bool(invertible[r]), startable[r], series_of(r, -1))
+    return starts
 
 
 def _lift_start(W: Potential, zeta):
-    """The start both lifts share at the constant point zeta, built once per root.
-
-    Returns the constant series z, its term list, normalized gradient and
-    frontier, the normalized Hessian Hhat, H0 (Hhat's q^0 coefficients),
-    whether H0 is invertible in floats (one SVD) and whether it is also fit
-    for plain Newton (_diagonal_clear).  The start is kept on W for the last
-    zeta, keyed by its complex bytes, so graded_lift after a Newton refusal
-    at the same root builds nothing again.
-    """
+    """zeta's start from the batch kept on W, or from a batch of one when that batch lacks zeta."""
     key = np.array(zeta, dtype=complex).tobytes()
-    stored = W.__dict__.get("_lift_start")
-    if stored is not None and stored[0] == key:
-        return stored[1]
-    z = tuple(constant_series(zj, W.truncation) for zj in zeta)
-    tv, ghat, front = _normalized_state(W, z)
-    Hhat = _normalized_hessian(W, tv)
-    H0 = np.array([[h.coefficient(0) for h in row] for row in Hhat], dtype=complex)
-    invertible = _well_conditioned(H0)
-    start = z, tv, ghat, front, Hhat, H0, invertible, invertible and _diagonal_clear(H0)
-    W.__dict__["_lift_start"] = key, start
+    start = W.__dict__.get("_lift_starts", {}).get(key) or _lift_starts(W, [zeta])[key]
+    if isinstance(start, Exception):
+        raise start
     return start
 
 
@@ -695,14 +717,14 @@ def _solve_series_system(Hhat, ghat, H0inv: np.ndarray):
     return tuple(delta)
 
 
-def _certificate(W, z, tv, method, nondegenerate, iterations, history) -> CriticalCertificate:
-    """Package the lifted point z, whose gradient is zero, from its term list tv."""
+def _certificate(W, z, value, method, nondegenerate, iterations, history) -> CriticalCertificate:
+    """Package the lifted point z, whose gradient is zero, with the critical value there."""
     return CriticalCertificate(
         fiber=W.fiber,
         z=tuple(z),
         residual_valuation=INF,
         leading_jacobian_nondegenerate=nondegenerate,
-        critical_value=value_from_terms(tv),
+        critical_value=value,
         intersection_lower_bound=2**W.dimension,
         method=method,
         iterations=iterations,
@@ -725,10 +747,10 @@ def newton_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     not take f above and to at least twice its last value; the pipeline then
     tries graded_lift, which asks only that H0 be invertible.
     """
-    z, tv, ghat, front, Hhat, H0, _, startable = _lift_start(W, zeta)
+    z, ghat, front, Hhat, H0, _, startable, value = _lift_start(W, zeta)
     history = [front]
-    if all(gj.is_zero() for gj in ghat):
-        return _certificate(W, z, tv, "newton", startable, 0, history)
+    if Hhat is None:
+        return _certificate(W, z, value, "newton", startable, 0, history)
     if not startable:
         raise SingularLeadingHessian("H0 is unfit for plain Newton at this root")
     H0inv = np.linalg.inv(H0)
@@ -738,10 +760,10 @@ def newton_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
         tv, ghat, front = _normalized_state(W, z)
         history.append(front)
         if all(gj.is_zero() for gj in ghat):
-            return _certificate(W, z, tv, "newton", startable, it, history)
+            return _certificate(W, z, value_from_terms(tv), "newton", startable, it, history)
         if front <= history[-2] or front < 2 * history[-2]:
             raise NoConvergence(f"step {it} took the residual level from {history[-2]} to {front}")
-        Hhat = _normalized_hessian(W, tv)
+        Hhat = hessian_from_terms(W, tv, [m for m, _ in _row_data(W)])
 
 
 def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
@@ -756,7 +778,7 @@ def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
     first frontier is nonpositive, a correction does not raise it, or
     MAX_GRADED_LEVELS corrections do not reach the truncation.
     """
-    z, tv, ghat, front, _, H0, invertible, startable = _lift_start(W, zeta)
+    z, ghat, front, _, H0, invertible, startable, value = _lift_start(W, zeta)
     if not invertible:
         raise Inconsistent("H0 is singular at this root")
     if front <= 0:
@@ -775,7 +797,8 @@ def graded_lift(W: Potential, zeta: tuple[complex, ...]) -> CriticalCertificate:
         if front <= history[-1]:
             raise Inconsistent(f"correction at level {history[-1]} left the frontier at {front}")
         history.append(front)
-    return _certificate(W, z, tv, "graded", startable, len(history) - 1, history)
+    value = value if len(history) == 1 else value_from_terms(tv)
+    return _certificate(W, z, value, "graded", startable, len(history) - 1, history)
 
 
 # -- pipeline -----------------------------------------------------------------
@@ -809,8 +832,9 @@ def certificates_at_fiber(
         sys = leading_system(W)
     except (NotInterior, DegenerateDirection):
         return []
-    certs = []
-    for zeta in solve_leading(sys):
+    certs, roots = [], solve_leading(sys)
+    _lift_starts(W, roots)
+    for zeta in roots:
         try:
             certs.append(newton_lift(W, zeta))
         except NotAUnit:

@@ -319,6 +319,18 @@ def test_truncation_with_zero_denominator_is_rejected(interval_file, tmp_path, c
     assert captured.err.startswith("error: ") and "truncation '1/0'" in captured.err
     assert captured.out == ""
 
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+@pytest.mark.parametrize("command", ["critical", "analyze"])
+def test_a_non_numeric_truncation_names_its_flag(interval_file, tmp_path, capsys, command, value):
+    argv = [command, "--input", interval_file, "--truncation", value]
+    argv += _required_flags(command, tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot parse truncation '{value}': ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
 def test_probes_single(interval_file, capsys):
     rc = main(["probes", "--input", interval_file, "--lambda", "1/4", "--json"])
     assert rc == 0

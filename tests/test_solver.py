@@ -31,6 +31,7 @@ from toric_fiber_lab import (
     constant_series,
     eval_gradient,
     eval_hessian,
+    eval_potential,
     facet_values,
     find_critical_fibers,
     graded_lift,
@@ -41,10 +42,13 @@ from toric_fiber_lab import (
     one,
     probe_scan,
     series,
+    series_from_json,
     solve_leading,
     tropical_candidates,
+    val,
 )
 from toric_fiber_lab.novikov import INF, _shifted
+from toric_fiber_lab.potential import hessian_from_terms
 import toric_fiber_lab.polytope as polytope_mod
 from conftest import (
     BENCH_CASES,
@@ -979,7 +983,7 @@ def test_newton_lift_refuses_singular_leading_jacobian():
 
 def _leading_matrix(W, zeta):
     # H0 as both lifts read it: the q^0 part of the start's normalized b-Hessian
-    *_, H0, _, _ = solver_mod._lift_start(W, zeta)
+    *_, H0, _, _, _ = solver_mod._lift_start(W, zeta)
     return H0
 
 
@@ -1015,7 +1019,7 @@ def test_corner_cut_diagonal_leading_matrix_keeps_a_zero_diagonal():
     W = build_potential(corner_cut_polytope(F(1, 2)), (F(1, 2), F(1, 2)))
     H0 = _leading_matrix(W, (-1.0 + 0j, -1.0 + 0j))
     assert H0.tolist() == [[0, 1], [1, 0]]
-    *_, invertible, startable = solver_mod._lift_start(W, (-1.0 + 0j, -1.0 + 0j))
+    *_, invertible, startable, _ = solver_mod._lift_start(W, (-1.0 + 0j, -1.0 + 0j))
     assert invertible and not startable
 
 
@@ -1096,8 +1100,8 @@ def test_series_solve_cancels_the_gradient_on_random_systems(n):
     ids=["zero-diagonal", "clear-diagonal"],
 )
 def test_graded_lift_takes_one_condition_number(make, lam, zeta, startable, monkeypatch):
-    # the condition number comes from one SVD of the start's H0, which
-    # newton_lift and then graded_lift at the same root share
+    # the condition number comes from one SVD call on the batch of the start's
+    # H0, which newton_lift and then graded_lift at the same root share
     svds = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda A, **kw: svds.append(A) or svd(A, **kw))
@@ -1108,12 +1112,12 @@ def test_graded_lift_takes_one_condition_number(make, lam, zeta, startable, monk
         pass
     cert = graded_lift(W, zeta)
     assert cert.method == "graded" and len(svds) == 1
-    assert svds[0] is _leading_matrix(W, zeta)
+    assert svds[0].tolist() == [_leading_matrix(W, zeta).tolist()]
     assert cert.leading_jacobian_nondegenerate is startable
 
 
 def test_lifts_evaluate_each_point_once(monkeypatch):
-    """Each lift point builds one term list and inverts each z_j at most once."""
+    """No start builds a term list: each lift step builds one and inverts each z_j at most once."""
     import toric_fiber_lab.novikov as novikov_mod
     import toric_fiber_lab.potential as potential_mod
 
@@ -1132,20 +1136,13 @@ def test_lifts_evaluate_each_point_once(monkeypatch):
     P = corner_cut_polytope(F(1, 2))
     seen = []
     for fiber in ((F(0), F(0)), (F(1, 2), F(1, 2))):
-        W = build_potential(P, fiber)
-        for zeta in solve_leading(leading_system(W)):
-            try:
-                newton_lift(W, zeta)
-                lift = newton_lift
-            except SingularLeadingHessian:
-                lift = graded_lift
-            calls.update(term_values=0, nov_inverse=0)
-            cert = lift(W, zeta)
-            points = cert.iterations + 1
-            # the start is the one newton_lift above built: only the steps evaluate
-            assert calls["term_values"] == points - 1
-            assert calls["nov_inverse"] <= W.dimension * points
-            seen.append((cert.method, cert.iterations))
+        calls.update(term_values=0, nov_inverse=0)
+        certs = certificates_at_fiber(P, fiber)
+        steps = sum(cert.iterations for cert in certs)
+        # only the steps evaluate: the fiber's batch forms every start
+        assert calls["term_values"] == steps
+        assert calls["nov_inverse"] <= P.dimension * steps
+        seen += [(cert.method, cert.iterations) for cert in certs]
     assert sorted(m for m, _ in seen) == ["graded"] + ["newton"] * 4
     assert all(it >= 1 for _, it in seen)
 
@@ -1153,9 +1150,10 @@ def test_lifts_evaluate_each_point_once(monkeypatch):
 def test_a_newton_refused_root_is_started_once(monkeypatch):
     # corner-cut 1/2's diagonal fiber has the one leading root (-1, -1), whose
     # H0 has a zero diagonal: Newton refuses it and graded_lift lifts it from
-    # the same start, with no second term list at the constant point or SVD
-    starts, svds = [], []
-    evaluate, svd = solver_mod.term_values, np.linalg.svd
+    # the fiber's batch entry, with no second batch, no term list at the
+    # constant point and one SVD call
+    batches, starts, svds = [], [], []
+    evaluate, batch, svd = solver_mod.term_values, solver_mod._lift_starts, np.linalg.svd
 
     def counted(W, z):
         if all(len(zj._items) == 1 and zj._items[0][0] == 0 for zj in z):
@@ -1163,10 +1161,12 @@ def test_a_newton_refused_root_is_started_once(monkeypatch):
         return evaluate(W, z)
 
     monkeypatch.setattr(solver_mod, "term_values", counted)
+    monkeypatch.setattr(solver_mod, "_lift_starts", lambda W, roots: batches.append(roots) or batch(W, roots))
     monkeypatch.setattr(np.linalg, "svd", lambda A, **kw: svds.append(A) or svd(A, **kw))
     certs = certificates_at_fiber(corner_cut_polytope(F(1, 2)), (F(1, 2), F(1, 2)))
     assert [c.method for c in certs] == ["graded"]
-    assert starts == [(-1 + 0j, -1 + 0j)]
+    assert batches == [[(-1 + 0j, -1 + 0j)]]
+    assert starts == []
     assert len(svds) == 1
 
 
@@ -1217,7 +1217,7 @@ def test_normalized_rows_times_q_to_the_row_minimum_are_the_eval_rows(polytope, 
     cut = tuple(zj.retruncate(2).retruncate(W.truncation) for zj in cert.z)
     for z in (cert.z, cut):
         tv, ghat, _ = solver_mod._normalized_state(W, z)
-        Hhat = solver_mod._normalized_hessian(W, tv)
+        Hhat = hessian_from_terms(W, tv, minima)
         g, H = eval_gradient(W, z), eval_hessian(W, z)
         assert any(not gj.is_zero() for gj in g) == (z is cut)
         for j in range(2):
@@ -1514,7 +1514,8 @@ def test_lift_routes_of_the_benchmark_cases(name):
 
 
 def _evaluations(monkeypatch):
-    # counts the points a lift evaluates: its start and one per step
+    # counts the points a lift evaluates after its start, which comes from the
+    # fiber's batch: one per step
     seen = []
     original = solver_mod._normalized_state
 
@@ -1528,11 +1529,11 @@ def _evaluations(monkeypatch):
 
 def test_newton_ends_at_its_first_step_that_does_not_double(monkeypatch):
     # the NaN stays at level 1/2 after the step, so the first step breaks
-    # the law and Newton evaluates only its start and that step
+    # the law and Newton evaluates only that step after its start
     seen = _evaluations(monkeypatch)
     with pytest.raises(NoConvergence, match="step 1 took the residual level from 1/2 to 1/2"):
         newton_lift(_nan_tail_potential(), (1.0,))
-    assert len(seen) == 2
+    assert len(seen) == 1
 
 
 def test_newton_ends_at_a_step_that_raises_the_level_without_doubling_it(monkeypatch):
@@ -1556,10 +1557,10 @@ def test_a_point_that_is_not_a_leading_root_ends_at_once(monkeypatch):
     seen = _evaluations(monkeypatch)
     with pytest.raises(NoConvergence, match="step 1 took the residual level from 0 to 0"):
         newton_lift(W, (2.0 + 0j,))
-    assert len(seen) == 2
+    assert len(seen) == 1
     with pytest.raises(Inconsistent, match="nonpositive level 0"):
         graded_lift(W, (2.0 + 0j,))
-    assert len(seen) == 2  # graded_lift reads Newton's start
+    assert len(seen) == 1  # graded_lift reads Newton's start
 
 
 def test_graded_lift_ends_at_its_first_repeated_level(monkeypatch):
@@ -1735,9 +1736,83 @@ def test_one_svd_decides_as_np_linalg_cond_bit_for_bit(H0):
         want = _cond_decision(H0)
     except np.linalg.LinAlgError:
         with pytest.raises(np.linalg.LinAlgError):
-            solver_mod._well_conditioned(H0)
+            solver_mod._well_conditioned(H0[None])
         return
-    assert solver_mod._well_conditioned(H0) is want
+    assert solver_mod._well_conditioned(H0[None]).tolist() == [want]
     s = np.linalg.svd(H0, compute_uv=False)
     if s[-1] > 0:  # the quotient the decision reads is np.linalg.cond's, to the bit
         assert struct.pack("d", s[0] / s[-1]) == struct.pack("d", np.linalg.cond(H0))
+
+
+def _p2_twisted(D):
+    # P^2 with the three twists of the CI's --bulk file: real, complex and a term list
+    P = make_polytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), -1)])
+    docs = [0.5, {"re": 0.1, "im": -0.2}, [{"exp": "1/2", "re": 0.25}]]
+    return P, tuple(series_from_json(doc, D) for doc in docs), D
+
+
+ROOT_AXIS_INPUTS = {
+    **{name: lambda make=make: (make(), None, None) for name, make in BENCH_CASES.items()},
+    "16-gon-D12": lambda: (_sixteen_gon(), None, F(12)),
+    "P2-twisted-D5/2": lambda: _p2_twisted(F(5, 2)),
+    "P2-twisted-D4": lambda: _p2_twisted(F(4)),
+    "twisted-hexagon-D3": lambda: (_twelve_line_polytope(F(-23, 8)), None, F(3)),
+    # complex multipliers and tails: the root axis' complex products must be CPython's
+    "hexagon-complex-twist-D4": lambda: (hexagon_polytope(), tuple(
+        series([(0, complex(0.1 * i, 0.05 * (i + 1))), (F(1, 3), complex(0.2, -0.1 * i))], 4)
+        for i in range(6)), F(4)),
+}
+
+
+def _bytes(s):
+    return [(e, struct.pack("dd", c.real, c.imag)) for e, c in s.terms]
+
+
+@pytest.mark.parametrize("name", ROOT_AXIS_INPUTS)
+def test_root_axis_start_matches_the_series_route(name):
+    # every leading root's start, from the fiber's one batch, is what the
+    # series operators give at the constant point, bit for bit: the zero
+    # decision, the frontier, H0 as the q^0 part of eval_hessian's row j
+    # shifted by m_j, both flags and the critical value
+    P, alpha, D = ROOT_AXIS_INPUTS[name]()
+    checked = 0
+    for cand in tropical_candidates(P):
+        W = build_potential(P, cand.fiber, alpha, D)
+        roots = solve_leading(leading_system(W))
+        starts = solver_mod._lift_starts(W, roots)
+        m = [mj for mj, _ in W._plan.rows]
+        for zeta in roots:
+            z, ghat, front, Hhat, H0, invertible, startable, value = solver_mod._lift_start(W, zeta)
+            point = tuple(constant_series(x, W.truncation) for x in zeta)
+            g, H = eval_gradient(W, point), eval_hessian(W, point)
+            assert z == point
+            assert [_bytes(_shifted(gj, mj)) for gj, mj in zip(ghat, m)] == list(map(_bytes, g))
+            assert (Hhat is None) == all(gj.is_zero() for gj in g)
+            assert front == min(val(gj) - mj for gj, mj in zip(g, m))
+            want = np.array([[H[j][k].coefficient(m[j]) for k in range(W.dimension)]
+                             for j in range(W.dimension)])
+            assert H0.tobytes() == want.tobytes()
+            assert invertible is _cond_decision(want)
+            clear = all(abs(want[j, j]) > solver_mod.DIAG_TOL * max(1.0, *abs(want[j]))
+                        for j in range(W.dimension))
+            assert startable is (invertible and clear)
+            assert _bytes(value) == _bytes(eval_potential(W, point))
+            if Hhat is not None:
+                assert all(_shifted(Hhat[j][k], m[j]) == H[j][k]
+                           for j in range(W.dimension) for k in range(W.dimension))
+            checked += 1
+        assert len(starts) == len(roots)
+    assert checked
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_root_axis_svd_is_the_one_by_one_svd_bit_for_bit(n):
+    # one SVD call on a stack of H0 gives each matrix's singular values as
+    # its own call does, so a batch of roots decides as each root alone
+    rng = np.random.default_rng(n)
+    H0 = rng.normal(size=(40, n, n)) + 1j * rng.normal(size=(40, n, n))
+    H0[::7] *= 1e-9  # numerically zero
+    H0[1::7, :, 0] = H0[1::7, :, -1]  # singular (a repeated column)
+    stacked = np.linalg.svd(H0, compute_uv=False)
+    assert stacked.tobytes() == np.array([np.linalg.svd(A, compute_uv=False) for A in H0]).tobytes()
+    assert solver_mod._well_conditioned(H0).tolist() == [_cond_decision(A) for A in H0]
