@@ -290,7 +290,8 @@ def main(argv=None) -> int:
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
-    except (ToricFiberError, OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+    # json.JSONDecodeError is a ValueError; an OverflowError is a float past the largest one
+    except (ToricFiberError, OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

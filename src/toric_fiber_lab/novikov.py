@@ -10,13 +10,15 @@ Storage is an exact integer grid: each exponent e is the key e * den and D is
 top = D * den, den a common denominator, and operands on different grids are
 aligned to the lcm of their dens.  .terms is a (Fraction, complex) view built on
 first read.  Only abs(c) < PRUNE_THRESHOLD prunes a coefficient, so a non-finite
-one is kept and a NaN residual never reads as zero.
+one is kept and a NaN residual never reads as zero; a coefficient with finite
+parts whose modulus is above the largest float raises OverflowError in abs.
 
 The arithmetic lives in kernels on the sorted (key, coefficient) items of one
 grid, with one prune rule (_pruned) and one product loop (_product), which
 every operator shares.  No other module reads the grid; the potential's
-term lists use _shifted and _weighted_sums, and a fiber's lift starts use
-_constant_sums, its form on an axis of constant points with the same bytes.
+term lists use _shifted and _weighted_sums, and every derived series, a
+fiber's lift starts included (_constant_sums), comes from one row loop
+(_row_sums).
 
 A unit a = a_0 + (terms of positive exponent) is inverted in one pass over
 the exponents of its inverse, which lie in the monoid generated by the
@@ -29,9 +31,7 @@ import cmath
 import heapq
 import math
 from fractions import Fraction
-from functools import cached_property
-
-import numpy as np
+from functools import cached_property, reduce
 
 from .errors import NegativeValuation, NotAUnit, SchemaError, TruncationMismatch
 
@@ -213,14 +213,19 @@ def series(pairs, truncation: RationalLike) -> NovikovSeries:
 def _weighted_sums(rows, tv, D: Fraction) -> list[NovikovSeries]:
     """q^(-m) * sum_i w * tv[i] over the (i, w) of weights, for each (weights, m) of rows.
 
-    All results share one grid, worked out once: the lcm of the denominators
-    of D, of every m and of every series of tv.  Each coefficient is summed
-    from 0j in order and pruned once; moving the keys by m before that prune
-    gives the bytes of pruning first and shifting after.  m is at most every
-    weighted term's valuation.
+    All results share one grid, the lcm of the denominators of D, of every m and of every tv[i].
     """
     den = math.lcm(D.denominator, *(m.denominator for _, m in rows), *(s._den for s in tv))
-    top, scaled = D.numerator * (den // D.denominator), [(den // s._den, s._items) for s in tv]
+    top = D.numerator * (den // D.denominator)
+    return _row_sums(rows, [(den // s._den, s._items) for s in tv], den, top)
+
+
+def _row_sums(rows, scaled, den: int, top: int) -> list[NovikovSeries]:
+    """_weighted_sums' row loop on grid (den, top): tv[i] has keys k * f, (f, items) = scaled[i].
+
+    Each coefficient is summed from 0j in order and pruned once; moving the keys by m before that
+    prune gives the bytes of pruning first and shifting after (m is at most each term's valuation).
+    """
     out = []
     for weights, m in rows:
         dk, acc = m.numerator * (den // m.denominator), {}
@@ -238,61 +243,22 @@ def _kept(c: complex) -> complex:
     return 0j if abs(v := 0j + c) < PRUNE_THRESHOLD else v
 
 
-def _cmul(a, b) -> np.ndarray:
-    """a * b on complex arrays as CPython forms it: numpy's own product may fuse (FMA) a part."""
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
+def _constant_sums(rows, parts, scalars, D: Fraction) -> list:
+    """(_weighted_sums(rows, tv, D), value_from_terms(tv)) for the term list tv of each root.
 
-
-def _kept_array(x: np.ndarray) -> np.ndarray:
-    """_kept on every entry: hypot is the libm call abs(complex) makes."""
-    x = 0j + x
-    return np.where(np.hypot(x.real, x.imag) < PRUNE_THRESHOLD, 0j, x)
-
-
-@np.errstate(all="ignore")  # non-finite coefficients are kept, as the series operators keep them
-def _constant_sums(rows, parts, scalars, D: Fraction):
-    """_weighted_sums(rows, tv, D) and value_from_terms(tv) for the term list tv of each root.
-
-    tv[i] at root r is term_values' scalars[r][i] * T (skipped when one) * m for (T, m, one) =
-    parts[i]: the tail times q^{l_i}, the multiplier, the tail is 1.  Every step is one numpy
-    pass over the roots on the union of the T's keys, with the series operators' bytes (np.add.at
-    sums from 0j in order; a real weight leaves no product to fuse); the running sum is per root.
-    Returns q0[r, a], the q^0 coefficient of row a at root r, and series_of(r, a), that row as a
-    series (the running sum is row -1).
+    tv is term_values' at a constant point: with x = scalars[r][i] and (T, m, one) = parts[i] (tail
+    times q^{l_i}, multiplier, tail is 1), each coefficient t of T gives _kept(_kept(t * x) * m),
+    _kept(x * m) for a tail of 1, and a zero x no term.  The value is a running _sum.
     """
     den = math.lcm(D.denominator, *(m.denominator for _, m in rows), *(T._den for T, _, _ in parts))
-    ents = [(i, k * (den // T._den), c) for i, (T, _, _) in enumerate(parts) for k, c in T._items]
-    pos = {k: u for u, k in enumerate(sorted({k for _, k, _ in ents}))}
-    term, col, width = [i for i, _, _ in ents], [pos[k] for _, k, _ in ents], len(pos) + 1
-    by_term = [[e for e, (j, _, _) in enumerate(ents) if j == i] for i in range(len(parts))]
-    s = np.array(scalars, dtype=complex)[:, term]
-    live = s != 0
-    if not all(one for *_, one in parts):
-        one, c = np.array([parts[i][2] for i in term]), np.array([c for *_, c in ents])
-        s = np.where(one, s, _kept_array(_cmul(s, c)))
-        live &= s != 0
-    tv = np.where(live, _kept_array(_cmul(s, np.array([parts[i][1] for i in term]))), 0j)
-    to, at, w = (np.array(x) for x in zip(*((a * width + col[e], e, w) for a, (ws, _) in
-                                            enumerate(rows) for i, w in ws for e in by_term[i])))
-    out = np.zeros((len(s), len(rows), width), dtype=complex)
-    np.add.at(out.reshape(-1), (np.arange(len(s))[:, None] * out[0].size + to).ravel(),
-              (tv[:, at] * w).ravel())
-    out, lists = _kept_array(out), []
-    shifts = [m.numerator * (den // m.denominator) for _, m in rows] + [0]
-    for rs, row in zip(out.tolist(), tv.tolist()):
-        value = [0j] * width
-        for u, x in zip(col, row):
-            value[u] = _kept(value[u] + x)
-        lists.append(rs + [value])
-    top, keys = D.numerator * (den // D.denominator), list(pos)
-
-    def series_of(r: int, a: int) -> NovikovSeries:
-        return _wrap([(k - shifts[a], c) for k, c in zip(keys, lists[r][a]) if c], den, top)
-
-    return out[:, np.arange(len(rows)), [pos.get(dk, width - 1) for dk in shifts[:-1]]], series_of
+    top, out = D.numerator * (den // D.denominator), []
+    terms = [([(k * (den // T._den), t) for k, t in T._items], m, one) for T, m, one in parts]
+    for xs in scalars:
+        tv = [[(k, y) for k, t in items if (y := x and _kept((x if one else _kept(t * x)) * m))]
+              for x, (items, m, one) in zip(xs, terms)]
+        out.append((_row_sums(rows, [(1, items) for items in tv], den, top),
+                    _wrap(reduce(_sum, tv), den, top)))
+    return out
 
 
 def constant_series(c: complex, truncation: RationalLike) -> NovikovSeries:

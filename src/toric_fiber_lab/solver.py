@@ -25,10 +25,10 @@ the normalized gradient, the critical value and, at each Newton iterate that
 keeps the law, the normalized series Hessian (both normalized forms are
 eval_gradient's and eval_hessian's formulas with row j shifted by q^{-m_j}).
 A fiber's roots start together: at a constant point zeta, term i is
-zeta^{v_i} times a series free of zeta, so one pass over a root axis gives
-each root's normalized gradient and Hessian, H0 (the Hessian's q^0 part) and
-critical value with the series operators' bytes, and all H0 go through one
-SVD call.  Both lifts share the batch, kept on the potential; a lift called
+zeta^{v_i} times a series free of zeta, so each root's normalized gradient
+and Hessian, H0 (the Hessian's q^0 part) and critical value come from the
+row loop of every derived series, and all H0 go through one SVD call.
+Both lifts share the batch, kept on the potential; a lift called
 alone starts a batch of one root.  Row valuations are read off the
 potential's plan, computed once per potential.
 Newton's series solve is a refinement written with the series operators.
@@ -647,7 +647,7 @@ def _normalized_state(W: Potential, z):
 
 
 def _lift_starts(W: Potential, roots) -> dict:
-    """The lift start of every root, from one pass over a root axis; kept on W by zeta's bytes.
+    """The lift start of every root, from the constant-point row sums; kept on W by zeta's bytes.
 
     A start is (z, ghat, frontier, Hhat, H0, invertible, startable, critical value) at the
     constant series z = zeta; Hhat is None where ghat is zero, H0 is its q^0 part, and all H0 of
@@ -667,19 +667,20 @@ def _lift_starts(W: Potential, roots) -> dict:
     if not live:
         return starts
     index, hessian = hessian_rows(W, shifts)
-    q0, series_of = _constant_sums(list(zip(W._plan.gradient, shifts)) + hessian,
-                                   W._plan.constant, scalars, D)
-    H0 = q0[:, n + np.array(index)]
+    sums = _constant_sums(list(zip(W._plan.gradient, shifts)) + hessian, W._plan.constant,
+                          scalars, D)
+    H0 = np.array([[[rows[n + a].coefficient(0) for a in row] for row in index]
+                   for rows, _ in sums])
     nan = np.isnan(H0).any(axis=(1, 2))
     invertible = _well_conditioned(np.where(nan[:, None, None], 0j, H0))
     startable = (invertible & _diagonal_clear(H0)).tolist()
-    for r, (key, zeta) in enumerate(live):
-        ghat = tuple(series_of(r, j) for j in range(n))
+    for r, ((key, zeta), (rows, value)) in enumerate(zip(live, sums)):
+        ghat = tuple(rows[:n])
         Hhat = None if all(gj.is_zero() for gj in ghat) else [
-            [series_of(r, n + a) for a in row] for row in index]
+            [rows[n + a] for a in row] for row in index]
         starts[key] = np.linalg.LinAlgError("SVD did not converge: H0 has a NaN entry") if nan[r] else (
             tuple(constant_series(x, D) for x in zeta), ghat, min(map(val, ghat)), Hhat, H0[r],
-            bool(invertible[r]), startable[r], series_of(r, -1))
+            bool(invertible[r]), startable[r], value)
     return starts
 
 

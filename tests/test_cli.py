@@ -299,6 +299,28 @@ def test_critical_rejects_an_overflowing_bulk_twist(tmp_path, capsys):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["critical", "analyze"])
+def test_a_critical_value_past_the_largest_float_exits_2(interval_file, tmp_path, capsys, command):
+    # e^709.13 is finite, but the running sum of the two terms has a modulus
+    # above the largest float, so abs raises OverflowError in the prune
+    bulk = tmp_path / "b.json"
+    bulk.write_text(json.dumps({"alpha": [{"re": 709.13, "im": math.pi / 4}] * 2}))
+    assert main([command, "--input", interval_file, "--bulk", str(bulk)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: absolute value too large\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["render", "analyze"])
+def test_an_svg_wider_than_the_largest_float_exits_2(tmp_path, capsys, command):
+    src, svg = tmp_path / "p.json", tmp_path / "p.svg"
+    src.write_text('{"dimension": 2, "facets": [[[1, 0], 0], [[0, 1], 0], [[-1, -1], "-1e400"]]}')
+    flag = "--output" if command == "render" else "--svg"
+    assert main([command, "--input", str(src), flag, str(svg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: integer division result too large for a float\n"
+    assert captured.out == "" and not svg.exists()
+
+
 def test_critical_rejects_a_truncation_at_a_leading_valuation(square_file, capsys):
     # the square's terms at (0, 0) all sit at q^1, so q^(1/3) certifies nothing
     assert main(["critical", "--input", square_file, "--truncation", "1/3"]) == 2

@@ -1754,10 +1754,15 @@ def _p2_twisted(D):
 ROOT_AXIS_INPUTS = {
     **{name: lambda make=make: (make(), None, None) for name, make in BENCH_CASES.items()},
     "16-gon-D12": lambda: (_sixteen_gon(), None, F(12)),
+    # the centre's rows have 10 terms each
+    "12-line": lambda: (_twelve_line_polytope(), None, None),
+    # the hexagon under x -> -x, whose homotopy returns 15 roots at the centre
+    "mirrored-hexagon": lambda: (make_polytope(2, [(v, F(-3)) for v in (
+        (-2, 1), (-1, 2), (1, 1), (2, -1), (1, -2), (-1, -1))]), None, None),
     "P2-twisted-D5/2": lambda: _p2_twisted(F(5, 2)),
     "P2-twisted-D4": lambda: _p2_twisted(F(4)),
     "twisted-hexagon-D3": lambda: (_twelve_line_polytope(F(-23, 8)), None, F(3)),
-    # complex multipliers and tails: the root axis' complex products must be CPython's
+    # complex multipliers and tails: a start's products keep term_values' order and prunes
     "hexagon-complex-twist-D4": lambda: (hexagon_polytope(), tuple(
         series([(0, complex(0.1 * i, 0.05 * (i + 1))), (F(1, 3), complex(0.2, -0.1 * i))], 4)
         for i in range(6)), F(4)),
@@ -1816,3 +1821,23 @@ def test_root_axis_svd_is_the_one_by_one_svd_bit_for_bit(n):
     stacked = np.linalg.svd(H0, compute_uv=False)
     assert stacked.tobytes() == np.array([np.linalg.svd(A, compute_uv=False) for A in H0]).tobytes()
     assert solver_mod._well_conditioned(H0).tolist() == [_cond_decision(A) for A in H0]
+
+
+def _outcome(f):
+    try:
+        return f()
+    except Exception as exc:  # the test compares what each route raises
+        return type(exc)
+
+
+def test_both_start_routes_agree_on_a_coefficient_past_the_largest_float():
+    # W = m z^2 q^(1/2) + m z^-2 q^(1/2): at z = 1 the Hessian entry is 8m,
+    # whose parts are finite but whose modulus is above the largest float;
+    # the batched start and eval_hessian keep it or raise alike
+    D, m = F(3), 2e307 + 2e307j
+    W = Potential(1, (F(0),), tuple(PotentialTerm(i, m, one(D), (v,), F(1, 2))
+                                    for i, v in enumerate((2, -2))), D)
+    point = (constant_series(1.0, D),)
+    series_route = _outcome(lambda: eval_hessian(W, point)[0][0].coefficient(F(1, 2)))
+    start = _outcome(lambda: solver_mod._lift_start(W, (1 + 0j,))[4][0, 0])
+    assert start == series_route
